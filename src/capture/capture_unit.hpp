@@ -212,11 +212,17 @@ class CaptureUnit
      * (release) only after publishing every ring record it covers, and
      * progressCeiling() reads it (acquire) *before* looking at the ring
      * head — so a bound observed together with an empty ring really
-     * means every record below the bound was handed over.
+     * means every record below the bound was handed over. Write-on-
+     * change: an unmoved bound is not stored again, so the consumer's
+     * cached copy of the line survives producer passes that publish
+     * nothing.
      */
     void
     setCeilingBound(RecordId bound)
     {
+        if (bound == lastCeilingBound_)
+            return;
+        lastCeilingBound_ = bound;
         ceilingBound_.store(bound, std::memory_order_release);
     }
 
@@ -282,6 +288,8 @@ class CaptureUnit
     /// Ring-mode progress bound, producer-published (release) and read
     /// by progressCeiling() (acquire) before the ring head.
     std::atomic<RecordId> ceilingBound_{0};
+    /// Producer-private copy of the last value stored to ceilingBound_.
+    RecordId lastCeilingBound_ = 0;
     /// Live-parallel: sealed records that found the ring full. Drained
     /// ahead of the log buffer on the next publishSealed so the ring
     /// stays FIFO by rid. Producer-thread-only.

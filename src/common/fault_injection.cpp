@@ -48,17 +48,6 @@ lookupSpec(const char *spec, const std::string &point)
     return std::nullopt;
 }
 
-/** PR 4/6 environment hooks, kept as aliases for their new names. */
-const char *
-legacyAlias(const std::string &point)
-{
-    if (point == "cell.fail")
-        return "PARALOG_FAIL_CELL";
-    if (point == "lg.fail")
-        return "PARALOG_FAIL_LG";
-    return nullptr;
-}
-
 } // namespace
 
 std::optional<std::uint64_t>
@@ -70,15 +59,8 @@ faultValue(const std::string &point)
         if (it != armedFaults().end())
             return it->second;
     }
-    if (const char *spec = std::getenv("PARALOG_FAULT")) {
-        std::optional<std::uint64_t> v = lookupSpec(spec, point);
-        if (v)
-            return v;
-    }
-    if (const char *alias = legacyAlias(point)) {
-        if (const char *s = std::getenv(alias))
-            return std::strtoull(s, nullptr, 10);
-    }
+    if (const char *spec = std::getenv("PARALOG_FAULT"))
+        return lookupSpec(spec, point);
     return std::nullopt;
 }
 

@@ -10,11 +10,13 @@
  * appears to the consumer atomically. That batch horizon is what the
  * delivery-order proofs in the replay engine lean on.
  *
- * Write-minimizing by construction (one shared-cacheline store per
- * publish / per pop, never per push): indices are monotonically
+ * Write-minimizing by construction (at most one shared-cacheline store
+ * per publish / per pop, never per push): indices are monotonically
  * increasing 64-bit sequence numbers, slot = seq & (capacity - 1).
  * Each side caches the other side's index and refreshes it only when
- * the cached value would block progress.
+ * the cached value would block progress. publish() is write-on-change:
+ * with nothing newly staged it stores nothing, so a producer that
+ * publishes on every pass does not bounce the line the consumer polls.
  *
  * Thread contract: tryPush/publish/pushed/freeSpace are
  * producer-only; front/pop/consumerEmpty are consumer-only; popped()
@@ -65,10 +67,14 @@ class SpscRing
         return true;
     }
 
-    /** Make every staged push visible to the consumer at once. */
+    /** Make every staged push visible to the consumer at once. A no-op
+     *  when nothing was staged since the last publish. */
     void
     publish()
     {
+        if (head_ == lastPublished_)
+            return;
+        lastPublished_ = head_;
         published_.store(head_, std::memory_order_release);
     }
 
@@ -129,9 +135,11 @@ class SpscRing
     std::vector<T> slots_;
     const std::size_t mask_;
 
-    // Producer-owned line: private head plus the cached consumer tail.
+    // Producer-owned line: private head, the cached consumer tail and
+    // the last value stored to published_.
     alignas(64) std::uint64_t head_ = 0;
     std::uint64_t cachedTail_ = 0;
+    std::uint64_t lastPublished_ = 0;
 
     // Consumer-owned line: private tail cursor plus cached publish mark.
     alignas(64) std::uint64_t tailLocal_ = 0;

@@ -95,9 +95,8 @@ Platform::runConcurrentLive()
         abortFlag.store(true, std::memory_order_release);
     };
 
-    // Failure-containment hook (fault point "lg.fail", legacy
-    // PARALOG_FAIL_LG): panic on the consumer thread that owns the
-    // named lifeguard stream.
+    // Failure-containment hook (fault point "lg.fail"): panic on the
+    // consumer thread that owns the named lifeguard stream.
     ThreadId failTid = kInvalidThread;
     if (std::optional<std::uint64_t> v = faultValue("lg.fail"))
         failTid = static_cast<ThreadId>(*v);
@@ -141,8 +140,8 @@ Platform::runConcurrentLive()
                     continue;
                 all_done = false;
                 if (mine[i].first == failTid)
-                    panic("lg.fail (PARALOG_FAIL_LG): injected failure on "
-                          "live lifeguard thread %u",
+                    panic("lg.fail: injected failure on live lifeguard "
+                          "thread %u",
                           mine[i].first);
                 std::uint64_t before = core->stats.recordsProcessed;
                 if (serializeSteps) {

@@ -14,7 +14,8 @@
  *   A record may be handed to its consumer only after every journal op
  *   that still mutates it (or gates its visibility) has been applied.
  *
- * A pre-pass over the journal computes, per stream, the final record
+ * A pre-pass that decodes each stream of the journal once
+ * (core/publication_plan.cpp) computes, per stream, the final record
  * sequence and each record's seal — the greatest gseq among its append,
  * the visibility-limit move that exposes it, arc attachments, effective
  * consume-version annotations, and the ConflictAlert broadcast that
@@ -48,219 +49,15 @@
 #include <exception>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
 #include "common/spsc_ring.hpp"
+#include "core/publication_plan.hpp"
 
 namespace paralog {
-namespace {
-
-using trace::OpCode;
-using trace::TraceOp;
-
-/** One record of a stream's final (post-insert) shape. */
-struct SealEntry
-{
-    RecordId rid = 0;
-    EventType type = EventType::kNone;
-    /// Greatest gseq of any journal op that mutates or exposes this
-    /// record; it may be handed to the consumer once that op applied.
-    std::uint64_t seal = 0;
-};
-
-struct StreamPlan
-{
-    std::vector<SealEntry> seq;
-    /// Prefix-max of seals: publication is in stream order, so a
-    /// record's effective seal includes every predecessor's.
-    std::vector<std::uint64_t> pubSeal;
-};
-
-struct TagHash
-{
-    std::size_t
-    operator()(const VersionTag &t) const
-    {
-        return std::hash<std::uint64_t>()(
-            (static_cast<std::uint64_t>(t.tid) << 48) ^ t.rid);
-    }
-};
-
-std::uint64_t
-issuerKey(ThreadId tid, RecordId rid)
-{
-    return (static_cast<std::uint64_t>(tid) << 48) ^ rid;
-}
-
-/**
- * Two linear scans of the journal (through a second, pre-pass reader).
- *
- * Pass A collects the cross-op facts seals depend on: per version tag,
- * the last kInsertProduce gseq (an annotation is applied-to-pending iff
- * a produce follows it — a later annotation targets an already-consumed
- * record, which by publication-order is already out of the log buffer
- * when the producer reaches it, making the live "already consumed"
- * no-op deterministic); per CA broadcast, the gseq that must seal its
- * arrival records and the issuer's high-level record (the broadcast op
- * injects the barrier entry and stamps the issuer record — a consumer
- * reaching either record earlier would sail through the barrier).
- *
- * Pass B replays each stream's shape: appends in order, produce records
- * inserted before their store (mirroring LogBuffer::insertBefore), and
- * visibility tracked so a record hidden behind the TSO store buffer is
- * sealed by the kVisLimit op that exposes it. Where several records
- * share a rid (CA records borrow the retire counter), by-rid seals are
- * applied to all of them — over-sealing only delays publication, never
- * breaks it.
- */
-std::vector<StreamPlan>
-buildPublicationPlans(const std::string &path, std::uint32_t k)
-{
-    trace::TraceReader reader(path);
-    PARALOG_ASSERT(reader.ok(), "concurrent replay pre-pass: %s",
-                   reader.error().c_str());
-
-    std::unordered_map<VersionTag, std::uint64_t, TagHash> lastProduce;
-    std::unordered_map<std::uint64_t, std::uint64_t> caGseq; // seq
-    std::unordered_map<std::uint64_t, std::uint64_t> issuerGseq;
-    for (ThreadId t = 0; t < k; ++t) {
-        trace::TraceReader::OpStream s = reader.opStream(t);
-        TraceOp op;
-        while (s.next(op)) {
-            if (op.op == OpCode::kInsertProduce) {
-                std::uint64_t &g = lastProduce[op.version];
-                g = std::max(g, op.gseq);
-            } else if (op.op == OpCode::kCaBroadcast) {
-                std::uint64_t &g = caGseq[op.ca.seq];
-                g = std::max(g, op.gseq);
-                std::uint64_t &ig = issuerGseq[issuerKey(
-                    op.ca.issuer, op.ca.issuerEventRid)];
-                ig = std::max(ig, op.gseq);
-            }
-        }
-        PARALOG_ASSERT(reader.ok(), "concurrent replay pre-pass: %s",
-                       reader.error().c_str());
-    }
-
-    std::vector<StreamPlan> plans(k);
-    for (ThreadId t = 0; t < k; ++t) {
-        StreamPlan &plan = plans[t];
-        std::vector<SealEntry> &seq = plan.seq;
-        RecordId visLimit = kInvalidRecord;
-        std::vector<std::size_t> pendingVis;
-
-        auto lower = [&seq](RecordId rid) {
-            return std::lower_bound(
-                seq.begin(), seq.end(), rid,
-                [](const SealEntry &e, RecordId r) { return e.rid < r; });
-        };
-        auto sealRange = [&seq, &lower](RecordId rid, std::uint64_t g) {
-            for (auto it = lower(rid); it != seq.end() && it->rid == rid;
-                 ++it)
-                it->seal = std::max(it->seal, g);
-        };
-        auto trackVisibility = [&](std::size_t idx, RecordId rid) {
-            if (visLimit != kInvalidRecord && rid >= visLimit)
-                pendingVis.push_back(idx);
-        };
-
-        trace::TraceReader::OpStream s = reader.opStream(t);
-        TraceOp op;
-        while (s.next(op)) {
-            switch (op.op) {
-              case OpCode::kAppend:
-              case OpCode::kAppendCa: {
-                SealEntry e{op.rec.rid, op.rec.type, op.gseq};
-                if (e.type == EventType::kCaBegin ||
-                    e.type == EventType::kCaEnd) {
-                    auto it = caGseq.find(op.rec.value);
-                    if (it != caGseq.end())
-                        e.seal = std::max(e.seal, it->second);
-                }
-                auto it = issuerGseq.find(issuerKey(t, e.rid));
-                if (it != issuerGseq.end())
-                    e.seal = std::max(e.seal, it->second);
-                seq.push_back(e);
-                trackVisibility(seq.size() - 1, e.rid);
-                break;
-              }
-              case OpCode::kInsertProduce: {
-                // Mirror LogBuffer::insertBefore: directly before the
-                // same-rid store when present, else before the first
-                // record with rid >= store rid, else at the tail.
-                auto pos = lower(op.rid);
-                auto ins = pos;
-                for (auto it = pos;
-                     it != seq.end() && it->rid == op.rid; ++it) {
-                    if (it->type == EventType::kStore) {
-                        ins = it;
-                        break;
-                    }
-                }
-                std::size_t idx =
-                    static_cast<std::size_t>(ins - seq.begin());
-                seq.insert(ins, SealEntry{op.rid,
-                                          EventType::kProduceVersion,
-                                          op.gseq});
-                for (std::size_t &p : pendingVis)
-                    if (p >= idx)
-                        ++p;
-                // The produce shares the (store-buffer-hidden) store's
-                // rid, so it is exposed by the same kVisLimit move.
-                trackVisibility(idx, op.rid);
-                break;
-              }
-              case OpCode::kVisLimit: {
-                RecordId lim = op.visLimit;
-                for (std::size_t i = 0; i < pendingVis.size();) {
-                    SealEntry &e = seq[pendingVis[i]];
-                    if (lim == kInvalidRecord || e.rid < lim) {
-                        e.seal = std::max(e.seal, op.gseq);
-                        pendingVis[i] = pendingVis.back();
-                        pendingVis.pop_back();
-                    } else {
-                        ++i;
-                    }
-                }
-                visLimit = lim;
-                break;
-              }
-              case OpCode::kAttachArcs:
-                sealRange(op.rid, op.gseq);
-                break;
-              case OpCode::kAnnotateConsume: {
-                auto it = lastProduce.find(op.version);
-                if (it != lastProduce.end() && op.gseq < it->second)
-                    sealRange(op.rid, op.gseq);
-                break;
-              }
-              case OpCode::kCaBroadcast: // sealed via the pass-A maps
-              case OpCode::kRetire:
-                break;
-            }
-        }
-        PARALOG_ASSERT(reader.ok(), "concurrent replay pre-pass: %s",
-                       reader.error().c_str());
-        PARALOG_ASSERT(pendingVis.empty(),
-                       "concurrent replay pre-pass: stream %u ends with "
-                       "%zu records never made visible",
-                       t, pendingVis.size());
-
-        plan.pubSeal.resize(seq.size());
-        std::uint64_t run = 0;
-        for (std::size_t i = 0; i < seq.size(); ++i) {
-            run = std::max(run, seq[i].seal);
-            plan.pubSeal[i] = run;
-        }
-    }
-    return plans;
-}
-
-} // namespace
 
 RunResult
 ReplayPlatform::runConcurrent()
@@ -344,7 +141,7 @@ ReplayPlatform::runConcurrent()
             ReplayCore *best = nullptr;
             std::uint64_t best_gseq = ~0ULL;
             for (ReplayCore *p : cores) {
-                if (const TraceOp *op = p->peek()) {
+                if (const trace::TraceOp *op = p->peek()) {
                     if (op->gseq < best_gseq) {
                         best = p;
                         best_gseq = op->gseq;
@@ -381,9 +178,8 @@ ReplayPlatform::runConcurrent()
     const std::uint32_t nConsumers = std::max<std::uint32_t>(
         1, std::min<std::uint32_t>(cfg_.lgThreads, k_));
 
-    // Failure-containment test hook (fault point "lg.fail", legacy
-    // PARALOG_FAIL_LG): panic on the consumer thread that owns the
-    // named lifeguard stream.
+    // Failure-containment test hook (fault point "lg.fail"): panic on
+    // the consumer thread that owns the named lifeguard stream.
     ThreadId failTid = kInvalidThread;
     if (std::optional<std::uint64_t> v = faultValue("lg.fail"))
         failTid = static_cast<ThreadId>(*v);
@@ -414,8 +210,7 @@ ReplayPlatform::runConcurrent()
                     continue;
                 all_done = false;
                 if (mine[i].first == failTid)
-                    panic("lg.fail (PARALOG_FAIL_LG): injected failure on "
-                          "lifeguard thread %u",
+                    panic("lg.fail: injected failure on lifeguard thread %u",
                           mine[i].first);
                 std::uint64_t before = core->stats.recordsProcessed;
                 if (serializeSteps) {

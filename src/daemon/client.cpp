@@ -102,6 +102,12 @@ readResponse(int fd, int timeout_ms, std::string &body,
         if (n < 0) {
             if (errno == EINTR || errno == EAGAIN)
                 continue;
+            // A daemon that answers early (reject, shed) closes with
+            // part of the upload unread; a Unix socket then reports
+            // ECONNRESET once the answer has been read instead of EOF.
+            // What arrived before it is parsed like any response.
+            if (errno == ECONNRESET)
+                break;
             error = std::string("recv() failed: ") +
                     std::strerror(errno);
             return false;

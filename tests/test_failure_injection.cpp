@@ -179,17 +179,20 @@ TEST_F(FaultRegistry, EnvSpecParsesEntriesAndBareNames)
     EXPECT_FALSE(faultValue("lg.fail").has_value());
 }
 
-TEST_F(FaultRegistry, LegacyAliasesStillArmTheNewNames)
+TEST_F(FaultRegistry, RetiredAliasVariablesArmNothing)
 {
+    // PARALOG_FAULT is the only environment spelling; the old per-point
+    // variables are not read.
     ::setenv("PARALOG_FAIL_CELL", "2", 1);
     ::setenv("PARALOG_FAIL_LG", "1", 1);
-    EXPECT_EQ(*faultValue("cell.fail"), 2u);
-    EXPECT_EQ(*faultValue("lg.fail"), 1u);
+    EXPECT_FALSE(faultValue("cell.fail").has_value());
+    EXPECT_FALSE(faultValue("lg.fail").has_value());
+}
 
-    // An explicit PARALOG_FAULT entry wins over the alias...
+TEST_F(FaultRegistry, ProgrammaticArmWinsOverEnvSpec)
+{
     ::setenv("PARALOG_FAULT", "cell.fail=5", 1);
     EXPECT_EQ(*faultValue("cell.fail"), 5u);
-    // ...and a programmatic arm wins over both.
     armFault("cell.fail", 9);
     EXPECT_EQ(*faultValue("cell.fail"), 9u);
 }

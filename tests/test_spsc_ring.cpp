@@ -1,11 +1,12 @@
 /**
  * @file
  * Unit suite for the lock-free SPSC ring that carries event records
- * between the concurrent replay engine's producer and each lifeguard
- * consumer thread (common/spsc_ring.hpp), plus the watchdog
- * stall-signature sampling contract: everything the concurrent
- * supervisor reads cross-thread must be an atomic, so these tests run
- * under -fsanitize=thread in CI (the `tsan` ctest label).
+ * between the concurrent engines' producer and each lifeguard consumer
+ * thread (common/spsc_ring.hpp), its write-on-change publication
+ * contract together with CaptureUnit's ring-mode ceiling bound, plus
+ * the watchdog stall-signature sampling contract: everything the
+ * concurrent supervisor reads cross-thread must be an atomic, so these
+ * tests run under -fsanitize=thread in CI (the `tsan` ctest label).
  */
 
 #include <atomic>
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "capture/capture_unit.hpp"
 #include "common/spsc_ring.hpp"
 #include "common/stats.hpp"
 #include "core/platform.hpp"
@@ -72,6 +74,43 @@ TEST(SpscRing, PublishMakesTheWholeBatchVisibleAtOnce)
         ring.pop();
     }
     EXPECT_EQ(ring.front(), nullptr);
+}
+
+TEST(SpscRing, EmptyPublishChangesNothing)
+{
+    // publish() with nothing newly staged stores nothing: the publish
+    // mark and what the consumer sees stay exactly as they were.
+    SpscRing<int> ring(8);
+    ring.publish();
+    EXPECT_EQ(ring.published(), 0u);
+    EXPECT_EQ(ring.front(), nullptr);
+
+    ASSERT_TRUE(ring.tryPush(1));
+    ASSERT_TRUE(ring.tryPush(2));
+    ring.publish();
+    ASSERT_NE(ring.front(), nullptr);
+    EXPECT_EQ(*ring.front(), 1);
+    ring.pop();
+
+    ring.publish();
+    ring.publish();
+    EXPECT_EQ(ring.published(), 2u);
+    ASSERT_NE(ring.front(), nullptr);
+    EXPECT_EQ(*ring.front(), 2);
+    ring.pop();
+    EXPECT_EQ(ring.front(), nullptr);
+
+    // Once the consumer has drained the ring, an empty publish keeps it
+    // empty, and a later push stays hidden until the next publish.
+    ring.publish();
+    EXPECT_EQ(ring.published(), 2u);
+    EXPECT_EQ(ring.front(), nullptr);
+    ASSERT_TRUE(ring.tryPush(3));
+    EXPECT_EQ(ring.front(), nullptr);
+    ring.publish();
+    EXPECT_EQ(ring.published(), 3u);
+    ASSERT_NE(ring.front(), nullptr);
+    EXPECT_EQ(*ring.front(), 3);
 }
 
 TEST(SpscRing, FullBoundary)
@@ -141,6 +180,9 @@ TEST(SpscRing, CrossThreadStressKeepsOrderAndCounts)
     SpscRing<std::uint64_t> ring(16);
     const std::uint64_t total = 200'000;
 
+    // The producer publishes on every pass, as the engines do, so
+    // passes that staged nothing interleave empty publishes with real
+    // ones; some passes publish twice.
     std::thread producer([&] {
         std::uint64_t v = 0;
         while (v < total) {
@@ -150,9 +192,10 @@ TEST(SpscRing, CrossThreadStressKeepsOrderAndCounts)
                 ++v;
                 ++staged;
             }
-            if (staged > 0)
+            ring.publish();
+            if (v % 5 == 0)
                 ring.publish();
-            else
+            if (staged == 0)
                 std::this_thread::yield();
         }
     });
@@ -189,8 +232,13 @@ TEST(SpscRing, CountersReadableFromAThirdThread)
     std::thread watcher([&] {
         std::uint64_t last = 0;
         while (!stop.load(std::memory_order_acquire)) {
-            std::uint64_t pub = ring.published();
+            // Pop count first: both counters only grow, so the publish
+            // mark read after it is at least the publish mark at the
+            // moment of the pop read. Reading them the other way round
+            // lets pops of records published between the two loads
+            // look like consumption overtaking publication.
             std::uint64_t pop = ring.popped();
+            std::uint64_t pub = ring.published();
             // Monotone, and consumption never overtakes publication.
             EXPECT_LE(pop, pub);
             EXPECT_GE(pub + pop, last);
@@ -223,6 +271,93 @@ TEST(SpscRing, CountersReadableFromAThirdThread)
     watcher.join();
     EXPECT_EQ(ring.published(), total);
     EXPECT_EQ(ring.popped(), total);
+}
+
+// ------------------------------------------- ring-mode ceiling bound ----
+
+EventRecord
+recordWithRid(RecordId rid)
+{
+    EventRecord rec;
+    rec.type = EventType::kLoad;
+    rec.rid = rid;
+    return rec;
+}
+
+TEST(CeilingBound, RepeatedSameBoundLeavesProgressCeilingUnchanged)
+{
+    CaptureUnit cap(0, SimConfig::forAppThreads(1), EventFilter{});
+    SpscRing<EventRecord> ring(8);
+    cap.attachRing(&ring);
+    EXPECT_EQ(cap.progressCeiling(), 0u);
+
+    cap.setCeilingBound(5);
+    EXPECT_EQ(cap.ceilingBound(), 5u);
+    EXPECT_EQ(cap.progressCeiling(), 5u);
+    cap.setCeilingBound(5);
+    EXPECT_EQ(cap.ceilingBound(), 5u);
+    EXPECT_EQ(cap.progressCeiling(), 5u);
+
+    // A published record below the bound caps the ceiling; repeating
+    // the bound does not lift that cap.
+    ASSERT_TRUE(ring.tryPush(recordWithRid(3)));
+    ring.publish();
+    EXPECT_EQ(cap.progressCeiling(), 3u);
+    cap.setCeilingBound(5);
+    EXPECT_EQ(cap.progressCeiling(), 3u);
+    cap.dropFront();
+    EXPECT_EQ(cap.progressCeiling(), 5u);
+
+    // A bound that moves is still stored, back down to the initial
+    // value included.
+    cap.setCeilingBound(9);
+    EXPECT_EQ(cap.progressCeiling(), 9u);
+    cap.setCeilingBound(0);
+    EXPECT_EQ(cap.progressCeiling(), 0u);
+}
+
+TEST(CeilingBound, CrossThreadBoundNeverRunsAheadOfTheRing)
+{
+    // The producer publishes records rid 0, 1, 2, ... and raises the
+    // bound past each only after publishing it, repeating every bound
+    // (write-on-change must skip those) and every publish. The consumer
+    // drains the ring; any ceiling it observes with the ring empty must
+    // not exceed the records it has popped.
+    CaptureUnit cap(0, SimConfig::forAppThreads(1), EventFilter{});
+    SpscRing<EventRecord> ring(16);
+    cap.attachRing(&ring);
+    const RecordId total = 50'000;
+
+    std::thread producer([&] {
+        RecordId next = 0;
+        while (next < total) {
+            if (ring.tryPush(recordWithRid(next))) {
+                ++next;
+                ring.publish();
+                cap.setCeilingBound(next);
+            } else {
+                std::this_thread::yield();
+            }
+            ring.publish();
+            cap.setCeilingBound(next);
+        }
+    });
+
+    RecordId popped = 0;
+    while (popped < total) {
+        RecordId ceiling = cap.progressCeiling();
+        if (const EventRecord *rec = cap.peek()) {
+            ASSERT_EQ(rec->rid, popped);
+            ASSERT_LE(ceiling, popped);
+            cap.dropFront();
+            ++popped;
+        } else {
+            ASSERT_LE(ceiling, popped);
+        }
+    }
+    producer.join();
+    EXPECT_EQ(cap.progressCeiling(), total);
+    EXPECT_EQ(ring.published(), total);
 }
 
 // ------------------------------------------------------- watchdog ----

@@ -186,37 +186,6 @@ CaptureUnit::insertProduceBefore(RecordId store_rid, const VersionTag &v,
     stats.counter("produce_versions").inc();
 }
 
-void
-CaptureUnit::publishSealed(Cycle watermark)
-{
-    // Overflowed records are already sealed — they only ever wait for
-    // ring space, and must go first to keep the ring rid-ordered.
-    while (!liveOverflow_.empty() &&
-           ring_->tryPush(std::move(liveOverflow_.front()))) {
-        liveOverflow_.pop_front();
-    }
-    while (const EventRecord *head = buf_.peek(visLimit_)) {
-        // The watermark seals against future consume-version
-        // annotations; the visibility limit (already applied by peek)
-        // seals against everything else. CA-arrival and produce
-        // insertions keep appendCycle 0 and pass trivially — version
-        // requests can only name a memory access's own record.
-        if (head->appendCycle > watermark)
-            break;
-        EventRecord rec = buf_.pop();
-        if (!liveOverflow_.empty() || !ring_->tryPush(std::move(rec)))
-            liveOverflow_.push_back(std::move(rec));
-    }
-    ring_->publish();
-    // Publish records *before* raising the bound (release): a consumer
-    // that acquires the new bound and finds the ring empty must be
-    // guaranteed every record below it was really handed over.
-    RecordId bound = bufferCeiling();
-    if (!liveOverflow_.empty() && liveOverflow_.front().rid < bound)
-        bound = liveOverflow_.front().rid;
-    setCeilingBound(bound);
-}
-
 RecordId
 CaptureUnit::progressCeiling() const
 {

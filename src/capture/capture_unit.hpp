@@ -146,47 +146,64 @@ class CaptureUnit
     // ---- concurrent (ring) hand-off mode --------------------------------
 
     /**
-     * Switch the consumer face to a cross-thread SPSC ring. The replay
-     * producer thread moves fully-sealed records out of the log buffer
-     * into the ring (publishing batches atomically) and advances the
-     * ceiling bound; the consumer side of peek/pop/dropFront/
-     * progressCeiling then reads the ring only. Producer-side mutators
+     * Switch the consumer face to a cross-thread SPSC ring. The
+     * producer moves sealed records out of the log buffer into the
+     * ring (publishing batches atomically) and advances the ceiling
+     * bound; the consumer side of peek/pop/dropFront/progressCeiling
+     * then reads the ring only. Producer-side mutators
      * (append/attachArcs/annotate/...) keep operating on the log
      * buffer and stay producer-thread-only.
      */
     void attachRing(SpscRing<EventRecord> *ring) { ring_ = ring; }
-    SpscRing<EventRecord> *ring() { return ring_; }
 
     /**
-     * Live-parallel online seal: move every sealed head record into the
-     * ring and advance the ceiling bound. A record is sealed once (a)
-     * it is visible under the TSO visibility limit (all annotations —
-     * drain-time arcs, consume versions, produce insertions — land on
-     * records the limit still hides) and (b) its append cycle is at or
-     * below @p watermark, the minimum retire cycle over all buffered
-     * TSO stores: MemorySystem::addArcFrom raises a version request
-     * only against an access that retired strictly *after* the draining
-     * store, so no future drain can target a record published under
-     * this rule. Under SC (or with empty store buffers) the watermark
-     * is Cycle max and the rule degenerates to the visibility limit.
+     * The ring hand-off of both host-parallel engines: move head
+     * records into the ring while @p sealed(head) says nothing can
+     * still mutate them, make the batch visible with one publish, then
+     * advance the ceiling bound. The engine owns the seal test — live
+     * computes it online from producer state (visible, and appended at
+     * or below the TSO store-buffer watermark), replay reads it from
+     * its publication plan.
      *
      * Records sealed while the ring is full spill to an unbounded
      * producer-side overflow queue (FIFO with the ring) so the seal
-     * never blocks the application simulation. Producer-thread-only.
+     * never blocks the producer. Producer-thread-only.
      */
-    void publishSealed(Cycle watermark);
+    template <typename Sealed>
+    void
+    publishSealed(Sealed &&sealed)
+    {
+        // Overflowed records are already sealed — they only ever wait
+        // for ring space, and must go first to keep the ring
+        // rid-ordered.
+        while (!overflow_.empty() &&
+               ring_->tryPush(std::move(overflow_.front())))
+            overflow_.pop_front();
+        while (const EventRecord *head = buf_.peek()) {
+            if (!sealed(*head))
+                break;
+            EventRecord rec = buf_.pop();
+            if (!overflow_.empty() || !ring_->tryPush(std::move(rec)))
+                overflow_.push_back(std::move(rec));
+        }
+        ring_->publish();
+        // Publish records *before* raising the bound (release): a
+        // consumer that acquires the new bound and finds the ring empty
+        // must be guaranteed every record below it was really handed
+        // over.
+        RecordId bound = bufferCeiling();
+        if (!overflow_.empty() && overflow_.front().rid < bound)
+            bound = overflow_.front().rid;
+        setCeilingBound(bound);
+    }
 
     /** True once every captured record has been handed to the ring
      *  (log buffer and overflow both empty). Producer-thread-only. */
-    bool
-    liveAllPublished() const
-    {
-        return buf_.empty() && liveOverflow_.empty();
-    }
+    bool allPublished() const { return buf_.empty() && overflow_.empty(); }
 
     /** Sealed-but-unpublished records waiting for ring space
      *  (producer-side; watchdog signature input). */
-    std::size_t overflowSize() const { return liveOverflow_.size(); }
+    std::size_t overflowSize() const { return overflow_.size(); }
 
     /** Current publication frontier (acquire; either side may read). */
     RecordId
@@ -290,10 +307,10 @@ class CaptureUnit
     std::atomic<RecordId> ceilingBound_{0};
     /// Producer-private copy of the last value stored to ceilingBound_.
     RecordId lastCeilingBound_ = 0;
-    /// Live-parallel: sealed records that found the ring full. Drained
-    /// ahead of the log buffer on the next publishSealed so the ring
-    /// stays FIFO by rid. Producer-thread-only.
-    std::deque<EventRecord> liveOverflow_;
+    /// Sealed records that found the ring full. Drained ahead of the
+    /// log buffer on the next publishSealed so the ring stays FIFO by
+    /// rid. Producer-thread-only.
+    std::deque<EventRecord> overflow_;
     /// Arcs that survived reduction but whose record was filtered out;
     /// re-attached to the next captured record (conservative ordering).
     std::vector<DepArc> pendingArcsCarry_;

@@ -20,6 +20,7 @@
  *
  *   cell.fail            matrix cell index that panics instead of running
  *   lg.fail              lifeguard thread id that panics in a concurrent engine
+ *   seal.stall           stream a concurrent engine never publishes (watchdog)
  *   job.fail             daemon job sequence number that panics in its worker
  *   daemon.drop-conn     accepted-connection sequence number to drop on accept
  *   daemon.corrupt-crc   ingest session id whose next chunk CRC is flipped

@@ -54,7 +54,7 @@ struct ReplayConfig
     /**
      * Host lifeguard threads. 0 and 1 select the serial engine
      * (bit-identical, footer-verified). >= 2 selects the concurrent
-     * engine: one producer thread re-applies the journal while
+     * engine: the calling thread re-applies the journal while
      * min(lgThreads, k) consumer threads run the lifeguard cores,
      * fed through lock-free SPSC rings. Analysis results (shadow
      * fingerprint, violations, records processed, versions) stay
@@ -146,10 +146,15 @@ class ReplayPlatform
     RunResult runSerial();
     /// Implemented in replay_concurrent.cpp.
     RunResult runConcurrent();
-    void verifyAgainstFooter(const RunResult &result) const;
-    /// Result-only footer check for the concurrent engine (timing
-    /// columns are relaxed there). Implemented in replay_concurrent.cpp.
+    /// Shared result assembly (per-core stats, version counters,
+    /// violation and shadow fingerprints; app stats from the footer).
+    RunResult collectResult(Cycle total_cycles);
+    /// Results-tier footer check: the analysis results every engine
+    /// reproduces (timing columns are relaxed in the concurrent one).
     void verifyResultsAgainstFooter(const RunResult &result) const;
+    /// Exact-tier footer check of the serial engine: the results tier
+    /// plus cycle counts, report counts and per-core timing stats.
+    void verifyAgainstFooter(const RunResult &result) const;
     void dumpStuckState(Cycle now, std::uint64_t lg_steps);
 
     ReplayConfig cfg_;

@@ -20,8 +20,8 @@
  * implicitly by the kCfgLiveParallel header bit), delivery batch-size
  * invariance under ring-mode consumers, the seal-protocol stall
  * watchdog (fault point "seal.stall"), and failure containment for
- * consumer-thread panics (fault point "lg.fail"), standalone and
- * through runMatrix.
+ * producer-side panics and consumer-thread panics (fault point
+ * "lg.fail"), standalone and through runMatrix.
  *
  * The whole suite runs under -fsanitize=thread in CI (`tsan` label):
  * the differential matrix doubles as the data-race proof for the
@@ -354,6 +354,37 @@ TEST_F(LiveConcurrentFailures, SealStallTripsTheWatchdogWithDump)
     setPanicThrows(prev);
     clearFault("seal.stall");
     EXPECT_NE(message.find("watchdog"), std::string::npos) << message;
+}
+
+TEST_F(LiveConcurrentFailures, ProducerPanicJoinsRunningConsumers)
+{
+    // A panic on the producer (calling) thread while the consumers are
+    // still running — here the simulated-time watchdog — must stop and
+    // join them before the exception leaves the engine, and leave
+    // nothing behind that wedges a later run in this process.
+    ExperimentOptions opt = test::makeOptions(400);
+    opt.lgThreads = 2;
+    PlatformConfig cfg =
+        makeConfig(WorkloadKind::kLu, LifeguardKind::kTaintCheck,
+                   MonitorMode::kParallel, 2, opt);
+    cfg.maxCycles = 10;
+
+    bool prev = setPanicThrows(true);
+    std::string message;
+    try {
+        Platform p(std::move(cfg));
+        p.run();
+    } catch (const SimPanicError &e) {
+        message = e.what();
+    }
+    setPanicThrows(prev);
+    EXPECT_NE(message.find("simulation watchdog"), std::string::npos)
+        << message;
+
+    RunResult result =
+        runExperiment(WorkloadKind::kLu, LifeguardKind::kTaintCheck,
+                      MonitorMode::kParallel, 2, opt);
+    EXPECT_GT(result.totalCycles, 0u);
 }
 
 TEST_F(LiveConcurrentFailures, ConsumerThreadPanicSurfacesOnOwningThread)

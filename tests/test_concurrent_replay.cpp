@@ -6,9 +6,10 @@
  * concurrently must reach exactly the serial engine's analysis results
  * — shadow fingerprint, violations, records processed, versions
  * produced/consumed — while its simulated timing is relaxed. Also
- * covers failure containment: a panic on a producer/consumer worker
- * thread must surface on the cell-owning thread (and come back as a
- * failed cell through runMatrix), never escape a host thread.
+ * covers failure containment: a panic on a consumer thread must
+ * surface on the cell-owning thread (and come back as a failed cell
+ * through runMatrix), never escape a host thread; and the seal-protocol
+ * stall watchdog (fault point "seal.stall").
  *
  * The whole suite runs under -fsanitize=thread in CI (`tsan` label):
  * the differential matrix doubles as the data-race proof for the
@@ -34,6 +35,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injection.hpp"
 #include "core/publication_plan.hpp"
 #include "core/replay.hpp"
 #include "harness/paralog_test.hpp"
@@ -487,6 +489,36 @@ TEST_F(ConcurrentFailures, ConsumerThreadPanicSurfacesOnOwningThread)
     // without the injection still succeeds in this process.
     RunResult result = replayExperiment(conc);
     EXPECT_NE(result.shadowFingerprint, 0u);
+}
+
+TEST_F(ConcurrentFailures, SealStallTripsTheWatchdogWithDump)
+{
+    // Fault point "seal.stall" suppresses publication for one stream:
+    // its consumer starves, the producer's tail flush never completes,
+    // and the watchdog must catch the stall (joining the consumers
+    // before it panics, so the throw below crosses no live threads).
+    TempTrace tmp("sealstall");
+    RunSpec rec = makeSpec(WorkloadKind::kLu, LifeguardKind::kTaintCheck,
+                           2, MemoryModel::kSC, 400, tmp.path());
+    recordExperiment(rec);
+
+    ReplayConfig cfg;
+    cfg.path = tmp.path();
+    cfg.lgThreads = 2;
+    cfg.stallWatchdogIters = 20'000;
+
+    armFault("seal.stall", 0);
+    bool prev = setPanicThrows(true);
+    std::string message;
+    try {
+        ReplayPlatform rp(std::move(cfg));
+        rp.run();
+    } catch (const SimPanicError &e) {
+        message = e.what();
+    }
+    setPanicThrows(prev);
+    clearFault("seal.stall");
+    EXPECT_NE(message.find("watchdog"), std::string::npos) << message;
 }
 
 TEST_F(ConcurrentFailures, FailedConcurrentCellIsContainedByRunMatrix)

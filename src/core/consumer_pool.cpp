@@ -167,17 +167,14 @@ ConsumerPool::dump() const
 {
     std::fprintf(stderr, "=== %s watchdog state dump ===\n", engine_.name);
     for (ThreadId t = 0; t < captures_.size(); ++t) {
+        engine_.dumpStream(t);
         std::fprintf(
-            stderr,
-            "stream %u: ring pub=%llu pop=%llu overflow=%zu frontier=%llu "
-            "done=%llu finished=%d\n",
-            t, static_cast<unsigned long long>(rings_[t].published()),
+            stderr, "  ring: pub=%llu pop=%llu overflow=%zu frontier=%llu\n",
+            static_cast<unsigned long long>(rings_[t].published()),
             static_cast<unsigned long long>(rings_[t].popped()),
             captures_[t]->overflowSize(),
-            static_cast<unsigned long long>(captures_[t]->ceilingBound()),
-            static_cast<unsigned long long>(progress_.done(t)),
-            cores_[t]->finished() ? 1 : 0);
-        engine_.dumpStream(t);
+            static_cast<unsigned long long>(captures_[t]->ceilingBound()));
+        cores_[t]->dumpState();
     }
 }
 

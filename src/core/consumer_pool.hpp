@@ -41,15 +41,6 @@
 
 namespace paralog {
 
-/** FNV-style fold of stall-signature terms. Folded rather than summed:
- *  the producer moving a record from overflow to ring changes two
- *  terms in opposite directions, which a plain sum would cancel. */
-struct SignatureFold
-{
-    std::uint64_t sig = 1469598103934665603ULL;
-    void operator()(std::uint64_t v) { sig = (sig ^ v) * 1099511628211ULL; }
-};
-
 class ConsumerPool
 {
   public:
@@ -126,12 +117,15 @@ class ConsumerPool
      */
     void finish();
 
+    /** Abort and join the consumers, print the state dump, and panic
+     *  with @p why. */
+    [[noreturn]] void stop(const std::string &why);
+
   private:
     void consume(std::uint32_t slot);
     std::uint64_t signature() const;
     void joinAll();
     void dump() const;
-    [[noreturn]] void stop(const std::string &why);
 
     Engine engine_;
     const std::vector<std::unique_ptr<CaptureUnit>> &captures_;

@@ -1,6 +1,7 @@
 #include "core/lifeguard_core.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/logging.hpp"
 
@@ -21,6 +22,35 @@ LifeguardCore::LifeguardCore(CoreId core, ThreadId tid, const SimConfig &cfg,
       ctx_(lifeguard.shadow(), accel_.mtlb(), versions, mem, core),
       doneNeeded_(done_records_needed)
 {
+}
+
+void
+LifeguardCore::dumpState() const
+{
+    std::fprintf(stderr, "  stream: size=%zu visLimit=%llu done=%llu\n",
+                 capture_.buffer().size(),
+                 static_cast<unsigned long long>(capture_.visibilityLimit()),
+                 static_cast<unsigned long long>(progress_.done(tid_)));
+    std::fprintf(stderr,
+                 "  wait: %s sameRecordRetries=%llu busyUntil=%llu "
+                 "finished=%d processed=%llu\n",
+                 toString(enforcer_.lastStatus()),
+                 static_cast<unsigned long long>(
+                     enforcer_.sameRecordStallRetries()),
+                 static_cast<unsigned long long>(busyUntil),
+                 finished() ? 1 : 0,
+                 static_cast<unsigned long long>(stats.recordsProcessed));
+    if (const EventRecord *front = capture_.buffer().peek()) {
+        std::fprintf(stderr, "  front: type=%s rid=%llu arcs=[",
+                     toString(front->type),
+                     static_cast<unsigned long long>(front->rid));
+        for (const DepArc &a : front->arcs)
+            std::fprintf(stderr, "(%u,%llu)", a.tid,
+                         static_cast<unsigned long long>(a.rid));
+        std::fprintf(stderr, "] caSeq=%llu consumesV=%d\n",
+                     static_cast<unsigned long long>(front->caSeq),
+                     front->consumesVersion ? 1 : 0);
+    }
 }
 
 Cycle

@@ -43,6 +43,10 @@ class LifeguardCore
     /** All kThreadDone records consumed (timesliced needs several). */
     bool finished() const { return doneSeen_ >= doneNeeded_; }
 
+    /** Print this stream's `stream:`/`wait:`/`front:` lines to stderr,
+     *  in every engine's watchdog dump. */
+    void dumpState() const;
+
     Cycle busyUntil = 0;
     LifeguardThreadStats stats;
 

@@ -1,5 +1,8 @@
 #include "core/platform.hpp"
 
+#include <algorithm>
+#include <cstdio>
+
 #include "common/logging.hpp"
 #include "trace/recorder.hpp"
 
@@ -241,88 +244,14 @@ Platform::setVisibilityLimit(ThreadId tid, RecordId limit)
         captures_[tid]->setVisibilityLimit(limit);
 }
 
-void
-Platform::dumpStuckState() const
-{
-    std::fprintf(stderr, "=== watchdog state dump ===\n");
-    for (ThreadId t = 0; t < captures_.size(); ++t) {
-        const AppCore &ac = *appCores_[t];
-        std::fprintf(stderr,
-                     "app %u: active=%d retired=%llu reason=%d "
-                     "busyUntil=%llu",
-                     t, ac.active() ? 1 : 0,
-                     static_cast<unsigned long long>(
-                         appCores_[t]->tc().retired),
-                     static_cast<int>(appCores_[t]->tc().blockReason),
-                     static_cast<unsigned long long>(ac.busyUntil));
-        if (tsoPath_) {
-            std::fprintf(stderr, " storeBuf=%zu",
-                         tsoPath_->depth(static_cast<CoreId>(t)));
-        }
-        std::fprintf(stderr, "\n");
-        if (!captures_[t])
-            continue;
-        std::fprintf(stderr,
-                     "  stream: size=%zu visLimit=%llu done=%llu\n",
-                     captures_[t]->buffer().size(),
-                     static_cast<unsigned long long>(
-                         captures_[t]->visibilityLimit()),
-                     static_cast<unsigned long long>(progress_->done(t)));
-        if (t < lgCores_.size() && lgCores_[t]) {
-            const OrderEnforcer &oe = lgCores_[t]->enforcer();
-            std::fprintf(
-                stderr, "  wait: %s sameRecordRetries=%llu busyUntil=%llu\n",
-                toString(oe.lastStatus()),
-                static_cast<unsigned long long>(
-                    oe.sameRecordStallRetries()),
-                static_cast<unsigned long long>(lgCores_[t]->busyUntil));
-        }
-        const EventRecord *front = captures_[t]->buffer().peek();
-        if (front) {
-            std::fprintf(stderr, "  front: type=%s rid=%llu arcs=[",
-                         toString(front->type),
-                         static_cast<unsigned long long>(front->rid));
-            for (const DepArc &a : front->arcs) {
-                std::fprintf(stderr, "(%u,%llu)", a.tid,
-                             static_cast<unsigned long long>(a.rid));
-            }
-            std::fprintf(stderr, "] caSeq=%llu consumesV=%d\n",
-                         static_cast<unsigned long long>(front->caSeq),
-                         front->consumesVersion ? 1 : 0);
-        }
-    }
-    std::fprintf(stderr, "version store: %zu live entr%s\n",
-                 versions_.size(), versions_.size() == 1 ? "y" : "ies");
-    versions_.forEach([](const VersionTag &tag,
-                         const VersionStore::Versioned &v) {
-        std::fprintf(stderr,
-                     "  (tid=%u rid=%llu): addr=0x%llx size=%u "
-                     "writerDone=%d bits=0x%llx\n",
-                     tag.tid, static_cast<unsigned long long>(tag.rid),
-                     static_cast<unsigned long long>(v.addr), v.size,
-                     v.writerDone ? 1 : 0,
-                     static_cast<unsigned long long>(v.bits));
-    });
-}
-
-bool
-Platform::allDone() const
-{
-    for (const auto &core : appCores_) {
-        if (core->active())
-            return false;
-    }
-    for (const auto &core : lgCores_) {
-        if (!core->finished())
-            return false;
-    }
-    return true;
-}
-
 RunResult
 Platform::run()
 {
-    return concurrentLive() ? runConcurrentLive() : runSerial();
+    if (concurrentLive())
+        return runConcurrentLive();
+    SerialScheduler sched("", cfg_.maxCycles, cfg_.stallWatchdogIters,
+                          lgCores_, *progress_, versions_);
+    return collectResult(sched.run(*this));
 }
 
 RunResult
@@ -349,159 +278,82 @@ Platform::collectResult(Cycle total_cycles)
     return result;
 }
 
-RunResult
-Platform::runSerial()
+bool
+Platform::producersDone() const
 {
-    Cycle now = 0;
-    Cycle last_now = 0;
-    std::uint64_t same_now_iters = 0;
+    return std::none_of(appCores_.begin(), appCores_.end(),
+                        [](auto &c) { return c->active(); });
+}
 
-    // The scheduler loop runs once per simulated event; keep its scans
-    // over flat raw-pointer arrays.
-    std::vector<AppCore *> apps;
-    std::vector<LifeguardCore *> lgs;
-    apps.reserve(appCores_.size());
-    lgs.reserve(lgCores_.size());
-    for (auto &c : appCores_)
-        apps.push_back(c.get());
-    for (auto &c : lgCores_)
-        lgs.push_back(c.get());
-
-    auto all_done = [&apps, &lgs] {
-        for (const AppCore *c : apps) {
-            if (c->active())
-                return false;
-        }
-        for (const LifeguardCore *c : lgs) {
-            if (!c->finished())
-                return false;
-        }
-        return true;
-    };
-
-    // Progress watchdog: a deadlocked versioning/ordering protocol shows
-    // up as a retry loop that keeps simulated time advancing forever, so
-    // neither the livelock detector nor maxCycles catches it in useful
-    // time. Hash global forward progress every iteration; if nothing
-    // moves for stallWatchdogIters iterations, panic with the full
-    // wait-state dump instead of grinding toward maxCycles.
-    // Sampled every 64 iterations so the signature never shows up in
-    // the scheduler loop's profile.
-    ProgressWatchdog stall_watchdog(cfg_.stallWatchdogIters / 64 + 1);
-    std::uint64_t watchdog_tick = 0;
-    Counter &produced_ctr = versions_.stats.counter("produced");
-    Counter &consumed_ctr = versions_.stats.counter("consumed");
-    auto progress_signature = [&] {
-        std::uint64_t sig = produced_ctr.value() + consumed_ctr.value();
-        for (const AppCore *c : apps)
-            sig += c->tc().retired;
-        for (const LifeguardCore *c : lgs)
-            sig += c->stats.recordsProcessed;
-        for (ThreadId t = 0; t < progress_->size(); ++t)
-            sig += progress_->done(t);
-        return sig;
-    };
-
-    while (!all_done()) {
-        // Livelock detector: simulated time must advance.
-        if (now == last_now) {
-            if (++same_now_iters > 20'000'000) {
-                dumpStuckState();
-                panic("livelock: cycle %llu never advances",
-                      static_cast<unsigned long long>(now));
-            }
-        } else {
-            last_now = now;
-            same_now_iters = 0;
-        }
-        if ((++watchdog_tick & 63) == 0 &&
-            stall_watchdog.poll(progress_signature())) {
-            dumpStuckState();
-            panic("progress watchdog: no forward progress in %llu "
-                  "scheduler iterations at cycle %llu (protocol "
-                  "deadlock)",
-                  static_cast<unsigned long long>(
-                      cfg_.stallWatchdogIters),
-                  static_cast<unsigned long long>(now));
-        }
-        // Event-driven advance: jump to the earliest ready core.
-        Cycle next = kInvalidRecord;
-        for (AppCore *c : apps) {
-            if (c->active())
-                next = std::min(next, c->busyUntil);
-        }
-        for (LifeguardCore *c : lgs) {
-            if (!c->finished())
-                next = std::min(next, c->busyUntil);
-        }
-        if (next > now)
-            now = next;
-        // Journal phase stamp: every producer-side op recorded during
-        // this iteration's application/pump phase carries (now, count
-        // of lifeguard steps so far), which is exactly what the replay
-        // scheduler needs to interleave ops and lifeguard steps in the
-        // recorded order (core/replay.cpp).
-        if (cfg_.recorder)
-            cfg_.recorder->setNow(now);
-
-        if (now > cfg_.maxCycles) {
-            dumpStuckState();
-            panic("simulation watchdog: no completion after %llu cycles "
-                  "(deadlock or runaway workload)",
-                  static_cast<unsigned long long>(cfg_.maxCycles));
-        }
-
-        for (AppCore *c : apps) {
-            if (c->active() && c->busyUntil <= now)
-                c->step(now);
-        }
-        if (tsoPath_) {
-            for (CoreId core = 0; core < cfg_.sim.appThreads; ++core)
-                tsoPath_->pump(core, now);
-        }
-
-        // Solo-horizon for lifeguard delivery batching: the earliest
-        // time any application core or pending TSO store drain can act.
-        // (One drain retires per loop iteration, so a ready drain pins
-        // the horizon to `now` and keeps the iteration cadence exact.)
-        // Computed lazily: most iterations step no lifeguard core.
-        Cycle actor_horizon = 0;
-        bool horizon_valid = false;
-        for (std::size_t i = 0; i < lgs.size(); ++i) {
-            LifeguardCore *c = lgs[i];
-            if (c->finished() || c->busyUntil > now)
-                continue;
-            if (!horizon_valid) {
-                actor_horizon = ~Cycle{0};
-                for (const AppCore *a : apps) {
-                    if (a->active())
-                        actor_horizon =
-                            std::min(actor_horizon, a->busyUntil);
-                }
-                if (tsoPath_) {
-                    for (CoreId core = 0; core < cfg_.sim.appThreads;
-                         ++core) {
-                        actor_horizon = std::min(
-                            actor_horizon, tsoPath_->nextDrainReady(core));
-                    }
-                }
-                horizon_valid = true;
-            }
-            // Other lifeguard cores are actors too: a peer that is
-            // ready (or becomes ready inside the window) bounds the
-            // batch so same-cycle interleaving stays exact.
-            Cycle horizon = actor_horizon;
-            for (std::size_t j = 0; j < lgs.size(); ++j) {
-                if (j != i && !lgs[j]->finished())
-                    horizon = std::min(horizon, lgs[j]->busyUntil);
-            }
-            c->step(now, horizon);
-            if (cfg_.recorder)
-                cfg_.recorder->noteLgStep();
-        }
+Cycle
+Platform::nextProducerCycle() const
+{
+    Cycle next = ~Cycle{0};
+    for (const auto &c : appCores_) {
+        if (c->active())
+            next = std::min(next, c->busyUntil);
     }
+    return next;
+}
 
-    return collectResult(now);
+void
+Platform::produce(Cycle now, std::uint64_t)
+{
+    // Journal phase stamp: ops recorded from here on carry (now,
+    // lifeguard steps so far), which is what the replay scheduler needs
+    // to interleave ops and lifeguard steps in the recorded order.
+    if (cfg_.recorder)
+        cfg_.recorder->setNow(now);
+    for (auto &c : appCores_) {
+        if (c->active() && c->busyUntil <= now)
+            c->step(now);
+    }
+    for (CoreId core = 0; tsoPath_ && core < appCores_.size(); ++core)
+        tsoPath_->pump(core, now);
+}
+
+Cycle
+Platform::soloHorizon() const
+{
+    // One drain retires per iteration, so a ready drain pins the
+    // horizon to `now` and keeps the iteration cadence exact.
+    Cycle horizon = nextProducerCycle();
+    for (CoreId core = 0; tsoPath_ && core < appCores_.size(); ++core)
+        horizon = std::min(horizon, tsoPath_->nextDrainReady(core));
+    return horizon;
+}
+
+void
+Platform::afterLgStep()
+{
+    if (cfg_.recorder)
+        cfg_.recorder->noteLgStep();
+}
+
+void
+Platform::foldState(SignatureFold &fold, std::uint64_t) const
+{
+    for (const auto &c : appCores_)
+        fold(c->tc().retired);
+}
+
+void
+Platform::dumpStream(ThreadId tid) const
+{
+    const AppCore &ac = *appCores_[tid];
+    std::fprintf(stderr,
+                 "app %u: active=%d retired=%llu reason=%d busyUntil=%llu",
+                 tid, ac.active() ? 1 : 0,
+                 static_cast<unsigned long long>(ac.tc().retired),
+                 static_cast<int>(ac.tc().blockReason),
+                 static_cast<unsigned long long>(ac.busyUntil));
+    if (tsoPath_) {
+        std::fprintf(stderr, " storeBuf=%zu oldestRetire=%llu",
+                     tsoPath_->depth(tid),
+                     static_cast<unsigned long long>(
+                         tsoPath_->oldestStoreRetire(tid)));
+    }
+    std::fprintf(stderr, "\n");
 }
 
 } // namespace paralog

@@ -25,6 +25,7 @@
 #include "core/app_core.hpp"
 #include "core/lifeguard_core.hpp"
 #include "core/run_stats.hpp"
+#include "core/serial_scheduler.hpp"
 #include "deliver/ca_manager.hpp"
 #include "deliver/progress_table.hpp"
 #include "lifeguard/version_store.hpp"
@@ -82,36 +83,6 @@ struct PlatformConfig
     std::uint32_t lgThreads = 0;
 };
 
-/**
- * Detects a wedged simulation: feed a cheap signature of global
- * progress every scheduler iteration; fires once the signature has not
- * changed for `limit` consecutive polls. Pure bookkeeping (no time
- * source), so runs stay deterministic.
- */
-class ProgressWatchdog
-{
-  public:
-    explicit ProgressWatchdog(std::uint64_t limit) : limit_(limit) {}
-
-    bool
-    poll(std::uint64_t signature)
-    {
-        if (signature != last_) {
-            last_ = signature;
-            same_ = 0;
-            return false;
-        }
-        return ++same_ >= limit_;
-    }
-
-    std::uint64_t idlePolls() const { return same_; }
-
-  private:
-    std::uint64_t limit_;
-    std::uint64_t last_ = ~0ULL;
-    std::uint64_t same_ = 0;
-};
-
 /** Default simulated address layout. */
 struct AddressLayout
 {
@@ -163,16 +134,27 @@ class Platform : public PlatformHooks, public TsoHooks
     const PlatformConfig &config() const { return cfg_; }
 
   private:
+    friend class SerialScheduler;
+
     Cycle caBroadcast(ThreadId tid, RecordId rid, HighLevelKind kind,
                       const AddrRange &range);
-    bool allDone() const;
-    void dumpStuckState() const;
-    RunResult runSerial();
     /// Implemented in core/platform_concurrent.cpp.
     RunResult runConcurrentLive();
     /// Shared result assembly (per-core stats, version counters,
     /// violation fingerprint).
     RunResult collectResult(Cycle total_cycles);
+
+    // SerialScheduler hooks (core/serial_scheduler.hpp). The producers
+    // are the application cores and, under TSO, their store-buffer
+    // drains; the concurrent live producer loop runs the same hooks.
+    bool producersDone() const;
+    Cycle nextProducerCycle() const;
+    void produce(Cycle now, std::uint64_t lg_steps);
+    Cycle soloHorizon() const;
+    void afterLgStep();
+    void foldState(SignatureFold &fold, std::uint64_t lg_steps) const;
+    /// The app-state line of stream @p tid (serial and concurrent dumps).
+    void dumpStream(ThreadId tid) const;
 
     PlatformConfig cfg_;
     LifeguardPolicy policy_;

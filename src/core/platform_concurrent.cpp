@@ -49,9 +49,7 @@
 #include "core/platform.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "common/logging.hpp"
 #include "core/consumer_pool.hpp"
 #include "trace/recorder.hpp"
 
@@ -74,27 +72,11 @@ Platform::runConcurrentLive()
              cfg_.lifeguard == LifeguardKind::kLockSet,
          cfg_.stallWatchdogIters,
          [&](SignatureFold &fold) {
-             for (auto &c : appCores_)
-                 fold(c->tc().retired);
+             foldState(fold, 0);
              for (ThreadId t = 0; t < k; ++t)
                  fold(captures_[t]->buffer().appended());
          },
-         [&](ThreadId t) {
-             const AppCore &ac = *appCores_[t];
-             std::fprintf(
-                 stderr,
-                 "  app active=%d retired=%llu reason=%d | bufSize=%zu "
-                 "visLimit=%llu | storeBuf=%zu oldestRetire=%llu\n",
-                 ac.active() ? 1 : 0,
-                 static_cast<unsigned long long>(ac.tc().retired),
-                 static_cast<int>(ac.tc().blockReason),
-                 captures_[t]->buffer().size(),
-                 static_cast<unsigned long long>(
-                     captures_[t]->visibilityLimit()),
-                 tsoPath_ ? tsoPath_->depth(t) : 0,
-                 static_cast<unsigned long long>(
-                     tsoPath_ ? tsoPath_->oldestStoreRetire(t) : ~Cycle{0}));
-         }},
+         [&](ThreadId t) { dumpStream(t); }},
         captures_, lgCores_, *progress_, versions_);
 
     // Publication pump: compute the TSO watermark (+inf under SC or
@@ -114,56 +96,20 @@ Platform::runConcurrentLive()
         });
     };
 
-    auto apps_done = [&] {
-        for (auto &c : appCores_) {
-            if (c->active())
-                return false;
-        }
-        return true;
-    };
-
+    // The serial scheduler's producer hooks and clock checks, minus its
+    // lifeguard phase: the application cores are the only simulated
+    // actors on this thread (lifeguard timing is relaxed). A failed
+    // check joins the consumers before it dumps and panics.
     Cycle now = 0;
-    Cycle last_now = 0;
-    std::uint64_t same_now_iters = 0;
-
-    // A panic here unwinds through the pool, whose destructor stops and
-    // joins the consumers first.
-    while (!apps_done() && !pool.aborted()) {
-        if (now == last_now) {
-            if (++same_now_iters > 20'000'000)
-                panic("livelock: cycle %llu never advances",
-                      static_cast<unsigned long long>(now));
-        } else {
-            last_now = now;
-            same_now_iters = 0;
-        }
+    ClockGuard clock("", cfg_.maxCycles);
+    while (!producersDone() && !pool.aborted()) {
+        if (clock.livelocked(now))
+            pool.stop(clock.why(now));
         pool.poll();
-        // Event-driven advance: the application cores are the only
-        // simulated actors on this thread (lifeguard timing is
-        // relaxed), so the next event is the earliest ready app core.
-        Cycle next = kInvalidRecord;
-        for (auto &c : appCores_) {
-            if (c->active())
-                next = std::min(next, c->busyUntil);
-        }
-        if (next > now)
-            now = next;
-        if (cfg_.recorder)
-            cfg_.recorder->setNow(now);
-        if (now > cfg_.maxCycles) {
-            panic("simulation watchdog: no completion after %llu cycles "
-                  "(deadlock or runaway workload)",
-                  static_cast<unsigned long long>(cfg_.maxCycles));
-        }
-
-        for (auto &c : appCores_) {
-            if (c->active() && c->busyUntil <= now)
-                c->step(now);
-        }
-        if (tsoPath_) {
-            for (CoreId core = 0; core < k; ++core)
-                tsoPath_->pump(core, now);
-        }
+        now = std::max(now, nextProducerCycle());
+        if (clock.overdue(now))
+            pool.stop(clock.why(now));
+        produce(now, 0);
         publishAll();
     }
 

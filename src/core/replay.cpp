@@ -1,6 +1,7 @@
 #include "core/replay.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/logging.hpp"
 
@@ -15,18 +16,6 @@ ReplayCore::ReplayCore(ThreadId tid, trace::TraceReader &reader,
     : tid_(tid), unit_(unit), ca_(ca), filter_(filter),
       stream_(reader.opStream(tid))
 {
-}
-
-const TraceOp *
-ReplayCore::peek()
-{
-    if (!hasPending_ && !exhausted_) {
-        if (stream_.next(pending_))
-            hasPending_ = true;
-        else
-            exhausted_ = true;
-    }
-    return hasPending_ ? &pending_ : nullptr;
 }
 
 void
@@ -225,59 +214,6 @@ ReplayPlatform::ReplayPlatform(ReplayConfig cfg)
 
 ReplayPlatform::~ReplayPlatform() = default;
 
-void
-ReplayPlatform::dumpStuckState(Cycle now, std::uint64_t lg_steps)
-{
-    std::fprintf(stderr,
-                 "=== replay watchdog state dump (now=%llu lg_steps="
-                 "%llu) ===\n",
-                 static_cast<unsigned long long>(now),
-                 static_cast<unsigned long long>(lg_steps));
-    for (ThreadId t = 0; t < k_; ++t) {
-        const TraceOp *op = replayCores_[t]->peek();
-        if (op) {
-            std::fprintf(stderr,
-                         "replay %u: next op=%u gseq=%llu cycle=%llu "
-                         "lgStep=%llu\n",
-                         t, static_cast<unsigned>(op->op),
-                         static_cast<unsigned long long>(op->gseq),
-                         static_cast<unsigned long long>(op->cycle),
-                         static_cast<unsigned long long>(op->lgStep));
-        } else {
-            std::fprintf(stderr, "replay %u: journal exhausted\n", t);
-        }
-        std::fprintf(stderr,
-                     "  stream: size=%zu visLimit=%llu done=%llu\n",
-                     captures_[t]->buffer().size(),
-                     static_cast<unsigned long long>(
-                         captures_[t]->visibilityLimit()),
-                     static_cast<unsigned long long>(progress_->done(t)));
-        const OrderEnforcer &oe = lgCores_[t]->enforcer();
-        std::fprintf(stderr,
-                     "  lg: finished=%d busyUntil=%llu wait=%s "
-                     "sameRecordRetries=%llu processed=%llu\n",
-                     lgCores_[t]->finished() ? 1 : 0,
-                     static_cast<unsigned long long>(
-                         lgCores_[t]->busyUntil),
-                     toString(oe.lastStatus()),
-                     static_cast<unsigned long long>(
-                         oe.sameRecordStallRetries()),
-                     static_cast<unsigned long long>(
-                         lgCores_[t]->stats.recordsProcessed));
-        if (const EventRecord *front = captures_[t]->buffer().peek()) {
-            std::fprintf(stderr, "  front: type=%s rid=%llu arcs=[",
-                         toString(front->type),
-                         static_cast<unsigned long long>(front->rid));
-            for (const DepArc &a : front->arcs)
-                std::fprintf(stderr, "(%u,%llu)", a.tid,
-                             static_cast<unsigned long long>(a.rid));
-            std::fprintf(stderr, "] caSeq=%llu consumesV=%d\n",
-                         static_cast<unsigned long long>(front->caSeq),
-                         front->consumesVersion ? 1 : 0);
-        }
-    }
-}
-
 std::uint64_t
 ReplayPlatform::shadowFingerprint() const
 {
@@ -291,146 +227,11 @@ ReplayPlatform::shadowFingerprint() const
 RunResult
 ReplayPlatform::run()
 {
-    return concurrent() ? runConcurrent() : runSerial();
-}
-
-RunResult
-ReplayPlatform::runSerial()
-{
-    Cycle now = 0;
-    Cycle last_now = 0;
-    std::uint64_t same_now_iters = 0;
-    std::uint64_t lg_steps = 0;
-
-    std::vector<ReplayCore *> producers;
-    std::vector<LifeguardCore *> lgs;
-    for (auto &c : replayCores_)
-        producers.push_back(c.get());
-    for (auto &c : lgCores_)
-        lgs.push_back(c.get());
-
-    auto all_done = [&producers, &lgs] {
-        for (ReplayCore *p : producers) {
-            if (!p->done())
-                return false;
-        }
-        for (const LifeguardCore *c : lgs) {
-            if (!c->finished())
-                return false;
-        }
-        return true;
-    };
-
-    ProgressWatchdog stall_watchdog(cfg_.stallWatchdogIters / 64 + 1);
-    std::uint64_t watchdog_tick = 0;
-    Counter &produced_ctr = versions_.stats.counter("produced");
-    Counter &consumed_ctr = versions_.stats.counter("consumed");
-    auto progress_signature = [&] {
-        std::uint64_t sig = produced_ctr.value() + consumed_ctr.value() +
-                            lg_steps;
-        for (const LifeguardCore *c : lgs)
-            sig += c->stats.recordsProcessed;
-        for (ThreadId t = 0; t < progress_->size(); ++t)
-            sig += progress_->done(t);
-        return sig;
-    };
-
-    while (!all_done()) {
-        if (now == last_now) {
-            if (++same_now_iters > 20'000'000) {
-                dumpStuckState(now, lg_steps);
-                panic("replay livelock: cycle %llu never advances "
-                      "(journal/lifeguard divergence)",
-                      static_cast<unsigned long long>(now));
-            }
-        } else {
-            last_now = now;
-            same_now_iters = 0;
-        }
-        if ((++watchdog_tick & 63) == 0 &&
-            stall_watchdog.poll(progress_signature())) {
-            dumpStuckState(now, lg_steps);
-            panic("replay watchdog: no forward progress in %llu "
-                  "scheduler iterations at cycle %llu (journal/"
-                  "lifeguard divergence)",
-                  static_cast<unsigned long long>(
-                      cfg_.stallWatchdogIters),
-                  static_cast<unsigned long long>(now));
-        }
-
-        // Event-driven advance: the next producer op or lifeguard core.
-        Cycle next = kInvalidRecord;
-        for (ReplayCore *p : producers) {
-            if (const TraceOp *op = p->peek())
-                next = std::min(next, op->cycle);
-        }
-        for (LifeguardCore *c : lgs) {
-            if (!c->finished())
-                next = std::min(next, c->busyUntil);
-        }
-        if (next > now)
-            now = next;
-
-        if (now > cfg_.maxCycles)
-            panic("replay watchdog: no completion after %llu cycles",
-                  static_cast<unsigned long long>(cfg_.maxCycles));
-
-        // Producer phase: apply every journal op due at `now` whose
-        // recorded lifeguard-step stamp has been reached, in global
-        // journal order. Ops stamped with a later lifeguard-step count
-        // wait — they were recorded in a later scheduler iteration at
-        // this same cycle, after lifeguard steps that have not run yet.
-        // (The step stamps describe the *recorded* lifeguard's cadence;
-        // replaying a different lifeguard ignores them and applies ops
-        // purely by cycle — its interleaving has no recording to match.)
-        for (;;) {
-            ReplayCore *best = nullptr;
-            std::uint64_t best_gseq = ~0ULL;
-            for (ReplayCore *p : producers) {
-                const TraceOp *op = p->peek();
-                if (op && op->cycle <= now &&
-                    (!sameLifeguard_ || op->lgStep <= lg_steps) &&
-                    op->gseq < best_gseq) {
-                    best = p;
-                    best_gseq = op->gseq;
-                }
-            }
-            if (!best)
-                break;
-            best->apply();
-        }
-
-        // Lifeguard phase: identical to Platform::run, with the
-        // producers' next-op cycles as the application side of the
-        // solo-batching horizon. (A pending op gated on a future
-        // lifeguard step has cycle <= now, pinning the horizon to now —
-        // conservative, and batching is result-invariant.)
-        Cycle actor_horizon = 0;
-        bool horizon_valid = false;
-        for (std::size_t i = 0; i < lgs.size(); ++i) {
-            LifeguardCore *c = lgs[i];
-            if (c->finished() || c->busyUntil > now)
-                continue;
-            if (!horizon_valid) {
-                actor_horizon = ~Cycle{0};
-                for (ReplayCore *p : producers) {
-                    if (const TraceOp *op = p->peek())
-                        actor_horizon =
-                            std::min(actor_horizon, op->cycle);
-                }
-                horizon_valid = true;
-            }
-            Cycle horizon = actor_horizon;
-            for (std::size_t j = 0; j < lgs.size(); ++j) {
-                if (j != i && !lgs[j]->finished())
-                    horizon = std::min(horizon, lgs[j]->busyUntil);
-            }
-            c->step(now, horizon);
-            ++lg_steps;
-        }
-    }
-
-    RunResult result = collectResult(now);
+    if (concurrent())
+        return runConcurrent();
+    SerialScheduler sched("replay", cfg_.maxCycles, cfg_.stallWatchdogIters,
+                          lgCores_, *progress_, versions_);
+    RunResult result = collectResult(sched.run(*this));
 
     // The oracle panics when a lifeguard performs *more* metadata
     // accesses than recorded; the opposite divergence — recorded
@@ -451,6 +252,67 @@ ReplayPlatform::runSerial()
     if (sameLifeguard_ && cfg_.verify)
         verifyAgainstFooter(result);
     return result;
+}
+
+bool
+ReplayPlatform::producersDone() const
+{
+    return std::all_of(replayCores_.begin(), replayCores_.end(),
+                       [](auto &p) { return p->done(); });
+}
+
+void
+ReplayPlatform::produce(Cycle now, std::uint64_t lg_steps)
+{
+    // Apply every op due at `now` whose recorded lifeguard-step stamp
+    // has been reached, in global journal order. Ops stamped with a
+    // later step count were recorded in a later iteration at this
+    // cycle, after lifeguard steps that have not run yet. (The stamps
+    // describe the *recorded* lifeguard's cadence; replaying another
+    // lifeguard applies ops purely by cycle.)
+    for (;;) {
+        ReplayCore *best = nullptr;
+        std::uint64_t best_gseq = ~0ULL;
+        for (auto &p : replayCores_) {
+            const TraceOp *op = p->peek();
+            if (op && op->cycle <= now &&
+                (!sameLifeguard_ || op->lgStep <= lg_steps) &&
+                op->gseq < best_gseq) {
+                best = p.get();
+                best_gseq = op->gseq;
+            }
+        }
+        if (!best)
+            return;
+        best->apply();
+    }
+}
+
+void
+ReplayPlatform::foldState(SignatureFold &fold, std::uint64_t lg_steps) const
+{
+    // Ops wait on the lifeguard-step count, so a step is progress while
+    // any op is pending, and only then: with every journal exhausted, a
+    // stalled lifeguard's retries are not (as in a live run whose
+    // application has finished).
+    if (!producersDone())
+        fold(lg_steps);
+}
+
+void
+ReplayPlatform::dumpStream(ThreadId tid) const
+{
+    const TraceOp *op = replayCores_[tid]->peek();
+    if (!op) {
+        std::fprintf(stderr, "replay %u: journal exhausted\n", tid);
+        return;
+    }
+    std::fprintf(stderr,
+                 "replay %u: next op=%u gseq=%llu cycle=%llu lgStep=%llu\n",
+                 tid, static_cast<unsigned>(op->op),
+                 static_cast<unsigned long long>(op->gseq),
+                 static_cast<unsigned long long>(op->cycle),
+                 static_cast<unsigned long long>(op->lgStep));
 }
 
 RunResult

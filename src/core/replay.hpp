@@ -26,6 +26,7 @@
 #ifndef PARALOG_CORE_REPLAY_HPP
 #define PARALOG_CORE_REPLAY_HPP
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -83,8 +84,20 @@ class ReplayCore
                CaptureUnit &unit, CaManager &ca,
                const EventFilter *filter = nullptr);
 
-    /** The next journal op not yet applied, or nullptr at stream end. */
-    const trace::TraceOp *peek();
+    /** The next journal op not yet applied, or nullptr at stream end.
+     *  Inline: the serial scheduler's hooks call it several times per
+     *  iteration. */
+    const trace::TraceOp *
+    peek()
+    {
+        if (!hasPending_ && !exhausted_) {
+            if (stream_.next(pending_))
+                hasPending_ = true;
+            else
+                exhausted_ = true;
+        }
+        return hasPending_ ? &pending_ : nullptr;
+    }
 
     /** Apply the pending op to the capture unit / CA manager. */
     void apply();
@@ -143,7 +156,6 @@ class ReplayPlatform
     std::uint64_t shadowFingerprint() const;
 
   private:
-    RunResult runSerial();
     /// Implemented in replay_concurrent.cpp.
     RunResult runConcurrent();
     /// Shared result assembly (per-core stats, version counters,
@@ -155,7 +167,32 @@ class ReplayPlatform
     /// Exact-tier footer check of the serial engine: the results tier
     /// plus cycle counts, report counts and per-core timing stats.
     void verifyAgainstFooter(const RunResult &result) const;
-    void dumpStuckState(Cycle now, std::uint64_t lg_steps);
+
+    // SerialScheduler hooks (core/serial_scheduler.hpp). The producers
+    // are the recorded journals, one per application thread.
+    friend class SerialScheduler;
+    bool producersDone() const;
+    void produce(Cycle now, std::uint64_t lg_steps);
+
+    /// Defined here so it inlines: the loop calls it twice per
+    /// iteration (advance, solo horizon).
+    Cycle
+    nextProducerCycle() const
+    {
+        Cycle next = ~Cycle{0};
+        for (const auto &p : replayCores_) {
+            if (const trace::TraceOp *op = p->peek())
+                next = std::min(next, op->cycle);
+        }
+        return next;
+    }
+
+    /// An op gated on a future lifeguard step has cycle <= now and pins
+    /// the horizon to now: conservative, and result-invariant.
+    Cycle soloHorizon() const { return nextProducerCycle(); }
+    void afterLgStep() {}
+    void foldState(SignatureFold &fold, std::uint64_t lg_steps) const;
+    void dumpStream(ThreadId tid) const;
 
     ReplayConfig cfg_;
     trace::TraceReader reader_;

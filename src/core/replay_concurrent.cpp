@@ -70,8 +70,8 @@ ReplayPlatform::runConcurrent()
                  fold(c);
          },
          [&](ThreadId t) {
-             std::fprintf(stderr, "  plan %zu/%zu\n", cursor[t],
-                          plans[t].seq.size());
+             std::fprintf(stderr, "plan %u: %zu/%zu published\n", t,
+                          cursor[t], plans[t].seq.size());
          }},
         captures_, lgCores_, *progress_, versions_);
 

@@ -1,5 +1,7 @@
 #include "core/timesliced.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 
 namespace paralog {
@@ -60,9 +62,9 @@ Timesliced::Timesliced(PlatformConfig cfg) : cfg_(std::move(cfg))
     quantumLeft_ = cfg_.sim.timesliceQuantum;
     mem_->bindThread(0, 0);
 
-    lgCore_ = std::make_unique<LifeguardCore>(
+    lgCores_.push_back(std::make_unique<LifeguardCore>(
         1, 0, cfg_.sim, *capture_, *progress_, *caMgr_, *lifeguard_,
-        mem_.get(), versions_, k);
+        mem_.get(), versions_, k));
 }
 
 Timesliced::~Timesliced() = default;
@@ -176,47 +178,44 @@ Timesliced::stepApp(Cycle now)
 }
 
 bool
-Timesliced::appAllDone() const
+Timesliced::producersDone() const
 {
-    for (bool f : finished_) {
-        if (!f)
-            return false;
-    }
-    return true;
+    return std::find(finished_.begin(), finished_.end(), false) ==
+           finished_.end();
+}
+
+Cycle
+Timesliced::nextProducerCycle() const
+{
+    return producersDone() ? ~Cycle{0} : appBusyUntil_;
+}
+
+void
+Timesliced::produce(Cycle now, std::uint64_t)
+{
+    if (!producersDone() && appBusyUntil_ <= now)
+        stepApp(now);
+}
+
+void
+Timesliced::foldState(SignatureFold &fold, std::uint64_t) const
+{
+    for (const auto &tc : tcs_)
+        fold(tc->retired);
 }
 
 RunResult
 Timesliced::run()
 {
-    Cycle now = 0;
-    while (!(appAllDone() && lgCore_->finished())) {
-        Cycle next = kInvalidRecord;
-        if (!appAllDone())
-            next = std::min(next, appBusyUntil_);
-        if (!lgCore_->finished())
-            next = std::min(next, lgCore_->busyUntil);
-        if (next > now)
-            now = next;
-
-        if (now > cfg_.maxCycles) {
-            panic("timesliced watchdog: no completion after %llu cycles",
-                  static_cast<unsigned long long>(cfg_.maxCycles));
-        }
-
-        if (!appAllDone() && appBusyUntil_ <= now)
-            stepApp(now);
-        if (!lgCore_->finished() && lgCore_->busyUntil <= now) {
-            // Solo-horizon batching: the timesliced application core is
-            // the only other actor (no TSO, one lifeguard).
-            lgCore_->step(now,
-                          appAllDone() ? ~Cycle{0} : appBusyUntil_);
-        }
-    }
+    SerialScheduler sched("timesliced", cfg_.maxCycles,
+                          cfg_.stallWatchdogIters, lgCores_, *progress_,
+                          versions_);
+    const Cycle now = sched.run(*this);
 
     RunResult result;
     result.totalCycles = now;
     result.app = appStats_;
-    result.lifeguard.push_back(lgCore_->stats);
+    result.lifeguard.push_back(lgCores_[0]->stats);
     result.violationCount = lifeguard_->violations.count();
     for (auto &tc : tcs_) {
         result.app[tc->tid()].programInsts = tc->programInsts;

@@ -41,7 +41,18 @@ class Timesliced : public PlatformHooks
     void stepApp(Cycle now);
     void switchTo(std::uint32_t next, Cycle now);
     std::uint32_t pickNext() const;
-    bool appAllDone() const;
+
+    // SerialScheduler hooks (core/serial_scheduler.hpp). The producer
+    // is the one core every application thread shares, the only actor
+    // besides the lifeguard core (SC, one lifeguard core).
+    friend class SerialScheduler;
+    bool producersDone() const;
+    Cycle nextProducerCycle() const;
+    void produce(Cycle now, std::uint64_t lg_steps);
+    Cycle soloHorizon() const { return nextProducerCycle(); }
+    void afterLgStep() {}
+    void foldState(SignatureFold &fold, std::uint64_t lg_steps) const;
+    void dumpStream(ThreadId) const {}
 
     PlatformConfig cfg_;
     WorkloadEnv env_;
@@ -59,7 +70,8 @@ class Timesliced : public PlatformHooks
     std::unique_ptr<CaManager> caMgr_;
     VersionStore versions_;
     std::unique_ptr<CaptureUnit> capture_; ///< merged stream
-    std::unique_ptr<LifeguardCore> lgCore_;
+    /// The one sequential lifeguard core (a vector for SerialScheduler).
+    std::vector<std::unique_ptr<LifeguardCore>> lgCores_;
 
     std::vector<std::unique_ptr<ThreadContext>> tcs_;
     std::vector<AppThreadStats> appStats_;

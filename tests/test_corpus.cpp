@@ -237,6 +237,33 @@ TEST_F(CorpusGate, ConcurrentReplayAndParallelDecodeAgree)
     }
 }
 
+TEST_F(CorpusGate, SerialReplayWatchdogPrintsTheStateDump)
+{
+    // The maxCycles watchdog of the serial replay engine dumps the
+    // per-stream wait state before it panics, as the live engine does.
+    CorpusEntry e{LifeguardKind::kTaintCheck, MemoryModel::kTSO, 2};
+    ReplayConfig cfg;
+    cfg.path = tracePath(e);
+    cfg.maxCycles = 10;
+    std::string message;
+    ::testing::internal::CaptureStderr();
+    {
+        PanicThrowScope throws;
+        try {
+            ReplayPlatform rp(std::move(cfg));
+            rp.run();
+        } catch (const SimPanicError &ex) {
+            message = ex.what();
+        }
+    }
+    std::string dump = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(message.find("replay simulation watchdog"), std::string::npos)
+        << message;
+    EXPECT_NE(dump.find("replay watchdog state dump"), std::string::npos)
+        << dump;
+    EXPECT_NE(dump.find("  stream: "), std::string::npos) << dump;
+}
+
 // --------------------------------------------- paralog-dump goldens
 
 class DumpGoldens : public test::QuietTest

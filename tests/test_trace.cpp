@@ -20,6 +20,7 @@
 
 #include "core/replay.hpp"
 #include "harness/paralog_test.hpp"
+#include "trace/recorder.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
 
@@ -577,6 +578,90 @@ TEST_F(ReplayModes, RecordingLeavesResultsUntouched)
     RunResult live = runSpecExperiment(plain);
     live.shadowFingerprint = recorded.shadowFingerprint; // not computed
     expectSameRun(live, recorded);
+}
+
+// ------------------------------------------------ replay watchdog
+
+/** Records normally, except that the journal's first drain-time arc
+ *  attachment gains one arc to a record the other thread never
+ *  reaches. The live run, the footer and every CRC stay valid; the
+ *  replayed lifeguard waits on that arc forever. */
+class StallingRecorder : public trace::TraceRecorder
+{
+  public:
+    using TraceRecorder::TraceRecorder;
+
+    void
+    onAttachArcs(ThreadId tid, RecordId rid,
+                 const std::vector<DepArc> &kept) override
+    {
+        std::vector<DepArc> arcs = kept;
+        if (!injected_) {
+            injected_ = true;
+            arcs.push_back(DepArc{1 - tid, 1'000'000'000});
+        }
+        TraceRecorder::onAttachArcs(tid, rid, arcs);
+    }
+
+  private:
+    bool injected_ = false;
+};
+
+/** A TSO lu/TaintCheck/2-core recording whose replay stalls. */
+void
+recordStallingJournal(const std::string &path)
+{
+    ExperimentOptions o = test::makeOptions(300);
+    o.memoryModel = MemoryModel::kTSO;
+    PlatformConfig cfg =
+        makeConfig(WorkloadKind::kLu, LifeguardKind::kTaintCheck,
+                   MonitorMode::kParallel, 2, o);
+    cfg.sim.deliverBatchMax = 1; // canonical single-pop, as recorded
+
+    trace::TraceConfig tc;
+    tc.workload = WorkloadKind::kLu;
+    tc.lifeguard = LifeguardKind::kTaintCheck;
+    tc.memoryModel = MemoryModel::kTSO;
+    tc.depTracking = cfg.sim.depTracking;
+    tc.appThreads = 2;
+    tc.shadowShards = cfg.sim.shadowShards;
+    tc.scale = 300;
+    tc.seed = cfg.sim.seed;
+    tc.logBufferBytes = cfg.sim.logBufferBytes;
+
+    StallingRecorder recorder(path, tc);
+    ASSERT_TRUE(recorder.ok()) << recorder.error();
+    cfg.recorder = &recorder;
+    Platform p(cfg);
+    RunResult result = p.run();
+    const ShadowMemory &shadow = p.lifeguard().shadow();
+    result.shadowFingerprint =
+        shadowFingerprint(shadow, AddressLayout::kHeapBase, 1 << 20) ^
+        shadowFingerprint(shadow, AddressLayout::kGlobalBase, 1 << 16);
+    ASSERT_TRUE(recorder.finalize(result, result.shadowFingerprint))
+        << recorder.error();
+}
+
+TEST_F(ReplayModes, StalledSerialReplayTripsTheProgressWatchdog)
+{
+    // The stalled lifeguard is still stepped every retry interval, so
+    // lifeguard steps must not count as progress once every journal is
+    // exhausted: the progress watchdog fires long before maxCycles.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    TempTrace tmp("stalling");
+    recordStallingJournal(tmp.path());
+    ASSERT_TRUE(trace::TraceReader(tmp.path()).ok());
+
+    ReplayConfig cfg;
+    cfg.path = tmp.path();
+    cfg.stallWatchdogIters = 20'000;
+    cfg.maxCycles = 100'000'000;
+    EXPECT_DEATH(
+        {
+            ReplayPlatform rp(cfg);
+            rp.run();
+        },
+        "replay watchdog state dump.*replay progress watchdog");
 }
 
 } // namespace

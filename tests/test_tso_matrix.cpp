@@ -197,7 +197,28 @@ TEST(ProgressWatchdogDeath, StallPanicsWithDiagnosableDump)
             Platform p(cfg);
             p.run();
         },
-        "progress watchdog");
+        "watchdog state dump.*progress watchdog");
+}
+
+TEST(ProgressWatchdogDeath, TimeslicedStallPanicsToo)
+{
+    // The timesliced baseline runs the same serial scheduler, so the
+    // same application deadlock trips the same watchdog instead of
+    // grinding toward maxCycles.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    setQuiet(true);
+    PlatformConfig cfg;
+    cfg.sim = SimConfig::forAppThreads(2);
+    cfg.sim.mode = MonitorMode::kTimesliced;
+    cfg.lifeguard = LifeguardKind::kAddrCheck;
+    cfg.customWorkload = std::make_shared<DeadlockWorkload>();
+    cfg.stallWatchdogIters = 50'000;
+    EXPECT_DEATH(
+        {
+            Timesliced t(cfg);
+            t.run();
+        },
+        "timesliced watchdog state dump.*timesliced progress watchdog");
 }
 
 // ------------------------------------- randomized differential matrix

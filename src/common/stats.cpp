@@ -1,6 +1,7 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/bitops.hpp"
 
@@ -27,17 +28,22 @@ Histogram::mean() const
 }
 
 std::uint64_t
-Histogram::percentileApprox(double frac) const
+Histogram::percentile(double frac) const
 {
     if (count_ == 0)
         return 0;
-    std::uint64_t target =
+    std::uint64_t need =
         static_cast<std::uint64_t>(frac * static_cast<double>(count_));
+    if (need == 0)
+        need = 1;
     std::uint64_t seen = 0;
     for (unsigned b = 0; b < buckets_.size(); ++b) {
         seen += buckets_[b];
-        if (seen > target)
-            return (b == 0) ? 1 : (1ULL << (b + 1)) - 1;
+        if (seen >= need) {
+            std::uint64_t upper =
+                b >= 63 ? ~std::uint64_t{0} : (std::uint64_t{2} << b) - 1;
+            return std::min(upper, max_);
+        }
     }
     return max_;
 }
@@ -101,14 +107,9 @@ StatSet::histogramSlow(const char *name)
 std::uint64_t
 StatSet::get(const std::string &name) const
 {
+    std::lock_guard<std::mutex> lock(initMutex_);
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second.value();
-}
-
-bool
-StatSet::has(const std::string &name) const
-{
-    return counters_.count(name) > 0;
 }
 
 void
@@ -121,15 +122,21 @@ StatSet::reset()
 }
 
 void
-StatSet::dump(std::ostream &os) const
+StatSet::render(std::ostream &os, std::initializer_list<Gauge> gauges) const
 {
-    for (const auto &kv : counters_)
-        os << name_ << "." << kv.first << " = " << kv.second.value() << "\n";
-    for (const auto &kv : histograms_) {
-        const Histogram &h = kv.second;
-        os << name_ << "." << kv.first << " = {n=" << h.count()
-           << " mean=" << h.mean() << " min=" << h.min()
-           << " max=" << h.max() << "}\n";
+    const std::string prefix = name_.empty() ? "" : name_ + ".";
+    std::lock_guard<std::mutex> lock(initMutex_);
+    for (const auto &[name, c] : counters_)
+        os << "counter " << prefix << name << ' ' << c.value() << '\n';
+    for (const auto &[name, v] : gauges)
+        os << "gauge " << prefix << name << ' ' << v << '\n';
+    for (const auto &[name, h] : histograms_) {
+        char mean[32];
+        std::snprintf(mean, sizeof(mean), "%.1f", h.mean());
+        os << "meter " << prefix << name << " count=" << h.count()
+           << " sum=" << h.sum() << " mean=" << mean << " min=" << h.min()
+           << " p50=" << h.percentile(0.50) << " p90=" << h.percentile(0.90)
+           << " p99=" << h.percentile(0.99) << " max=" << h.max() << '\n';
     }
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Lightweight named statistics: scalar counters and histograms, grouped
- * into a StatSet that can be dumped for benches and inspected by tests.
+ * into a StatSet that tests inspect and long-running services render
+ * as text (StatSet::render, the `paralogd` PLSTATS1 wire format).
  */
 
 #ifndef PARALOG_COMMON_STATS_HPP
@@ -12,10 +13,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace paralog {
@@ -122,7 +125,9 @@ class Counter
 
 /**
  * Power-of-two bucketed histogram: bucket k counts samples in
- * [2^k, 2^(k+1)) with bucket 0 holding samples of 0 and 1.
+ * [2^k, 2^(k+1)) with bucket 0 holding samples of 0 and 1. Single
+ * writer: a histogram shared between threads needs its owner's lock
+ * around sample() and every read.
  */
 class Histogram
 {
@@ -137,9 +142,10 @@ class Histogram
     std::uint64_t max() const { return max_; }
     double mean() const;
 
-    /** Smallest sample value v such that >= frac of samples are <= v
-     *  (approximated at bucket granularity). */
-    std::uint64_t percentileApprox(double frac) const;
+    /** Upper bound of the first bucket at which the cumulative count
+     *  reaches frac of the samples, clamped to max() so it never
+     *  exceeds the largest value seen (0 when empty). */
+    std::uint64_t percentile(double frac) const;
 
     const std::vector<std::uint64_t> &buckets() const { return buckets_; }
     void reset();
@@ -216,22 +222,35 @@ class StatSet
         return histogramSlow(name);
     }
 
+    /** Counter value, 0 when never touched. Safe while other threads
+     *  first-touch new names. */
     std::uint64_t get(const std::string &name) const;
-    bool has(const std::string &name) const;
 
+    /** Unlocked view for single-threaded inspection after a run. */
     const std::map<std::string, Counter> &counters() const
     {
         return counters_;
     }
-    const std::map<std::string, Histogram> &histograms() const
-    {
-        return histograms_;
-    }
 
     void reset();
-    void dump(std::ostream &os) const;
 
-    const std::string &name() const { return name_; }
+    /** A gauge line's name and its value, computed by the caller. */
+    using Gauge = std::pair<const char *, std::int64_t>;
+
+    /**
+     * Render every entry, names prefixed with "<set name>.":
+     *
+     *   counter <name> <value>
+     *   gauge <name> <value>
+     *   meter <name> count=N sum=N mean=F min=N p50=N p90=N p99=N max=N
+     *
+     * Counters and meters come in name order, @p gauges in the order
+     * given. Safe while other threads first-touch names or bump
+     * counters; a histogram sampled by another thread needs that
+     * thread's lock held around this call.
+     */
+    void render(std::ostream &os, std::initializer_list<Gauge> gauges = {})
+        const;
 
   private:
     /// One memo entry: the literal's address doubles as the published
@@ -254,9 +273,9 @@ class StatSet
     std::map<std::string, Histogram> histograms_;
     std::array<MemoSlot<Counter>, kMemoSlots> counterMemo_;
     std::array<MemoSlot<Histogram>, kMemoSlots> histogramMemo_;
-    /// Guards first-use insertion into the maps and memo publication;
-    /// never taken on a memo hit.
-    std::mutex initMutex_;
+    /// Guards the maps (first-use insertion, get(), render()) and memo
+    /// publication; never taken on a memo hit.
+    mutable std::mutex initMutex_;
 };
 
 } // namespace paralog

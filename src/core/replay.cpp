@@ -13,9 +13,17 @@ using trace::TraceOp;
 ReplayCore::ReplayCore(ThreadId tid, trace::TraceReader &reader,
                        CaptureUnit &unit, CaManager &ca,
                        const EventFilter *filter)
-    : tid_(tid), unit_(unit), ca_(ca), filter_(filter),
+    : tid_(tid), reader_(reader), unit_(unit), ca_(ca), filter_(filter),
       stream_(reader.opStream(tid))
 {
+}
+
+void
+ReplayCore::endOfStream()
+{
+    if (!reader_.ok())
+        panic("replay: %s", reader_.error().c_str());
+    exhausted_ = true;
 }
 
 void
@@ -202,11 +210,13 @@ ReplayPlatform::ReplayPlatform(ReplayConfig cfg)
             lgCores_.back()->ctx().setMetaLatencyOracle(
                 [this, t]() -> Cycle {
                     Cycle latency = 0;
-                    if (!latStreams_[t].next(latency))
-                        panic("replay diverged: lifeguard %u performed "
-                              "more metadata accesses than recorded",
-                              t);
-                    return latency;
+                    if (latStreams_[t].next(latency))
+                        return latency;
+                    if (!reader_.ok())
+                        panic("replay: %s", reader_.error().c_str());
+                    panic("replay diverged: lifeguard %u performed "
+                          "more metadata accesses than recorded",
+                          t);
                 });
         }
     }

@@ -94,7 +94,7 @@ class ReplayCore
             if (stream_.next(pending_))
                 hasPending_ = true;
             else
-                exhausted_ = true;
+                endOfStream();
         }
         return hasPending_ ? &pending_ : nullptr;
     }
@@ -105,7 +105,12 @@ class ReplayCore
     bool done() { return peek() == nullptr; }
 
   private:
+    /** Marks the journal exhausted; a stream that ended because the
+     *  reader failed (a lazily CRC-checked chunk) panics instead. */
+    void endOfStream();
+
     ThreadId tid_;
+    const trace::TraceReader &reader_;
     CaptureUnit &unit_;
     CaManager &ca_;
     const EventFilter *filter_;

@@ -265,7 +265,7 @@ Daemon::workerLoop()
             // Containment of last resort: runMatrix already boxes
             // per-cell panics, but a panic before the matrix starts
             // (job.fail, spool I/O) must also cost only this job.
-            metrics_.counter("daemon.jobs.failed").inc(1);
+            stats_.counter("jobs.failed").inc(1);
             json = "{\"status\":\"failed\",\"session\":" +
                    std::to_string(job.sessionId) + ",\"reason\":\"" +
                    jsonEscape(e.what()) + "\"}";
@@ -322,8 +322,11 @@ Daemon::runJob(const Job &job)
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const CellResult &cell = cells[i];
         const char *lg_name = toString(kinds[i]);
-        metrics_.meter(std::string("daemon.lg.") + lg_name + ".ms")
-            .sample(static_cast<std::uint64_t>(cell.wallMs) + 1);
+        {
+            std::lock_guard<std::mutex> lock(meterMutex_);
+            stats_.histogram(std::string("lg.") + lg_name + ".ms")
+                .sample(static_cast<std::uint64_t>(cell.wallMs) + 1);
+        }
         if (i)
             runs << ',';
         runs << "{\"lifeguard\":\"" << lg_name << "\",\"selfCheck\":"
@@ -348,10 +351,8 @@ Daemon::runJob(const Job &job)
              << static_cast<std::uint64_t>(cell.wallMs) << "}";
     }
 
-    metrics_.counter("daemon.replay.records").inc(records);
-    metrics_.counter(any_failed ? "daemon.jobs.failed"
-                                : "daemon.jobs.completed")
-        .inc(1);
+    stats_.counter("replay.records").inc(records);
+    stats_.counter(any_failed ? "jobs.failed" : "jobs.completed").inc(1);
 
     std::ostringstream body;
     body << "{\"status\":\"" << (any_failed ? "failed" : "ok")
@@ -388,12 +389,9 @@ Daemon::run()
     }
     ::unlink(cfg_.socketPath.c_str());
 
-    if (!cfg_.quiet) {
-        std::ostringstream text;
-        metrics_.renderText(text);
+    if (!cfg_.quiet)
         std::fprintf(stderr, "paralogd: final metrics\n%s",
-                     text.str().c_str());
-    }
+                     renderStats().c_str());
     return 0;
 }
 
@@ -421,7 +419,7 @@ Daemon::eventLoop()
                     s.state != Session::St::kRunning &&
                     s.state != Session::St::kRespond) {
                     if (s.state == Session::St::kIngest)
-                        metrics_.counter("daemon.jobs.shed").inc(1);
+                        stats_.counter("jobs.shed").inc(1);
                     respondError(s, "shed", "draining");
                 }
             }
@@ -525,8 +523,6 @@ Daemon::eventLoop()
                                return sp->closed;
                            }),
             sessions_.end());
-        metrics_.gauge("daemon.sessions.open")
-            .set(static_cast<std::int64_t>(sessions_.size()));
     }
 }
 
@@ -538,12 +534,12 @@ Daemon::acceptClients(int listen_fd)
         if (fd < 0)
             return; // EAGAIN or transient error: back to poll
         std::uint64_t conn_index = acceptedConns_++;
-        metrics_.counter("daemon.conns.accepted").inc(1);
+        stats_.counter("conns.accepted").inc(1);
 
         // Fault daemon.drop-conn=N: the Nth accepted connection is
         // dropped unanswered — clients must survive vanishing peers.
         if (faultHits("daemon.drop-conn", conn_index)) {
-            metrics_.counter("daemon.conns.dropped").inc(1);
+            stats_.counter("conns.dropped").inc(1);
             ::close(fd);
             continue;
         }
@@ -555,7 +551,7 @@ Daemon::acceptClients(int listen_fd)
         s->lastActivity = s->lastHeartbeat = Clock::now();
 
         if (sessions_.size() >= cfg_.maxSessions) {
-            metrics_.counter("daemon.sessions.rejected").inc(1);
+            stats_.counter("sessions.rejected").inc(1);
             respondError(*s, "rejected", "too-many-sessions");
         }
         sessions_.push_back(std::move(s));
@@ -579,21 +575,11 @@ Daemon::readSession(Session &s)
             s.sawEof = true;
             if (s.state == Session::St::kIngest) {
                 s.ingest.finish(); // marks kTruncated
-                metrics_.counter("daemon.ingest.failed").inc(1);
-                metrics_
-                    .counter(std::string("daemon.ingest.failed.") +
-                             trace::ingestErrorName(
-                                 s.ingest.errorCode()))
-                    .inc(1);
-                metrics_.counter("daemon.jobs.failed").inc(1);
-                respondError(s, "failed",
-                             std::string(trace::ingestErrorName(
-                                 s.ingest.errorCode())) +
-                                 ": " + s.ingest.error());
+                failIngest(s);
             } else if (s.state == Session::St::kMagic ||
                        s.state == Session::St::kSubmitHeader ||
                        s.state == Session::St::kLifeguards) {
-                metrics_.counter("daemon.conns.early-close").inc(1);
+                stats_.counter("conns.early-close").inc(1);
                 closeSession(s);
             }
             // Queued/Running/Respond: half-close is the normal
@@ -624,22 +610,12 @@ Daemon::handleRequestBytes(Session &s, const std::uint8_t *p,
             if (s.state == Session::St::kMagic) {
                 if (std::memcmp(s.req.data(), kStatsMagic.data(), 8) ==
                     0) {
-                    metrics_.gauge("daemon.uptime-ms")
-                        .set(msBetween(startedAt_, Clock::now()));
-                    {
-                        std::lock_guard<std::mutex> lock(queueMutex_);
-                        metrics_.gauge("daemon.queue.depth")
-                            .set(static_cast<std::int64_t>(
-                                jobQueue_.size()));
-                    }
-                    std::ostringstream text;
-                    metrics_.renderText(text);
-                    respond(s, text.str());
+                    respond(s, renderStats());
                     return true;
                 }
                 if (std::memcmp(s.req.data(), kSubmitMagic.data(), 8) !=
                     0) {
-                    metrics_.counter("daemon.sessions.rejected").inc(1);
+                    stats_.counter("sessions.rejected").inc(1);
                     respondError(s, "rejected", "bad-request-magic");
                     return true;
                 }
@@ -651,7 +627,7 @@ Daemon::handleRequestBytes(Session &s, const std::uint8_t *p,
             s.nLifeguards = trace::get32le(s.req.data() + 4);
             s.req.clear();
             if (flags != 0 || s.nLifeguards > kMaxRequestLifeguards) {
-                metrics_.counter("daemon.sessions.rejected").inc(1);
+                stats_.counter("sessions.rejected").inc(1);
                 respondError(s, "rejected", "bad-submit-header");
                 return true;
             }
@@ -663,7 +639,7 @@ Daemon::handleRequestBytes(Session &s, const std::uint8_t *p,
             while (n > 0 && s.lifeguards.size() < s.nLifeguards) {
                 if (*p > static_cast<std::uint8_t>(
                              LifeguardKind::kLockSet)) {
-                    metrics_.counter("daemon.sessions.rejected").inc(1);
+                    stats_.counter("sessions.rejected").inc(1);
                     respondError(s, "rejected", "bad-lifeguard-kind");
                     return true;
                 }
@@ -683,7 +659,7 @@ Daemon::handleRequestBytes(Session &s, const std::uint8_t *p,
         case Session::St::kQueued:
         case Session::St::kRunning:
             // Bytes after a complete request: protocol violation.
-            metrics_.counter("daemon.sessions.rejected").inc(1);
+            stats_.counter("sessions.rejected").inc(1);
             respondError(s, "rejected", "trailing-data");
             return true;
         case Session::St::kRespond:
@@ -707,7 +683,7 @@ Daemon::ingestBytes(Session &s, const std::uint8_t *p, std::size_t n)
                       ".trace";
         s.spool = std::fopen(s.spoolPath.c_str(), "wb");
         if (!s.spool) {
-            metrics_.counter("daemon.jobs.failed").inc(1);
+            stats_.counter("jobs.failed").inc(1);
             respondError(s, "failed", "cannot-spool");
             return;
         }
@@ -729,28 +705,29 @@ Daemon::ingestBytes(Session &s, const std::uint8_t *p, std::size_t n)
         p = mangled.data();
     }
     s.ingestOffset += n;
-    metrics_.counter("daemon.ingest.bytes").inc(n);
+    stats_.counter("ingest.bytes").inc(n);
 
     if (std::fwrite(p, 1, n, s.spool) != n) {
-        metrics_.counter("daemon.jobs.failed").inc(1);
+        stats_.counter("jobs.failed").inc(1);
         respondError(s, "failed", "spool-write-failed");
         return;
     }
     if (!s.ingest.feed(p, n)) {
-        metrics_.counter("daemon.ingest.failed").inc(1);
-        metrics_
-            .counter(std::string("daemon.ingest.failed.") +
-                     trace::ingestErrorName(s.ingest.errorCode()))
-            .inc(1);
-        metrics_.counter("daemon.jobs.failed").inc(1);
-        respondError(s, "failed",
-                     std::string(trace::ingestErrorName(
-                         s.ingest.errorCode())) +
-                         ": " + s.ingest.error());
+        failIngest(s);
         return;
     }
     if (s.ingest.complete())
         onUploadComplete(s);
+}
+
+void
+Daemon::failIngest(Session &s)
+{
+    const std::string why = trace::ingestErrorName(s.ingest.errorCode());
+    stats_.counter("ingest.failed").inc(1);
+    stats_.counter("ingest.failed." + why).inc(1);
+    stats_.counter("jobs.failed").inc(1);
+    respondError(s, "failed", why + ": " + s.ingest.error());
 }
 
 void
@@ -760,11 +737,9 @@ Daemon::onUploadComplete(Session &s)
     s.spool = nullptr;
 
     bool shed = stopping_.load(std::memory_order_acquire);
-    std::size_t depth = 0;
     if (!shed) {
         std::lock_guard<std::mutex> lock(queueMutex_);
-        depth = jobQueue_.size();
-        shed = depth >= cfg_.maxQueuedJobs;
+        shed = jobQueue_.size() >= cfg_.maxQueuedJobs;
         if (!shed) {
             Job job;
             job.sessionId = s.id;
@@ -774,12 +749,10 @@ Daemon::onUploadComplete(Session &s)
             job.appThreads = s.ingest.header().cfg.appThreads;
             job.totalRecords = s.ingest.header().totalRecords;
             jobQueue_.push_back(std::move(job));
-            metrics_.gauge("daemon.queue.depth")
-                .set(static_cast<std::int64_t>(jobQueue_.size()));
         }
     }
     if (shed) {
-        metrics_.counter("daemon.jobs.shed").inc(1);
+        stats_.counter("jobs.shed").inc(1);
         std::remove(s.spoolPath.c_str());
         respondError(s, "shed",
                      stopping_.load(std::memory_order_acquire)
@@ -787,7 +760,7 @@ Daemon::onUploadComplete(Session &s)
                          : "queue-full");
         return;
     }
-    metrics_.counter("daemon.jobs.accepted").inc(1);
+    stats_.counter("jobs.accepted").inc(1);
     s.jobSubmitted = true;
     s.state = Session::St::kQueued;
     s.lastHeartbeat = Clock::now();
@@ -872,12 +845,12 @@ Daemon::checkTimeouts()
             continue; // heartbeat path covers these
         if (msBetween(s.lastActivity, now) < cfg_.idleTimeoutMs)
             continue;
-        metrics_.counter("daemon.idle-timeouts").inc(1);
+        stats_.counter("idle-timeouts").inc(1);
         if (s.state == Session::St::kRespond) {
             closeSession(s); // not reading its response either
         } else {
             if (s.state == Session::St::kIngest)
-                metrics_.counter("daemon.jobs.failed").inc(1);
+                stats_.counter("jobs.failed").inc(1);
             respondError(s, "failed", "idle-timeout");
         }
     }
@@ -897,11 +870,6 @@ Daemon::drainDoneQueue()
             continue; // client vanished; job already accounted
         respond(*s, d.json);
     }
-    {
-        std::lock_guard<std::mutex> lock(queueMutex_);
-        metrics_.gauge("daemon.queue.depth")
-            .set(static_cast<std::int64_t>(jobQueue_.size()));
-    }
 }
 
 void
@@ -913,12 +881,33 @@ Daemon::shedQueuedJobs(const char *reason)
         shed.swap(jobQueue_);
     }
     for (Job &job : shed) {
-        metrics_.counter("daemon.jobs.shed").inc(1);
+        stats_.counter("jobs.shed").inc(1);
         std::remove(job.spoolPath.c_str());
         if (Session *s = findSession(job.sessionId))
             if (!s->closed)
                 respondError(*s, "shed", reason);
     }
+}
+
+std::string
+Daemon::renderStats()
+{
+    std::size_t depth;
+    {
+        std::lock_guard<std::mutex> lock(queueMutex_);
+        depth = jobQueue_.size();
+    }
+    auto open = std::count_if(sessions_.begin(), sessions_.end(),
+                              [](const std::unique_ptr<Session> &sp) {
+                                  return !sp->closed;
+                              });
+    std::ostringstream text;
+    std::lock_guard<std::mutex> lock(meterMutex_);
+    stats_.render(text,
+                  {{"queue.depth", static_cast<std::int64_t>(depth)},
+                   {"sessions.open", open},
+                   {"uptime-ms", msBetween(startedAt_, Clock::now())}});
+    return text.str();
 }
 
 Daemon::Session *

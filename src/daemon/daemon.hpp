@@ -19,9 +19,11 @@
  *     the connection is answered and closed; over maxQueuedJobs, the
  *     completed upload is shed with a reason. The accept loop never
  *     waits on a worker.
- *   - Everything is accounted in a MetricRegistry (stats request):
- *     jobs {accepted, completed, shed, failed}, queue depth, ingest
- *     bytes/failures by taxonomy, per-lifeguard latency percentiles.
+ *   - Everything is accounted in one StatSet, rendered for the stats
+ *     request and the final shutdown dump: jobs {accepted, completed,
+ *     shed, failed}, ingest bytes/failures by taxonomy, per-lifeguard
+ *     latency percentiles, and gauges (uptime, queue depth, open
+ *     sessions) computed at render time.
  *   - requestStop() (async-signal-safe) drains: stop accepting, shed
  *     what is still queued, finish what is running, flush responses,
  *     then run() returns 0.
@@ -46,7 +48,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/metric_registry.hpp"
+#include "common/stats.hpp"
 #include "lifeguard/lifeguard.hpp"
 #include "trace/stream_ingest.hpp"
 
@@ -104,7 +106,9 @@ class Daemon
     void requestStop();
 
     const std::string &error() const { return error_; }
-    MetricRegistry &metrics() { return metrics_; }
+    /** Counters and latency meters, named without the "daemon."
+     *  prefix the rendered lines carry. */
+    const StatSet &stats() const { return stats_; }
 
   private:
     struct Session;
@@ -133,6 +137,7 @@ class Daemon
     bool handleRequestBytes(Session &s, const std::uint8_t *p,
                             std::size_t n);
     void ingestBytes(Session &s, const std::uint8_t *p, std::size_t n);
+    void failIngest(Session &s);
     void onUploadComplete(Session &s);
     void writeSession(Session &s);
     void respond(Session &s, const std::string &body);
@@ -143,9 +148,13 @@ class Daemon
     void drainDoneQueue();
     void shedQueuedJobs(const char *reason);
     Session *findSession(std::uint64_t id);
+    std::string renderStats();
 
     DaemonConfig cfg_;
-    MetricRegistry metrics_;
+    StatSet stats_{"daemon"};
+    /// Guards the latency meters: job workers sample them, the event
+    /// loop renders them.
+    std::mutex meterMutex_;
     std::string error_;
 
     int listenFd_ = -1;

@@ -1,5 +1,7 @@
 /** @file Unit tests for the common utility module. */
 
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "common/bitops.hpp"
@@ -155,6 +157,48 @@ TEST(Stats, HistogramBuckets)
     EXPECT_EQ(h.min(), 0u);
     EXPECT_EQ(h.max(), 1000u);
     EXPECT_DOUBLE_EQ(h.mean(), 1101.0 / 4.0);
+}
+
+TEST(Stats, HistogramPercentileIsTheClampedBucketBound)
+{
+    Histogram h;
+    EXPECT_EQ(h.percentile(0.5), 0u); // empty
+    h.sample(0);
+    EXPECT_EQ(h.percentile(0.5), 0u); // bucket bound 1, clamped to max 0
+    for (std::uint64_t v = 1; v <= 99; ++v)
+        h.sample(v);
+    // 100 samples 0..99: the 50th falls in bucket [32, 64).
+    EXPECT_EQ(h.percentile(0.50), 63u);
+    EXPECT_EQ(h.percentile(0.99), 99u);
+}
+
+TEST(Stats, RenderPinsTheMeterLine)
+{
+    // The `paralogd` PLSTATS1 meter line for samples 1..100, as the
+    // service has always printed it (perfbench and CI parse it).
+    StatSet s;
+    for (std::uint64_t v = 1; v <= 100; ++v)
+        s.histogram("x").sample(v);
+    std::ostringstream os;
+    s.render(os);
+    EXPECT_EQ(os.str(), "meter x count=100 sum=5050 mean=50.5 min=1 "
+                        "p50=63 p90=100 p99=100 max=100\n");
+}
+
+TEST(Stats, RenderPrefixesCountersGaugesAndMeters)
+{
+    StatSet s("svc");
+    s.counter("b").inc(2);
+    s.counter("a").inc();
+    s.histogram("lat").sample(3);
+    std::ostringstream os;
+    s.render(os, {{"depth", 0}, {"level", -3}});
+    EXPECT_EQ(os.str(), "counter svc.a 1\n"
+                        "counter svc.b 2\n"
+                        "gauge svc.depth 0\n"
+                        "gauge svc.level -3\n"
+                        "meter svc.lat count=1 sum=3 mean=3.0 min=3 "
+                        "p50=3 p90=3 p99=3 max=3\n");
 }
 
 TEST(SampleSummary, MinMedianMax)

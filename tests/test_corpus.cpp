@@ -29,6 +29,7 @@
 
 #include "core/replay.hpp"
 #include "harness/paralog_test.hpp"
+#include "trace/format.hpp"
 #include "trace/trace_reader.hpp"
 
 namespace paralog {
@@ -262,6 +263,60 @@ TEST_F(CorpusGate, SerialReplayWatchdogPrintsTheStateDump)
     EXPECT_NE(dump.find("replay watchdog state dump"), std::string::npos)
         << dump;
     EXPECT_NE(dump.find("  stream: "), std::string::npos) << dump;
+}
+
+TEST_F(CorpusGate, CorruptJournalChunkFailsSerialReplayWithTheCrcError)
+{
+    // Chunk CRCs are checked lazily, as replay reaches each chunk. A
+    // journal that ends because its next chunk failed the check is a
+    // corrupt trace, not an exhausted stream: the serial engine must
+    // say so instead of stalling into a "protocol deadlock".
+    for (std::uint32_t fmt : {1u, 2u}) {
+        CorpusEntry e{LifeguardKind::kTaintCheck, MemoryModel::kSC, fmt};
+        std::string bytes = slurpText(tracePath(e));
+        // Flip one payload byte of thread 0's second ops chunk.
+        std::size_t off = trace::kHeaderBytes;
+        int ops_seen = 0;
+        while (off + 16 <= bytes.size()) {
+            const auto *frame =
+                reinterpret_cast<const std::uint8_t *>(bytes.data() + off);
+            std::uint32_t payload = trace::get32le(frame + 8);
+            if (trace::get32le(frame) == trace::kChunkOps &&
+                trace::get32le(frame + 4) == 0 && ++ops_seen == 2) {
+                bytes[off + 16 + payload / 2] ^= 0x20;
+                break;
+            }
+            off += 16 + payload;
+        }
+        ASSERT_EQ(ops_seen, 2) << e.stem() << " has one ops chunk";
+        std::string bad = ::testing::TempDir() + "corrupt_" + e.stem() +
+                          ".trace";
+        std::FILE *f = std::fopen(bad.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                  bytes.size());
+        std::fclose(f);
+
+        for (LifeguardKind lg :
+             {LifeguardKind::kTaintCheck, LifeguardKind::kAddrCheck}) {
+            ReplayConfig cfg;
+            cfg.path = bad;
+            cfg.lifeguardOverride = true;
+            cfg.lifeguard = lg; // self, then cross-lifeguard
+            std::string message;
+            PanicThrowScope throws;
+            try {
+                ReplayPlatform rp(std::move(cfg));
+                rp.run();
+            } catch (const SimPanicError &ex) {
+                message = ex.what();
+            }
+            EXPECT_NE(message.find("CRC mismatch"), std::string::npos)
+                << e.stem() << " under " << toString(lg) << ": "
+                << message;
+        }
+        std::remove(bad.c_str());
+    }
 }
 
 // --------------------------------------------- paralog-dump goldens

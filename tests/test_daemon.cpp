@@ -119,11 +119,12 @@ sharedTrace()
 class DaemonHarness
 {
   public:
-    explicit DaemonHarness(const std::string &tag, DaemonConfig cfg = {})
+    explicit DaemonHarness(const std::string &tag, DaemonConfig cfg = {},
+                           bool quiet = true)
     {
         cfg.socketPath = ::testing::TempDir() + "pld_" + tag + "_" +
                          std::to_string(::getpid()) + ".sock";
-        cfg.quiet = true;
+        cfg.quiet = quiet;
         if (cfg.heartbeatMs == 500)
             cfg.heartbeatMs = 100; // fast heartbeats for short tests
         cfg_ = cfg;
@@ -153,7 +154,7 @@ class DaemonHarness
 
     bool started() const { return started_; }
     const std::string &socket() const { return cfg_.socketPath; }
-    MetricRegistry &metrics() { return daemon_->metrics(); }
+    const StatSet &stats() const { return daemon_->stats(); }
 
     SubmitOptions
     submitOpts() const
@@ -289,8 +290,33 @@ TEST_F(DaemonTest, StatsEndpointRendersMetrics)
               std::string::npos)
         << text;
     EXPECT_NE(text.find("gauge daemon.uptime-ms"), std::string::npos);
+    // The job has run, so nothing is queued; the stats session itself
+    // is open while the daemon renders.
+    EXPECT_NE(text.find("\ngauge daemon.queue.depth 0\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("\ngauge daemon.sessions.open "), std::string::npos)
+        << text;
     EXPECT_NE(text.find("meter daemon.lg.TaintCheck.ms"),
               std::string::npos);
+}
+
+TEST_F(DaemonTest, FinalDumpCarriesUptimeWithoutAStatsRequest)
+{
+    // Gauges are computed when rendering, so the shutdown dump has a
+    // current uptime even if no client ever asked for stats.
+    ::testing::internal::CaptureStderr();
+    int rc;
+    {
+        DaemonHarness h("final", {}, /*quiet=*/false);
+        rc = h.stop();
+    }
+    std::string dump = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 0) << dump;
+    EXPECT_NE(dump.find("paralogd: final metrics\n"), std::string::npos)
+        << dump;
+    EXPECT_NE(dump.find("\ngauge daemon.uptime-ms "), std::string::npos)
+        << dump;
 }
 
 // -------------------------------------------- ill-behaved clients
@@ -308,8 +334,7 @@ TEST_F(DaemonTest, CorruptCrcClientPoisonsOnlyItsSession)
     EXPECT_EQ(r.status(), "failed") << r.responseJson;
     EXPECT_NE(r.responseJson.find("crc-mismatch"), std::string::npos)
         << r.responseJson;
-    EXPECT_GE(h.metrics().counterValue("daemon.ingest.failed.crc-mismatch"),
-              1u);
+    EXPECT_GE(h.stats().get("ingest.failed.crc-mismatch"), 1u);
 
     // The daemon is unharmed: a clean submit still round-trips.
     SubmitResult good = submitTrace(sharedTrace().path, h.submitOpts());
@@ -347,8 +372,7 @@ TEST_F(DaemonTest, MidUploadDisconnectIsAccountedTruncated)
     EXPECT_FALSE(r.ok); // we hung up on purpose
 
     EXPECT_TRUE(waitFor([&] {
-        return h.metrics().counterValue(
-                   "daemon.ingest.failed.truncated") >= 1;
+        return h.stats().get("ingest.failed.truncated") >= 1;
     }));
     SubmitResult good = submitTrace(sharedTrace().path, h.submitOpts());
     ASSERT_TRUE(good.ok) << good.error;
@@ -403,7 +427,7 @@ TEST_F(DaemonTest, GarbageMagicIsRejected)
     EXPECT_NE(answer.find("\"status\":\"rejected\""), std::string::npos)
         << answer;
     EXPECT_NE(answer.find("bad-request-magic"), std::string::npos);
-    EXPECT_GE(h.metrics().counterValue("daemon.sessions.rejected"), 1u);
+    EXPECT_GE(h.stats().get("sessions.rejected"), 1u);
 }
 
 TEST_F(DaemonTest, SlowLorisHitsIdleTimeout)
@@ -424,7 +448,7 @@ TEST_F(DaemonTest, SlowLorisHitsIdleTimeout)
         EXPECT_EQ(r.status(), "failed") << r.responseJson;
     }
     EXPECT_TRUE(waitFor([&] {
-        return h.metrics().counterValue("daemon.idle-timeouts") >= 1;
+        return h.stats().get("idle-timeouts") >= 1;
     }));
 
     SubmitResult good = submitTrace(sharedTrace().path, h.submitOpts());
@@ -441,7 +465,7 @@ TEST_F(DaemonTest, DroppedConnectionFaultLeavesDaemonServing)
     SubmitResult r = submitTrace(sharedTrace().path, h.submitOpts());
     EXPECT_FALSE(r.ok); // peer vanished before answering
     clearFault("daemon.drop-conn");
-    EXPECT_EQ(h.metrics().counterValue("daemon.conns.dropped"), 1u);
+    EXPECT_EQ(h.stats().get("conns.dropped"), 1u);
 
     SubmitResult good = submitTrace(sharedTrace().path, h.submitOpts());
     ASSERT_TRUE(good.ok) << good.error;
@@ -468,7 +492,7 @@ TEST_F(DaemonTest, OverSessionCapIsRejectedNotBlocked)
                         sizeof(addr)),
               0);
     ASSERT_TRUE(waitFor([&] {
-        return h.metrics().counterValue("daemon.conns.accepted") >= 1;
+        return h.stats().get("conns.accepted") >= 1;
     }));
 
     SubmitResult r = submitTrace(sharedTrace().path, h.submitOpts());
@@ -515,7 +539,7 @@ TEST_F(DaemonTest, FullQueueShedsInsteadOfBlocking)
     EXPECT_GE(ok, 1);
     EXPECT_GE(shed, 1);
     EXPECT_EQ(ok + shed, kClients);
-    EXPECT_EQ(h.metrics().counterValue("daemon.jobs.shed"),
+    EXPECT_EQ(h.stats().get("jobs.shed"),
               static_cast<std::uint64_t>(shed));
 }
 
@@ -537,8 +561,8 @@ TEST_F(DaemonTest, WorkerPanicIsContainedToItsJob)
     SubmitResult good = submitTrace(sharedTrace().path, h.submitOpts());
     ASSERT_TRUE(good.ok) << good.error;
     EXPECT_EQ(good.status(), "ok") << good.responseJson;
-    EXPECT_GE(h.metrics().counterValue("daemon.jobs.failed"), 1u);
-    EXPECT_GE(h.metrics().counterValue("daemon.jobs.completed"), 1u);
+    EXPECT_GE(h.stats().get("jobs.failed"), 1u);
+    EXPECT_GE(h.stats().get("jobs.completed"), 1u);
     EXPECT_EQ(h.stop(), 0);
 }
 
@@ -555,7 +579,7 @@ TEST_F(DaemonTest, DrainFinishesRunningJobAndExitsZero)
     // Wait until the job is accepted (and promptly picked up by an
     // idle worker), then start the drain under it.
     ASSERT_TRUE(waitFor([&] {
-        return h.metrics().counterValue("daemon.jobs.accepted") >= 1;
+        return h.stats().get("jobs.accepted") >= 1;
     }));
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     int rc = h.stop();
@@ -655,18 +679,17 @@ TEST_F(DaemonTest, ChaosMixDrainsCleanWithBalancedBooks)
     ASSERT_TRUE(headerOnly.ok) << headerOnly.error;
     EXPECT_EQ(headerOnly.status(), "failed");
 
-    MetricRegistry &m = h.metrics();
-    EXPECT_GE(m.counterValue("daemon.ingest.failed.crc-mismatch"), 1u);
+    const StatSet &m = h.stats();
+    EXPECT_GE(m.get("ingest.failed.crc-mismatch"), 1u);
     EXPECT_TRUE(waitFor([&] {
-        return m.counterValue("daemon.ingest.failed.truncated") >= 2;
+        return m.get("ingest.failed.truncated") >= 2;
     })) << "disconnect + header-only not accounted";
 
     // Books balance: all accepted jobs ran to a verdict, nothing stuck.
     EXPECT_TRUE(waitFor([&] {
-        return m.counterValue("daemon.jobs.accepted") ==
-               m.counterValue("daemon.jobs.completed");
+        return m.get("jobs.accepted") == m.get("jobs.completed");
     }));
-    EXPECT_EQ(m.counterValue("daemon.jobs.accepted"),
+    EXPECT_EQ(m.get("jobs.accepted"),
               static_cast<std::uint64_t>(kGood) + 1); // good + slow
 
     EXPECT_EQ(h.stop(), 0) << "chaos left the daemon unable to drain";

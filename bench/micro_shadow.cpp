@@ -5,7 +5,7 @@
  * ratios (1, 2, 4, 8 bits per application byte). Reports ns/op and the
  * effective fill bandwidth, plus the bytesAllocated() effect of the
  * zero-write elision (fill(range, 0) over untouched space allocates
- * nothing).
+ * nothing), and the heap + globals shadow fingerprint per app byte.
  *
  * Scale with PARALOG_SCALE (inner-loop operations; default 2000000), or
  * pass --smoke for the seconds-long CTest tier2 run.
@@ -166,6 +166,47 @@ benchSharding(std::uint64_t ops)
     }
 }
 
+/**
+ * heapGlobalsFingerprint (heap 1 MB ^ globals 64 KB, what every replay,
+ * recording and daemon job hashes) over an empty shadow, a sparse one
+ * (one non-zero value per 4 KB, like a heap with a few live
+ * allocations) and a dense one (random metadata everywhere), reported
+ * per application byte hashed.
+ */
+void
+benchFingerprint(std::uint64_t ops)
+{
+    std::printf("--- heap + globals fingerprint ---\n");
+    const Addr bases[] = {AddressLayout::kHeapBase,
+                          AddressLayout::kGlobalBase};
+    const std::uint64_t spans[] = {1ULL << 20, 1ULL << 16};
+    const std::uint64_t app_bytes = spans[0] + spans[1];
+    const std::uint64_t reps = std::max<std::uint64_t>(1, ops / 100000);
+    const char *const kinds[] = {"empty", "sparse", "dense"};
+    for (std::uint32_t bpb : {1u, 2u}) {
+        for (int kind = 0; kind < 3; ++kind) {
+            ShadowMemory s(bpb);
+            Rng rng(11);
+            for (int r = 0; r < 2; ++r) {
+                if (kind == 1) {
+                    for (Addr o = 0; o < spans[r]; o += 4096)
+                        s.write(bases[r] + o + rng.below(4096), 1);
+                } else if (kind == 2) {
+                    for (Addr o = 0; o < spans[r]; o += 8)
+                        s.writePacked(bases[r] + o, 8, rng.next());
+                }
+            }
+            auto t0 = Clock::now();
+            for (std::uint64_t i = 0; i < reps; ++i)
+                gSink += heapGlobalsFingerprint(s);
+            auto t1 = Clock::now();
+            std::printf("  %u bit%s/byte %-6s %8.4f ns/app-byte\n", bpb,
+                        bpb == 1 ? " " : "s", kinds[kind],
+                        nsPerOp(t0, t1, reps * app_bytes));
+        }
+    }
+}
+
 } // namespace
 
 int
@@ -180,6 +221,7 @@ main(int argc, char **argv)
     for (std::uint32_t bpb : {1u, 2u, 4u, 8u})
         benchRatio(bpb, ops);
     benchSharding(ops);
+    benchFingerprint(ops);
     std::printf("\n(checksum %llu)\n",
                 static_cast<unsigned long long>(gSink));
     return 0;

@@ -127,10 +127,8 @@ recordExperiment(const RunSpec &spec)
 
     Platform p(cfg);
     RunResult result = p.run();
-    const ShadowMemory &shadow = p.lifeguard().shadow();
     result.shadowFingerprint =
-        shadowFingerprint(shadow, AddressLayout::kHeapBase, 1 << 20) ^
-        shadowFingerprint(shadow, AddressLayout::kGlobalBase, 1 << 16);
+        heapGlobalsFingerprint(p.lifeguard().shadow());
     if (!recorder.finalize(result, result.shadowFingerprint))
         panic("record: %s", recorder.error().c_str());
     return result;

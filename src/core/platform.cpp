@@ -23,6 +23,13 @@ packFilterBits(const EventFilter &f)
 
 } // namespace
 
+std::uint64_t
+heapGlobalsFingerprint(const ShadowMemory &shadow)
+{
+    return shadow.fingerprint(AddressLayout::kHeapBase, 1 << 20) ^
+           shadow.fingerprint(AddressLayout::kGlobalBase, 1 << 16);
+}
+
 Platform::Platform(PlatformConfig cfg) : cfg_(std::move(cfg))
 {
     PARALOG_ASSERT(cfg_.sim.mode != MonitorMode::kTimesliced,

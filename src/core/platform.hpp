@@ -93,6 +93,14 @@ struct AddressLayout
     static constexpr std::uint64_t kHeapBytes = 48ULL << 20;
 };
 
+/**
+ * Fingerprint of a run's analysis conclusions: the shadow state of the
+ * first 1 MB of the heap arena xor the first 64 KB of the global
+ * segment. Corpus footers, replay verdicts and the equivalence suites
+ * all compare this value.
+ */
+std::uint64_t heapGlobalsFingerprint(const ShadowMemory &shadow);
+
 class Platform : public PlatformHooks, public TsoHooks
 {
   public:

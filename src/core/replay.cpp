@@ -224,16 +224,6 @@ ReplayPlatform::ReplayPlatform(ReplayConfig cfg)
 
 ReplayPlatform::~ReplayPlatform() = default;
 
-std::uint64_t
-ReplayPlatform::shadowFingerprint() const
-{
-    const ShadowMemory &s = lifeguard_->shadow();
-    return paralog::shadowFingerprint(s, AddressLayout::kHeapBase,
-                                      1 << 20) ^
-           paralog::shadowFingerprint(s, AddressLayout::kGlobalBase,
-                                      1 << 16);
-}
-
 RunResult
 ReplayPlatform::run()
 {
@@ -340,7 +330,7 @@ ReplayPlatform::collectResult(Cycle total_cycles)
     result.versionsConsumed = versions_.stats.counter("consumed").value();
     result.violationCount = lifeguard_->violations.count();
     result.violationFingerprint = lifeguard_->violations.setFingerprint();
-    result.shadowFingerprint = shadowFingerprint();
+    result.shadowFingerprint = heapGlobalsFingerprint(lifeguard_->shadow());
     return result;
 }
 

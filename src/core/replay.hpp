@@ -157,9 +157,6 @@ class ReplayPlatform
      *  (trace::kCfgLiveParallel). */
     bool recordedLiveParallel() const { return liveParallelRec_; }
 
-    /** Heap + global segment fingerprint (as the footer records it). */
-    std::uint64_t shadowFingerprint() const;
-
   private:
     /// Implemented in replay_concurrent.cpp.
     RunResult runConcurrent();

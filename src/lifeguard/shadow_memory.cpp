@@ -378,16 +378,106 @@ ShadowMemory::fill(const AddrRange &range, std::uint8_t value)
     }
 }
 
+namespace {
+
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+/** kFnvPrime^n mod 2^64: the FNV-1a step over n zero values. */
+std::uint64_t
+fnvPrimePow(std::uint64_t n)
+{
+    std::uint64_t r = 1;
+    for (std::uint64_t b = kFnvPrime; n; n >>= 1, b *= b) {
+        if (n & 1)
+            r *= b;
+    }
+    return r;
+}
+
+} // namespace
+
+std::uint64_t
+ShadowMemory::fingerprint(Addr base, std::uint64_t bytes) const
+{
+    // FNV-1a folds a zero value as h *= P, so a run of n zero values is
+    // one multiply by P^n. Unmapped chunk segments, zero backing words
+    // and zero backing bytes only lengthen the pending zero run; it is
+    // folded in just before the next value is mixed one at a time.
+    const unsigned gpb = 8 / bitsPerByte_;  // app bytes per backing byte
+    const unsigned gpw = 64 / bitsPerByte_; // ... per backing word
+    std::uint64_t h = kFnvOffset;
+    std::uint64_t zeros = 0; // pending zero values
+    auto foldZeros = [&] {
+        if (zeros) {
+            h *= fnvPrimePow(zeros);
+            zeros = 0;
+        }
+    };
+
+    const Addr end = base + bytes;
+    Addr a = base;
+    while (a < end) {
+        const Addr chunk_base = (a / kChunkAppBytes) * kChunkAppBytes;
+        const Addr seg_end =
+            std::min<Addr>(end, chunk_base + kChunkAppBytes);
+        const Chunk *c = lookupChunk(a);
+        if (!c) {
+            zeros += seg_end - a;
+            a = seg_end;
+            continue;
+        }
+        const std::uint8_t *d = c->data();
+        std::uint64_t off = a - chunk_base;
+        const std::uint64_t off_end = seg_end - chunk_base;
+        auto mixOne = [&](std::uint64_t o) {
+            foldZeros();
+            const std::uint64_t bit = o * bitsPerByte_;
+            h ^= (d[bit >> 3] >> (bit & 7)) & valueMask_;
+            h *= kFnvPrime;
+        };
+        // Unaligned head, then whole backing words, then the tail.
+        const std::uint64_t head_end =
+            std::min(off_end, (off + gpw - 1) / gpw * gpw);
+        const std::uint64_t words_end = off_end / gpw * gpw;
+        for (; off < head_end; ++off)
+            mixOne(off);
+        for (const std::uint8_t *w = d + off / gpb,
+                                *w_end = d + words_end / gpb;
+             w < w_end; w += 8) {
+            std::uint64_t word;
+            std::memcpy(&word, w, 8);
+            if (!word) {
+                zeros += gpw;
+                continue;
+            }
+            for (unsigned k = 0; k < 8; ++k, word >>= 8) {
+                const std::uint8_t b = static_cast<std::uint8_t>(word);
+                if (!b) {
+                    zeros += gpb;
+                    continue;
+                }
+                foldZeros();
+                for (unsigned g = 0; g < gpb; ++g) {
+                    h ^= (b >> (g * bitsPerByte_)) & valueMask_;
+                    h *= kFnvPrime;
+                }
+            }
+        }
+        off = std::max(off, words_end);
+        for (; off < off_end; ++off)
+            mixOne(off);
+        a = seg_end;
+    }
+    foldZeros();
+    return h;
+}
+
 std::uint64_t
 shadowFingerprint(const ShadowMemory &shadow, Addr base,
                   std::uint64_t bytes)
 {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (Addr a = base; a < base + bytes; ++a) {
-        h ^= shadow.read(a);
-        h *= 1099511628211ULL;
-    }
-    return h;
+    return shadow.fingerprint(base, bytes);
 }
 
 } // namespace paralog

@@ -70,10 +70,11 @@ namespace paralog {
 class ShadowMemory;
 
 /**
- * FNV-1a hash of the shadow metadata over [base, base + bytes): the
- * canonical "did two runs reach the same analysis conclusions?"
- * fingerprint, shared by the equivalence test suites and the trace
- * record/replay self-check.
+ * FNV-1a hash of the shadow metadata over [base, base + bytes), one
+ * metadata value per application byte: the canonical "did two runs
+ * reach the same analysis conclusions?" fingerprint, shared by the
+ * equivalence test suites and the trace record/replay self-check.
+ * Same as ShadowMemory::fingerprint (see there for the cost model).
  */
 std::uint64_t shadowFingerprint(const ShadowMemory &shadow, Addr base,
                                 std::uint64_t bytes);
@@ -126,6 +127,21 @@ class ShadowMemory
     Addr rangeFindNot(const AddrRange &range, std::uint8_t value) const;
 
     void fill(const AddrRange &range, std::uint8_t value);
+
+    /**
+     * FNV-1a hash of the metadata over [base, base + bytes), folding
+     * one metadata value per application byte in address order. The
+     * cost follows the mapped metadata, not the address range. A zero
+     * value folds as a multiply by the FNV prime, so a run of n zeros
+     * is one multiply by its n-th power: an unmapped chunk segment
+     * costs O(1), a mapped chunk is scanned by 64-bit backing word
+     * (a zero word or zero backing byte only lengthens the zero run),
+     * and only non-zero backing bytes and the unaligned head and tail
+     * of the range are unpacked per value. Reads whole backing words,
+     * so it must run while no thread writes the shadow (after every
+     * lifeguard thread has joined).
+     */
+    std::uint64_t fingerprint(Addr base, std::uint64_t bytes) const;
 
     /** Modelled virtual address of the metadata for @p app_addr. */
     Addr

@@ -414,6 +414,10 @@ TraceReader::OpStream::next(TraceOp &out)
     if (!cur_.getVarint(d_gseq) || !cur_.getVarint(d_cycle) ||
         !cur_.getVarint(d_lg))
         return bad("truncated op prelude");
+    // Replay holds an op until its cycle comes round, so an op stamped
+    // past the recorded run would idle the scheduler up to maxCycles.
+    if (d_cycle > reader_->footer_.totalCycles - cycle_)
+        return bad("op cycle beyond the recorded run");
     gseq_ += d_gseq;
     cycle_ += d_cycle;
     lgStep_ += d_lg;

@@ -88,9 +88,7 @@ class PlatformRunTest : public QuietTest
     std::uint64_t
     lastFingerprint()
     {
-        const ShadowMemory &s = lastPlatform().lifeguard().shadow();
-        return shadowFingerprint(s, AddressLayout::kHeapBase, 1 << 20) ^
-               shadowFingerprint(s, AddressLayout::kGlobalBase, 1 << 16);
+        return heapGlobalsFingerprint(lastPlatform().lifeguard().shadow());
     }
 
     void

@@ -83,10 +83,7 @@ runLive(WorkloadKind w, LifeguardKind lg, std::uint32_t cores,
     Platform p(std::move(cfg));
     LiveRun run;
     run.result = p.run();
-    const ShadowMemory &s = p.lifeguard().shadow();
-    run.shadowFp =
-        shadowFingerprint(s, AddressLayout::kHeapBase, 1 << 20) ^
-        shadowFingerprint(s, AddressLayout::kGlobalBase, 1 << 16);
+    run.shadowFp = heapGlobalsFingerprint(p.lifeguard().shadow());
     return run;
 }
 

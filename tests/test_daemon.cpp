@@ -35,6 +35,7 @@
 #include "daemon/daemon.hpp"
 #include "daemon/protocol.hpp"
 #include "harness/paralog_test.hpp"
+#include "harness/tampered_journals.hpp"
 #include "trace/format.hpp"
 
 namespace paralog::daemon {
@@ -563,6 +564,38 @@ TEST_F(DaemonTest, WorkerPanicIsContainedToItsJob)
     EXPECT_EQ(good.status(), "ok") << good.responseJson;
     EXPECT_GE(h.stats().get("jobs.failed"), 1u);
     EXPECT_GE(h.stats().get("jobs.completed"), 1u);
+    EXPECT_EQ(h.stop(), 0);
+}
+
+TEST_F(DaemonTest, FutureStampedOpFailsItsJobAndFreesTheWorker)
+{
+    // An upload whose journal stamps one op far past the recorded run
+    // used to idle its replay toward maxCycles, pinning the worker. The
+    // reader refuses the op, so the job fails fast with that diagnosis
+    // and the only worker is free for the next upload.
+    DaemonConfig cfg;
+    cfg.workers = 1;
+    DaemonHarness h("future", cfg);
+    ASSERT_TRUE(h.started());
+
+    std::string bad = ::testing::TempDir() + "pld_future_" +
+                      std::to_string(::getpid()) + ".trace";
+    test::recordLuJournal<test::FutureStampRecorder>(bad, MemoryModel::kSC);
+    SubmitResult r = submitTrace(bad, h.submitOpts());
+    std::remove(bad.c_str());
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.status(), "failed") << r.responseJson;
+    EXPECT_NE(r.responseJson.find("op cycle beyond the recorded run"),
+              std::string::npos)
+        << r.responseJson;
+
+    SubmitResult good = submitTrace(sharedTrace().path, h.submitOpts());
+    ASSERT_TRUE(good.ok) << good.error;
+    EXPECT_EQ(good.status(), "ok") << good.responseJson;
+    EXPECT_NE(good.responseJson.find(fingerprintField(sharedTrace().shadowFp)),
+              std::string::npos)
+        << good.responseJson;
+    EXPECT_EQ(h.stats().get("jobs.failed"), 1u);
     EXPECT_EQ(h.stop(), 0);
 }
 

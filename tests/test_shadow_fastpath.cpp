@@ -2,9 +2,10 @@
  * @file
  * Randomized differential suite for the word-wise ShadowMemory fast
  * paths: every operation is checked against a naive per-byte reference
- * model (the semantics of the original implementation) across all four
- * metadata ratios, unaligned ranges, chunk-boundary crossings and the
- * zero-write elision — and, for the sharded chunk table, against the
+ * model (the semantics of the original implementation; for the
+ * chunk-walking fingerprint, the original per-byte FNV-1a loop) across
+ * all four metadata ratios, unaligned ranges, chunk-boundary crossings
+ * and the zero-write elision — and, for the sharded chunk table, against the
  * legacy single-shard layout (which must stay bit-identical for every
  * shard count, all the way up to whole-run lifeguard fingerprints).
  */
@@ -342,6 +343,114 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
                        ::testing::Values(1u, 2u, 4u, 8u)));
 
+// ------------------------------------------------ fingerprint oracle
+
+/** The original per-byte FNV-1a loop: the reference the chunk-walking
+ *  ShadowMemory::fingerprint must reproduce bit for bit. */
+std::uint64_t
+perByteFingerprint(const ShadowMemory &s, Addr base, std::uint64_t bytes)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (Addr a = base; a < base + bytes; ++a) {
+        h ^= s.read(a);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/** (bits per byte, shard count, concurrent mode). */
+class ShadowFingerprintOracle
+    : public ::testing::TestWithParam<
+          std::tuple<std::uint32_t, std::uint32_t, bool>>
+{
+};
+
+TEST_P(ShadowFingerprintOracle, MatchesPerByteLoopOverRandomShadows)
+{
+    const auto [bpb, shards, concurrent] = GetParam();
+    constexpr Addr kChunk = ShadowMemory::kChunkAppBytes;
+    const std::uint64_t word_app_bytes = 64 / bpb;
+    Rng rng(0xF1A9E7 ^ (bpb << 8) ^ (shards << 4) ^ concurrent);
+
+    for (int trial = 0; trial < 25; ++trial) {
+        ShadowMemory s(bpb, shards);
+        s.setConcurrent(concurrent);
+        const std::uint8_t max_v = static_cast<std::uint8_t>((1u << bpb) - 1);
+
+        // Three written sites: the start of chunk 0, straddling the
+        // chunk 0/1 boundary, and inside chunk 3. Chunk 2 stays
+        // unmapped. Density runs from a few set values (mostly zero
+        // words) to fully dense, with zero and non-zero fill runs.
+        const Addr sites[] = {rng.below(256), kChunk - 2048,
+                              3 * kChunk + rng.below(4096)};
+        for (Addr site : sites) {
+            constexpr double kDensities[] = {0.002, 0.05, 0.5, 1.0};
+            const double density = kDensities[rng.below(4)];
+            for (Addr a = site; a < site + 4096; ++a) {
+                if (rng.chance(density))
+                    s.write(a, static_cast<std::uint8_t>(
+                                   rng.range(1, max_v)));
+            }
+            const Addr run = site + rng.below(4096);
+            s.fill(AddrRange{run, run + rng.below(512)},
+                   static_cast<std::uint8_t>(rng.below(max_v + 1u)));
+        }
+
+        auto check = [&](Addr base, std::uint64_t bytes) {
+            ASSERT_EQ(s.fingerprint(base, bytes),
+                      perByteFingerprint(s, base, bytes))
+                << "trial " << trial << " base " << base << " bytes "
+                << bytes;
+            ASSERT_EQ(shadowFingerprint(s, base, bytes),
+                      s.fingerprint(base, bytes));
+        };
+        for (Addr site : sites) {
+            // Empty, shorter than one backing word, unaligned head and
+            // tail.
+            check(site + rng.below(4096), 0);
+            check(site + rng.below(4096), rng.range(1, word_app_bytes - 1));
+            check(site + rng.below(64), rng.below(4096));
+            check(site - site % word_app_bytes, 4096);
+        }
+        // Across the mapped chunk 0/1 boundary.
+        check(kChunk - rng.range(1, 3000), rng.range(2, 6000));
+        // Wholly unmapped: inside chunk 2, and past every mapped chunk.
+        check(2 * kChunk + rng.below(4096), rng.below(65536));
+        check(9 * kChunk - rng.below(4096), rng.below(65536));
+        // Part mapped, part unmapped, both ways round.
+        check(2 * kChunk - rng.range(1, 4096), rng.range(4097, 8192));
+        check(3 * kChunk - rng.range(1, 4096), rng.range(4097, 16384));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RatiosShardsConcurrency, ShadowFingerprintOracle,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
+                       ::testing::Values(1u, 4u),
+                       ::testing::Bool()));
+
+TEST(ShadowFingerprint, EmptyShadowOverHeapAndGlobalsIsPinned)
+{
+    // The zero-run shortcut multiplies by FNV-prime powers; pin one
+    // value so that math is checked against a number, not only against
+    // the per-byte loop. An empty shadow reads as zero everywhere, so
+    // the value is the same at every metadata ratio.
+    for (std::uint32_t bpb : {1u, 2u, 4u, 8u}) {
+        ShadowMemory s(bpb);
+        EXPECT_EQ(s.fingerprint(AddressLayout::kHeapBase, 1 << 20),
+                  0x3965bf7a845d0383ULL)
+            << "bpb " << bpb;
+        EXPECT_EQ(s.fingerprint(AddressLayout::kGlobalBase, 1 << 16),
+                  0xfe72814514a90383ULL)
+            << "bpb " << bpb;
+        EXPECT_EQ(heapGlobalsFingerprint(s), 0xc7173e3f90f40000ULL)
+            << "bpb " << bpb;
+    }
+    ShadowMemory s(1);
+    EXPECT_EQ(perByteFingerprint(s, AddressLayout::kHeapBase, 1 << 20),
+              0x3965bf7a845d0383ULL);
+}
+
 // ----------------------------- whole-run fingerprints, all lifeguards
 
 /**
@@ -367,11 +476,7 @@ TEST_P(ShardedLifeguardRuns, FingerprintIdenticalAcrossShardCounts)
         Platform p(cfg);
         RunResult r = p.run();
         ASSERT_EQ(p.lifeguard().shadow().shardCount(), shards);
-        std::uint64_t fp =
-            test::shadowFingerprint(p.lifeguard().shadow(),
-                                    AddressLayout::kHeapBase, 1 << 20) ^
-            test::shadowFingerprint(p.lifeguard().shadow(),
-                                    AddressLayout::kGlobalBase, 1 << 16);
+        std::uint64_t fp = heapGlobalsFingerprint(p.lifeguard().shadow());
         if (shards == 1) {
             baseline_fp = fp;
             baseline_cycles = r.totalCycles;

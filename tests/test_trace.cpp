@@ -20,6 +20,7 @@
 
 #include "core/replay.hpp"
 #include "harness/paralog_test.hpp"
+#include "harness/tampered_journals.hpp"
 #include "trace/recorder.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
@@ -607,41 +608,6 @@ class StallingRecorder : public trace::TraceRecorder
     bool injected_ = false;
 };
 
-/** A TSO lu/TaintCheck/2-core recording whose replay stalls. */
-void
-recordStallingJournal(const std::string &path)
-{
-    ExperimentOptions o = test::makeOptions(300);
-    o.memoryModel = MemoryModel::kTSO;
-    PlatformConfig cfg =
-        makeConfig(WorkloadKind::kLu, LifeguardKind::kTaintCheck,
-                   MonitorMode::kParallel, 2, o);
-    cfg.sim.deliverBatchMax = 1; // canonical single-pop, as recorded
-
-    trace::TraceConfig tc;
-    tc.workload = WorkloadKind::kLu;
-    tc.lifeguard = LifeguardKind::kTaintCheck;
-    tc.memoryModel = MemoryModel::kTSO;
-    tc.depTracking = cfg.sim.depTracking;
-    tc.appThreads = 2;
-    tc.shadowShards = cfg.sim.shadowShards;
-    tc.scale = 300;
-    tc.seed = cfg.sim.seed;
-    tc.logBufferBytes = cfg.sim.logBufferBytes;
-
-    StallingRecorder recorder(path, tc);
-    ASSERT_TRUE(recorder.ok()) << recorder.error();
-    cfg.recorder = &recorder;
-    Platform p(cfg);
-    RunResult result = p.run();
-    const ShadowMemory &shadow = p.lifeguard().shadow();
-    result.shadowFingerprint =
-        shadowFingerprint(shadow, AddressLayout::kHeapBase, 1 << 20) ^
-        shadowFingerprint(shadow, AddressLayout::kGlobalBase, 1 << 16);
-    ASSERT_TRUE(recorder.finalize(result, result.shadowFingerprint))
-        << recorder.error();
-}
-
 TEST_F(ReplayModes, StalledSerialReplayTripsTheProgressWatchdog)
 {
     // The stalled lifeguard is still stepped every retry interval, so
@@ -649,7 +615,7 @@ TEST_F(ReplayModes, StalledSerialReplayTripsTheProgressWatchdog)
     // exhausted: the progress watchdog fires long before maxCycles.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     TempTrace tmp("stalling");
-    recordStallingJournal(tmp.path());
+    test::recordLuJournal<StallingRecorder>(tmp.path(), MemoryModel::kTSO);
     ASSERT_TRUE(trace::TraceReader(tmp.path()).ok());
 
     ReplayConfig cfg;
@@ -662,6 +628,41 @@ TEST_F(ReplayModes, StalledSerialReplayTripsTheProgressWatchdog)
             rp.run();
         },
         "replay watchdog state dump.*replay progress watchdog");
+}
+
+TEST_F(ReplayModes, FutureStampedOpFailsReplayFast)
+{
+    // Replay holds an op until its recorded cycle comes round. One op
+    // stamped far past the run's total cycles would keep the scheduler
+    // idling toward maxCycles (2^36); the reader must refuse it as
+    // soon as it decodes it.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    TempTrace tmp("future");
+    test::recordLuJournal<test::FutureStampRecorder>(tmp.path(),
+                                                     MemoryModel::kSC);
+
+    trace::TraceReader reader(tmp.path());
+    ASSERT_TRUE(reader.ok()) << reader.error();
+    trace::TraceOp op;
+    for (ThreadId t = 0; t < reader.config().appThreads; ++t) {
+        auto stream = reader.opStream(t);
+        while (stream.next(op)) {
+        }
+    }
+    EXPECT_FALSE(reader.ok());
+    EXPECT_NE(reader.error().find(
+                  "malformed op stream: op cycle beyond the recorded run"),
+              std::string::npos)
+        << reader.error();
+
+    ReplayConfig cfg;
+    cfg.path = tmp.path();
+    EXPECT_DEATH(
+        {
+            ReplayPlatform rp(cfg);
+            rp.run();
+        },
+        "replay: .*malformed op stream: op cycle beyond the recorded run");
 }
 
 } // namespace

@@ -79,12 +79,6 @@ defaultOptions()
 {
     ExperimentOptions opt;
     opt.scale = benchScale(60000);
-    // Shadow-shard override for wall-clock A/B experiments
-    // (PARALOG_SHADOW_SHARDS; default 0 = auto, one shard per lifeguard
-    // core). Simulated results are bit-identical for any value, so the
-    // pinned bench baselines hold across shard counts.
-    opt.shadowShards = static_cast<std::uint32_t>(
-        ExperimentOptions::envU64("PARALOG_SHADOW_SHARDS", 0));
     return opt;
 }
 

@@ -127,46 +127,6 @@ benchRatio(std::uint32_t bpb, std::uint64_t ops)
 }
 
 /**
- * Sharded vs. unsharded chunk table: the same mixed workload (random
- * packed read/write plus allocation-sized fills across many chunks) at
- * shard counts 1..8, verifying the sharded layout costs nothing on the
- * single-threaded hot path (one extra mask per chunk lookup) while
- * distributing chunks over independent maps. Prints the final
- * chunk-table distribution as a sanity check.
- */
-void
-benchSharding(std::uint64_t ops)
-{
-    std::printf("--- sharded vs. unsharded chunk table (ratio 2, "
-                "mixed ops) ---\n");
-    for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-        ShadowMemory s(2, shards);
-        Rng rng(7);
-        std::vector<Addr> addrs(4096);
-        for (Addr &a : addrs)
-            a = kBase + rng.range(0, kSpan - 8);
-        auto t0 = Clock::now();
-        std::uint64_t acc = 0;
-        for (std::uint64_t i = 0; i < ops; ++i) {
-            Addr a = addrs[i % addrs.size()];
-            switch (i & 3) {
-              case 0: s.writePacked(a, 8, i); break;
-              case 1: acc += s.readPacked(a, 8); break;
-              case 2: s.fill(AddrRange{a, a + 256}, 1); break;
-              default:
-                acc += (s.rangeFindNot(AddrRange{a, a + 256}, 1) ==
-                        kInvalidAddr);
-                break;
-            }
-        }
-        auto t1 = Clock::now();
-        gSink += acc;
-        std::printf("  shards=%u  %8.2f ns/op  (%zu chunks)\n", shards,
-                    nsPerOp(t0, t1, ops), s.chunkCount());
-    }
-}
-
-/**
  * heapGlobalsFingerprint (heap 1 MB ^ globals 64 KB, what every replay,
  * recording and daemon job hashes) over an empty shadow, a sparse one
  * (one non-zero value per 4 KB, like a heap with a few live
@@ -220,7 +180,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(ops));
     for (std::uint32_t bpb : {1u, 2u, 4u, 8u})
         benchRatio(bpb, ops);
-    benchSharding(ops);
     benchFingerprint(ops);
     std::printf("\n(checksum %llu)\n",
                 static_cast<unsigned long long>(gSink));

@@ -246,42 +246,31 @@ benchTraceV2(std::uint64_t scale)
                 ratio >= 4.0 ? "[>=4x: ok]" : "[>=4x: MISS]");
 
     // Journal scan: drain every op stream (forces the columnar block
-    // decode + CRC for every chunk), serial vs eager parallel
-    // pre-decode. This is the part of replay the mmap container
-    // governs — the ">=5x vs live" target applies here. (Full replay
-    // below also re-runs the lifeguard analysis, which no container
-    // format can skip.)
-    std::uint64_t total_ops = 0;
-    double scan_s = 0;
-    for (int jobs : {1, 4}) {
-        trace::TraceReader::Options ropts;
-        ropts.decodeJobs = static_cast<std::uint32_t>(jobs);
-        auto d0 = Clock::now();
-        trace::TraceReader reader(v2_path, ropts);
-        trace::TraceOp op;
-        std::uint64_t n = 0;
-        for (ThreadId t = 0; t < reader.config().appThreads; ++t) {
-            auto stream = reader.opStream(t);
-            while (stream.next(op))
-                ++n;
-        }
-        auto d1 = Clock::now();
-        if (!reader.ok()) {
-            std::fprintf(stderr, "v2 decode failed: %s\n",
-                         reader.error().c_str());
-            std::exit(1);
-        }
-        total_ops = n;
-        if (jobs == 1)
-            scan_s = std::chrono::duration<double>(d1 - d0).count();
-        std::printf("v2 scan (%d job%s): %8.2f Mop/s  (%llu ops, "
-                    "mmap %s)\n",
-                    jobs, jobs == 1 ? "" : "s",
-                    perSecond(d0, d1, n) / 1e6,
-                    static_cast<unsigned long long>(n),
-                    reader.mapped() ? "yes" : "no");
+    // decode + CRC for every chunk). This is the part of replay the
+    // mmap container governs — the ">=5x vs live" target applies here.
+    // (Full replay below also re-runs the lifeguard analysis, which no
+    // container format can skip.)
+    auto d0 = Clock::now();
+    trace::TraceReader reader(v2_path);
+    trace::TraceOp op;
+    std::uint64_t n = 0;
+    for (ThreadId t = 0; t < reader.config().appThreads; ++t) {
+        auto stream = reader.opStream(t);
+        while (stream.next(op))
+            ++n;
     }
-    gSink += total_ops;
+    auto d1 = Clock::now();
+    if (!reader.ok()) {
+        std::fprintf(stderr, "v2 decode failed: %s\n",
+                     reader.error().c_str());
+        std::exit(1);
+    }
+    const double scan_s = std::chrono::duration<double>(d1 - d0).count();
+    std::printf("v2 scan:             %8.2f Mop/s  (%llu ops, mmap %s)\n",
+                perSecond(d0, d1, n) / 1e6,
+                static_cast<unsigned long long>(n),
+                reader.mapped() ? "yes" : "no");
+    gSink += n;
     std::printf("v2 scan vs live:     %8.2fx faster  %s\n",
                 scan_s > 0 ? live_s / scan_s : 0.0,
                 scan_s > 0 && live_s / scan_s >= 5.0 ? "[>=5x: ok]"

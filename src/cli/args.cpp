@@ -25,7 +25,6 @@ const std::vector<MonitorMode> kAllModes{
 constexpr std::uint32_t kMaxCores = 16;
 constexpr std::uint32_t kMaxJobs = 64;
 constexpr std::uint32_t kMaxRepeat = 1000;
-constexpr std::uint32_t kMaxShards = ShadowMemory::kMaxShards;
 
 /** Split "a,b,c" into views; empty pieces are kept (and rejected later). */
 std::vector<std::string_view>
@@ -228,10 +227,8 @@ CliOptions::experimentOptions() const
     opt.conflictAlerts = conflictAlerts;
     opt.seed = seeds.front();
     opt.logBufferBytes = logBufferBytes;
-    opt.shadowShards = shadowShards;
     opt.maxCycles = maxCycles;
     opt.lgThreads = lgThreads;
-    opt.decodeJobs = decodeJobs;
     return opt;
 }
 
@@ -284,11 +281,6 @@ usageText()
        << "  --conflict-alerts=on|off\n"
        << "  --scale=N               per-thread work units (default 20000)\n"
        << "  --log-buffer=BYTES      log buffer capacity (default 65536)\n"
-       << "  --shadow-shards=N       shadow-memory shards, power of two "
-       << "<= " << kMaxShards << "\n"
-       << "                          (default 0 = one per lifeguard "
-       << "core; results\n"
-       << "                          are bit-identical for any value)\n"
        << "  --max-cycles=N          simulated-time watchdog override\n"
        << "\n"
        << "Record / replay (paralog-trace-v1/v2, see README):\n"
@@ -310,11 +302,6 @@ usageText()
        << "                 fingerprints stay identical to serial,\n"
        << "                 simulated timing is relaxed. Composes with\n"
        << "                 --record (the journal replays result-exact)\n"
-       << "  --decode-jobs=N\n"
-       << "                 pre-decode a v2 recording's op chunks on N\n"
-       << "                 worker threads at replay open (default 1 =\n"
-       << "                 lazy serial decode). Wall-clock knob only:\n"
-       << "                 results are identical for any value\n"
        << "  --migrate=SRC  rewrite the recording at SRC into --out=DST\n"
        << "                 using --trace-format (v1<->v2 both ways);\n"
        << "                 replay results are bit-identical across the\n"
@@ -516,21 +503,6 @@ const ValuedFlag kValuedFlags[] = {
                "' for --jobs (want 1.." + std::to_string(kMaxJobs) + ")";
          return false;
      }},
-    {"--shadow-shards",
-     [](std::string_view, std::string_view value, CliOptions &o,
-        std::string &err) {
-         std::uint64_t n = 0;
-         if (parseU64(value, n) && n <= kMaxShards &&
-             (n == 0 || (n & (n - 1)) == 0)) {
-             o.shadowShards = static_cast<std::uint32_t>(n);
-             return true;
-         }
-         err = "invalid value '" + std::string(value) +
-               "' for --shadow-shards (want 0 for auto, or a power of "
-               "two <= " +
-               std::to_string(kMaxShards) + ")";
-         return false;
-     }},
     {"--max-cycles",
      [](std::string_view, std::string_view value, CliOptions &o,
         std::string &err) {
@@ -609,20 +581,6 @@ const ValuedFlag kValuedFlags[] = {
              return true;
          }
          err = "--out needs a file path (--out=DST)";
-         return false;
-     }},
-    {"--decode-jobs",
-     [](std::string_view, std::string_view value, CliOptions &o,
-        std::string &err) {
-         std::uint64_t n = 0;
-         if (parseU64(value, n) && n >= 1 && n <= kMaxJobs) {
-             o.decodeJobs = static_cast<std::uint32_t>(n);
-             o.decodeJobsSet = true;
-             return true;
-         }
-         err = "invalid value '" + std::string(value) +
-               "' for --decode-jobs (want 1.." + std::to_string(kMaxJobs) +
-               ")";
          return false;
      }},
     {"--replay",
@@ -769,13 +727,6 @@ parseArgs(const std::vector<std::string_view> &args)
                     "barriers and cannot be combined with "
                     "--conflict-alerts=off");
 
-    // --decode-jobs tunes the replay reader's eager v2-chunk decode; it
-    // never changes results, but accepting it elsewhere would imply it
-    // does something there.
-    if (o.decodeJobsSet && o.replayPath.empty())
-        return fail("--decode-jobs applies to replay only (combine it "
-                    "with --replay=FILE)");
-
     // --trace-format picks the container --record writes or --migrate
     // produces; replay and live runs auto-detect.
     if (o.traceFormatSet && o.recordPath.empty() && o.migratePath.empty())
@@ -792,7 +743,7 @@ parseArgs(const std::vector<std::string_view> &args)
             !o.submitPath.empty() || o.daemonStats)
             return fail("--migrate is mutually exclusive with --record, "
                         "--replay, --submit and --daemon-stats");
-        if (o.setFlags != 0 || o.lgThreadsSet || o.decodeJobsSet)
+        if (o.setFlags != 0 || o.lgThreadsSet)
             return fail("--migrate rewrites the recording as-is; only "
                         "--trace-format may be combined with it");
     }

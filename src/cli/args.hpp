@@ -68,8 +68,7 @@ struct CliOptions
     bool conflictAlerts = true;
     std::uint64_t scale = 20000;
     std::uint64_t logBufferBytes = 64 * 1024;
-    std::uint32_t shadowShards = 0; ///< 0 = auto (per lifeguard core)
-    std::uint64_t maxCycles = 0;    ///< 0 = platform default watchdog
+    std::uint64_t maxCycles = 0; ///< 0 = platform default watchdog
 
     /// --lg-threads=N: host threads for the lifeguard cores, live or
     /// replay (0/1 = serial engine; >= 2 = concurrent engine). Live
@@ -95,11 +94,6 @@ struct CliOptions
     std::string migratePath;
     /// --out=DST: the migration target path (required with --migrate).
     std::string outPath;
-    /// --decode-jobs=N: worker threads that pre-decode v2 ops chunks at
-    /// replay open (1 = lazy serial decode). Replay-only; wall-clock
-    /// knob, results identical for any value.
-    std::uint32_t decodeJobs = 1;
-    bool decodeJobsSet = false; ///< flag given (drives conflict checks)
     /// --replay=FILE: re-monitor a recording; scenario axes come from
     /// the file, --lifeguard optionally overrides the monitor.
     std::string replayPath;

@@ -95,8 +95,6 @@ applyReplayHeader(CliOptions &opt, std::string &err)
     opt.conflictAlerts = tc.conflictAlerts;
     opt.accelerators = tc.accelIT && tc.accelIF && tc.accelMTLB;
     opt.logBufferBytes = tc.logBufferBytes;
-    if (opt.shadowShards == 0)
-        opt.shadowShards = tc.shadowShards;
     return true;
 }
 
@@ -297,13 +295,12 @@ printJsonHeader(const CliOptions &opt)
     std::printf("  \"options\": {\"scale\": %llu, \"accel\": \"%s\", "
                 "\"dep_tracking\": \"%s\", \"memory_model\": \"%s\", "
                 "\"conflict_alerts\": \"%s\", \"log_buffer\": %llu, "
-                "\"shadow_shards\": %u, \"max_cycles\": %llu},\n",
+                "\"max_cycles\": %llu},\n",
                 static_cast<unsigned long long>(opt.scale),
                 opt.accelerators ? "on" : "off", flagName(opt.depTracking),
                 flagName(opt.memoryModel),
                 opt.conflictAlerts ? "on" : "off",
                 static_cast<unsigned long long>(opt.logBufferBytes),
-                opt.shadowShards,
                 static_cast<unsigned long long>(opt.maxCycles));
     std::printf("  \"cells\": [");
 }

@@ -82,7 +82,6 @@ printHeader(const std::string &path, const TraceReader &reader)
                 c.accelMTLB ? "on" : "off");
     std::printf("  filter bits:        0x%02x\n", c.filterBits);
     std::printf("  app threads:        %u\n", c.appThreads);
-    std::printf("  shadow shards:      %u\n", c.shadowShards);
     std::printf("  scale:              %llu\n", ull(c.scale));
     std::printf("  seed:               %llu\n", ull(c.seed));
     std::printf("  log buffer:         %llu\n", ull(c.logBufferBytes));

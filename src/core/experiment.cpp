@@ -43,7 +43,6 @@ makeConfig(WorkloadKind workload, LifeguardKind lifeguard, MonitorMode mode,
     cfg.sim.conflictAlerts = opt.conflictAlerts;
     cfg.sim.seed = opt.seed;
     cfg.sim.logBufferBytes = opt.logBufferBytes;
-    cfg.sim.shadowShards = opt.shadowShards;
     if (!opt.accelerators) {
         cfg.sim.accel.inheritanceTracking = false;
         cfg.sim.accel.idempotentFilter = false;
@@ -55,13 +54,6 @@ makeConfig(WorkloadKind workload, LifeguardKind lifeguard, MonitorMode mode,
     cfg.lgThreads = opt.lgThreads;
     if (opt.maxCycles > 0)
         cfg.maxCycles = opt.maxCycles;
-    // Host-side delivery batch override (wall-clock A/B experiments;
-    // results are identical for any value >= 1).
-    if (const char *b = std::getenv("PARALOG_DELIVER_BATCH")) {
-        std::uint64_t v = std::strtoull(b, nullptr, 10);
-        if (v > 0)
-            cfg.sim.deliverBatchMax = static_cast<std::uint32_t>(v);
-    }
     return cfg;
 }
 
@@ -113,7 +105,6 @@ recordExperiment(const RunSpec &spec)
     tc.accelIF = cfg.sim.accel.idempotentFilter;
     tc.accelMTLB = cfg.sim.accel.metadataTlb;
     tc.appThreads = spec.cores;
-    tc.shadowShards = cfg.sim.shadowShards;
     tc.scale = spec.opt.scale;
     tc.seed = cfg.sim.seed;
     tc.logBufferBytes = cfg.sim.logBufferBytes;
@@ -141,12 +132,9 @@ replayExperiment(const RunSpec &spec)
     cfg.path = spec.replayPath;
     cfg.lifeguardOverride = true; // spec.lifeguard is already resolved
     cfg.lifeguard = spec.lifeguard;
-    if (spec.opt.shadowShards != 0)
-        cfg.shadowShards = spec.opt.shadowShards;
     if (spec.opt.maxCycles != 0)
         cfg.maxCycles = spec.opt.maxCycles;
     cfg.lgThreads = spec.opt.lgThreads;
-    cfg.decodeJobs = spec.opt.decodeJobs;
     ReplayPlatform rp(std::move(cfg));
     return rp.run();
 }

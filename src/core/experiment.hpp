@@ -36,8 +36,6 @@ struct ExperimentOptions
     bool conflictAlerts = true;
     std::uint64_t seed = 1;
     std::uint64_t logBufferBytes = 64 * 1024;
-    /// Shadow-memory shard count (0 = auto, see SimConfig::shadowShards).
-    std::uint32_t shadowShards = 0;
     /// Simulated-time watchdog override (0 = PlatformConfig default).
     std::uint64_t maxCycles = 0;
     /// Host lifeguard threads (ReplayConfig::lgThreads for replay
@@ -47,9 +45,6 @@ struct ExperimentOptions
     /// columns; composed with recording, the journal replays
     /// result-exact (see PlatformConfig::lgThreads).
     std::uint32_t lgThreads = 0;
-    /// v2-chunk decode workers for replay runs
-    /// (ReplayConfig::decodeJobs). Ignored live and for v1 traces.
-    std::uint32_t decodeJobs = 1;
 
     /** Scale override from the environment (PARALOG_SCALE), if set. */
     static std::uint64_t envScale(std::uint64_t fallback);
@@ -103,7 +98,7 @@ RunResult runSpecExperiment(const RunSpec &spec);
 RunResult recordExperiment(const RunSpec &spec);
 
 /** Replay a recording under @p spec.lifeguard (see RunSpec::replayPath);
- *  opt.shadowShards/opt.maxCycles of 0 keep the defaults. */
+ *  opt.maxCycles of 0 keeps the default. */
 RunResult replayExperiment(const RunSpec &spec);
 
 /** Outcome of one RunSpec: the result, or a captured failure. */

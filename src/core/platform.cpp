@@ -54,14 +54,13 @@ Platform::Platform(PlatformConfig cfg) : cfg_(std::move(cfg))
     if (monitoring) {
         lifeguard_ = cfg_.customLifeguard
                          ? cfg_.customLifeguard(k)
-                         : makeLifeguard(cfg_.lifeguard, k,
-                                         cfg_.sim.effectiveShadowShards(k));
+                         : makeLifeguard(cfg_.lifeguard, k);
         policy_ = lifeguard_->policy();
         if (concurrentLive()) {
             // The host-parallel live engine relies on the CA barriers
             // to order cross-stream delivery (it cannot fall back to
-            // the serial scheduler's interleaving), and on sharded
-            // shadow-memory locking for cross-thread metadata.
+            // the serial scheduler's interleaving), and on the shadow
+            // memory's concurrent mode for cross-thread metadata.
             PARALOG_ASSERT(cfg_.sim.conflictAlerts,
                            "live --lg-threads requires ConflictAlert "
                            "broadcasts enabled");

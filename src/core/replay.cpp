@@ -94,9 +94,7 @@ ReplayCore::apply()
 
 ReplayPlatform::ReplayPlatform(ReplayConfig cfg)
     : cfg_(std::move(cfg)),
-      reader_(cfg_.path,
-              trace::TraceReader::Options{
-                  true, cfg_.decodeJobs > 1 ? cfg_.decodeJobs : 1}),
+      reader_(cfg_.path),
       lifeguardKind_(cfg_.lifeguard)
 {
     if (!reader_.ok())
@@ -106,8 +104,6 @@ ReplayPlatform::ReplayPlatform(ReplayConfig cfg)
                    "replay requires a parallel-monitoring recording");
 
     sim_ = tc.toSimConfig();
-    if (cfg_.shadowShards != ReplayConfig::kKeepRecorded)
-        sim_.shadowShards = cfg_.shadowShards;
     k_ = tc.appThreads;
     if (!cfg_.lifeguardOverride)
         lifeguardKind_ = tc.lifeguard;
@@ -146,8 +142,7 @@ ReplayPlatform::ReplayPlatform(ReplayConfig cfg)
                        "with ConflictAlert broadcasts enabled");
     }
 
-    lifeguard_ = makeLifeguard(lifeguardKind_, k_,
-                               sim_.effectiveShadowShards(k_));
+    lifeguard_ = makeLifeguard(lifeguardKind_, k_);
     if (concurrent())
         lifeguard_->shadow().setConcurrent(true);
     progress_ = std::make_unique<ProgressTable>(k_);

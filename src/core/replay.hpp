@@ -44,10 +44,6 @@ struct ReplayConfig
     /// Replay under this lifeguard instead of the recorded one.
     bool lifeguardOverride = false;
     LifeguardKind lifeguard = LifeguardKind::kTaintCheck;
-    /// Shadow shard override (results are shard-count invariant);
-    /// kKeepRecorded leaves the recorded value.
-    static constexpr std::uint32_t kKeepRecorded = 0xFFFFFFFFu;
-    std::uint32_t shadowShards = kKeepRecorded;
     std::uint64_t maxCycles = 1ULL << 36;
     std::uint64_t stallWatchdogIters = 2'000'000;
     /// Skip the footer self-check (divergence diagnosis tooling).
@@ -63,13 +59,6 @@ struct ReplayConfig
      * (see runConcurrent).
      */
     std::uint32_t lgThreads = 0;
-    /**
-     * Worker threads for decoding v2 ops chunks at open (> 1 decodes
-     * every chunk eagerly in parallel; 0/1 decodes lazily as replay
-     * reaches each chunk). No effect on v1 recordings. Results are
-     * identical either way — this is purely a wall-clock knob.
-     */
-    std::uint32_t decodeJobs = 1;
 };
 
 /** Feeds one recorded thread's journal into its capture unit. */

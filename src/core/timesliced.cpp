@@ -29,9 +29,7 @@ Timesliced::Timesliced(PlatformConfig cfg) : cfg_(std::move(cfg))
     env_.scale = cfg_.scale;
     env_.seed = cfg_.sim.seed;
 
-    // One sequential lifeguard core: auto-sharding resolves to 1.
-    lifeguard_ = makeLifeguard(cfg_.lifeguard, k,
-                               cfg_.sim.effectiveShadowShards(1));
+    lifeguard_ = makeLifeguard(cfg_.lifeguard, k);
     LifeguardPolicy policy = lifeguard_->policy();
 
     // Arc capture off: the merged stream is already ordered.

@@ -27,9 +27,8 @@ class AddrCheck : public Lifeguard
     static constexpr std::uint8_t kUnallocated = 0;
     static constexpr std::uint8_t kAllocated = 1;
 
-    explicit AddrCheck(std::uint32_t num_threads,
-                       std::uint32_t shadow_shards = 1)
-        : Lifeguard(num_threads, 1, shadow_shards)
+    explicit AddrCheck(std::uint32_t num_threads)
+        : Lifeguard(num_threads, 1)
     {
     }
 

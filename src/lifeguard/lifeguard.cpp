@@ -239,9 +239,8 @@ LgContext::checkMetaAll(const AddrRange &range, std::uint8_t value)
 }
 
 Lifeguard::Lifeguard(std::uint32_t num_threads,
-                     std::uint32_t bits_per_byte,
-                     std::uint32_t shadow_shards)
-    : shadow_(bits_per_byte, shadow_shards), regMeta_(num_threads)
+                     std::uint32_t bits_per_byte)
+    : shadow_(bits_per_byte), regMeta_(num_threads)
 {
     for (auto &regs : regMeta_)
         regs.fill(0);
@@ -256,18 +255,17 @@ Lifeguard::regMeta(ThreadId tid, RegId reg)
 }
 
 LifeguardPtr
-makeLifeguard(LifeguardKind kind, std::uint32_t num_threads,
-              std::uint32_t shadow_shards)
+makeLifeguard(LifeguardKind kind, std::uint32_t num_threads)
 {
     switch (kind) {
       case LifeguardKind::kTaintCheck:
-        return std::make_unique<TaintCheck>(num_threads, shadow_shards);
+        return std::make_unique<TaintCheck>(num_threads);
       case LifeguardKind::kAddrCheck:
-        return std::make_unique<AddrCheck>(num_threads, shadow_shards);
+        return std::make_unique<AddrCheck>(num_threads);
       case LifeguardKind::kMemCheck:
-        return std::make_unique<MemCheck>(num_threads, shadow_shards);
+        return std::make_unique<MemCheck>(num_threads);
       case LifeguardKind::kLockSet:
-        return std::make_unique<LockSet>(num_threads, shadow_shards);
+        return std::make_unique<LockSet>(num_threads);
     }
     panic("unknown lifeguard kind");
 }

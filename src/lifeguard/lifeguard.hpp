@@ -241,8 +241,7 @@ class Lifeguard
     ViolationLog violations;
 
   protected:
-    Lifeguard(std::uint32_t num_threads, std::uint32_t bits_per_byte,
-              std::uint32_t shadow_shards = 1);
+    Lifeguard(std::uint32_t num_threads, std::uint32_t bits_per_byte);
 
     /** Per-thread, per-register metadata (one byte per register). */
     std::uint8_t &regMeta(ThreadId tid, RegId reg);
@@ -262,8 +261,7 @@ enum class LifeguardKind
     kLockSet,
 };
 
-LifeguardPtr makeLifeguard(LifeguardKind kind, std::uint32_t num_threads,
-                           std::uint32_t shadow_shards = 1);
+LifeguardPtr makeLifeguard(LifeguardKind kind, std::uint32_t num_threads);
 const char *toString(LifeguardKind kind);
 
 } // namespace paralog

@@ -6,8 +6,8 @@
 
 namespace paralog {
 
-LockSet::LockSet(std::uint32_t num_threads, std::uint32_t shadow_shards)
-    : Lifeguard(num_threads, 2, shadow_shards), heldLocks_(num_threads)
+LockSet::LockSet(std::uint32_t num_threads)
+    : Lifeguard(num_threads, 2), heldLocks_(num_threads)
 {
     // Lockset id 0 is the empty set.
     locksets_.push_back(LockVec{});

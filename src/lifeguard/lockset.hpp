@@ -34,8 +34,7 @@ class LockSet : public Lifeguard
     static constexpr std::uint8_t kShared = 2;
     static constexpr std::uint8_t kSharedModified = 3;
 
-    explicit LockSet(std::uint32_t num_threads,
-                     std::uint32_t shadow_shards = 1);
+    explicit LockSet(std::uint32_t num_threads);
 
     const char *name() const override { return "LockSet"; }
 

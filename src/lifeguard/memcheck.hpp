@@ -23,9 +23,8 @@ class MemCheck : public Lifeguard
     static constexpr std::uint8_t kUninit = 0;
     static constexpr std::uint8_t kInit = 1;
 
-    explicit MemCheck(std::uint32_t num_threads,
-                      std::uint32_t shadow_shards = 1)
-        : Lifeguard(num_threads, 1, shadow_shards)
+    explicit MemCheck(std::uint32_t num_threads)
+        : Lifeguard(num_threads, 1)
     {
         // Registers start initialized (they hold defined zeros).
         for (auto &regs : regMeta_)

@@ -14,66 +14,57 @@ namespace paralog {
 static_assert(std::endian::native == std::endian::little,
               "ShadowMemory word paths assume a little-endian host");
 
-ShadowMemory::ShadowMemory(std::uint32_t bits_per_byte,
-                           std::uint32_t shards)
+ShadowMemory::ShadowMemory(std::uint32_t bits_per_byte)
     : bitsPerByte_(bits_per_byte)
 {
     PARALOG_ASSERT(bits_per_byte == 1 || bits_per_byte == 2 ||
                        bits_per_byte == 4 || bits_per_byte == 8,
                    "unsupported metadata ratio %u", bits_per_byte);
-    PARALOG_ASSERT(shards >= 1 && shards <= kMaxShards &&
-                       (shards & (shards - 1)) == 0,
-                   "shard count %u is not a power of two in [1, %u]",
-                   shards, kMaxShards);
     valueMask_ = static_cast<std::uint8_t>((1u << bits_per_byte) - 1);
     chunkMetaBytes_ = kChunkAppBytes * bitsPerByte_ / 8;
-    shardMask_ = shards - 1;
-    shards_.resize(shards);
 }
 
 ShadowMemory::Chunk *
 ShadowMemory::lookupChunk(Addr app_addr) const
 {
     std::uint64_t idx = app_addr / kChunkAppBytes;
-    Shard &sh = shardFor(idx);
     if (concurrent_) {
         // No shared last-chunk cache (it would be a cross-thread race);
-        // the map itself is consulted under the shard lock. The chunk
+        // the map itself is consulted under the map lock. The chunk
         // pointer stays valid after unlock: chunk storage is stable.
-        std::lock_guard<std::mutex> lock(sh.mapMutex);
-        const std::unique_ptr<Chunk> *slot = sh.chunks.find(idx);
+        std::lock_guard<std::mutex> lock(mapMutex_);
+        const std::unique_ptr<Chunk> *slot = chunks_.find(idx);
         return slot ? slot->get() : nullptr;
     }
-    if (idx == sh.cachedIdx)
-        return sh.cachedChunk;
-    const std::unique_ptr<Chunk> *slot = sh.chunks.find(idx);
+    if (idx == cachedIdx_)
+        return cachedChunk_;
+    const std::unique_ptr<Chunk> *slot = chunks_.find(idx);
     if (!slot)
         return nullptr;
-    sh.cachedIdx = idx;
-    sh.cachedChunk = slot->get();
-    return sh.cachedChunk;
+    cachedIdx_ = idx;
+    cachedChunk_ = slot->get();
+    return cachedChunk_;
 }
 
 ShadowMemory::Chunk &
 ShadowMemory::ensureChunk(Addr app_addr)
 {
     std::uint64_t idx = app_addr / kChunkAppBytes;
-    Shard &sh = shardFor(idx);
     if (concurrent_) {
-        std::lock_guard<std::mutex> lock(sh.mapMutex);
-        std::unique_ptr<Chunk> &slot = sh.chunks[idx];
+        std::lock_guard<std::mutex> lock(mapMutex_);
+        std::unique_ptr<Chunk> &slot = chunks_[idx];
         if (!slot)
             slot = std::make_unique<Chunk>(chunkMetaBytes_, 0);
         return *slot;
     }
-    if (idx == sh.cachedIdx)
-        return *sh.cachedChunk;
-    std::unique_ptr<Chunk> &slot = sh.chunks[idx];
+    if (idx == cachedIdx_)
+        return *cachedChunk_;
+    std::unique_ptr<Chunk> &slot = chunks_[idx];
     if (!slot)
         slot = std::make_unique<Chunk>(chunkMetaBytes_, 0);
-    sh.cachedIdx = idx;
-    sh.cachedChunk = slot.get();
-    return *sh.cachedChunk;
+    cachedIdx_ = idx;
+    cachedChunk_ = slot.get();
+    return *cachedChunk_;
 }
 
 std::uint8_t

@@ -27,19 +27,9 @@
  *    are zero-initialized, so fill(range, 0) over untouched address
  *    space allocates nothing.
  *
- * Sharding: the chunk table can be split into a power-of-two number of
- * shards, selected by the low bits of the chunk index (so consecutive
- * 1 MB chunks land in different shards). Each shard owns its chunk map
- * *and* its last-chunk cache, making shards fully self-contained: with
- * one shard per lifeguard thread, threads working disjoint address
- * ranges stop serializing on a single structure. The shard count is
- * invisible to results — chunk layout, metaAddr and all operation
- * semantics are unchanged, so any shard count produces bit-identical
- * metadata (and fingerprints) to the unsharded layout.
- *
  * Concurrent mode (setConcurrent): when lifeguard cores run on separate
- * host threads, chunk-map lookups/inserts take a per-shard mutex, the
- * shared last-chunk caches are bypassed, and the packed fast paths drop
+ * host threads, chunk-map lookups/inserts take the map mutex, the
+ * shared last-chunk cache is bypassed, and the packed fast paths drop
  * from word-granular to backing-byte-granular memory operations. The
  * byte granularity is what makes unlocked metadata access sound: one
  * backing byte covers 8/bitsPerByte consecutive aligned application
@@ -57,7 +47,6 @@
 #define PARALOG_LIFEGUARD_SHADOW_MEMORY_HPP
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -88,18 +77,9 @@ class ShadowMemory
     /// Base of the modelled metadata virtual address region.
     static constexpr Addr kMetaBase = 1ULL << 40;
 
-    /// Largest accepted shard count (a shard is a map + a cache line of
-    /// state; 256 covers any plausible lifeguard thread count).
-    static constexpr std::uint32_t kMaxShards = 256;
-
-    explicit ShadowMemory(std::uint32_t bits_per_byte,
-                          std::uint32_t shards = 1);
+    explicit ShadowMemory(std::uint32_t bits_per_byte);
 
     std::uint32_t bitsPerByte() const { return bitsPerByte_; }
-    std::uint32_t shardCount() const
-    {
-        return static_cast<std::uint32_t>(shards_.size());
-    }
 
     /**
      * Switch between the single-threaded fast paths (default) and the
@@ -150,14 +130,7 @@ class ShadowMemory
         return kMetaBase + (app_addr * bitsPerByte_) / 8;
     }
 
-    std::size_t
-    chunkCount() const
-    {
-        std::size_t n = 0;
-        for (const Shard &s : shards_)
-            n += s.chunks.size();
-        return n;
-    }
+    std::size_t chunkCount() const { return chunks_.size(); }
 
     /** Backing-store bytes actually allocated for metadata chunks
      *  (observes the zero-write elision: filling untouched space with
@@ -170,32 +143,8 @@ class ShadowMemory
   private:
     using Chunk = std::vector<std::uint8_t>;
 
-    /**
-     * One shard of the chunk table: its slice of the chunk map plus its
-     * own last-chunk cache. Chunk storage is stable (vectors never
-     * resize, unique_ptr targets never move), so a cached pointer stays
-     * valid for the lifetime of the ShadowMemory. Caches are mutable so
-     * const readers benefit from the sequential-access common case too.
-     */
-    struct Shard
-    {
-        FlatAddrMap<std::unique_ptr<Chunk>> chunks;
-        mutable std::uint64_t cachedIdx = ~0ULL;
-        mutable Chunk *cachedChunk = nullptr;
-        /// Concurrent mode only: guards the chunk map (find/insert).
-        /// Chunk *contents* are unlocked — backing-byte granularity
-        /// plus protocol ordering make that race-free.
-        mutable std::mutex mapMutex;
-    };
-
-    Shard &
-    shardFor(std::uint64_t chunk_idx) const
-    {
-        return shards_[chunk_idx & shardMask_];
-    }
-
     /** The mapped chunk covering @p app_addr, or nullptr. Refreshes the
-     *  owning shard's last-chunk cache on a hash-table hit. */
+     *  last-chunk cache on a hash-table hit. */
     Chunk *lookupChunk(Addr app_addr) const;
 
     /** The chunk covering @p app_addr, allocating (and caching) it. */
@@ -210,10 +159,19 @@ class ShadowMemory
     std::uint32_t bitsPerByte_;
     std::uint8_t valueMask_;
     std::uint64_t chunkMetaBytes_;
-    std::uint64_t shardMask_;
     bool concurrent_ = false;
-    /// deque, not vector: Shard owns a mutex and must never move.
-    mutable std::deque<Shard> shards_;
+
+    FlatAddrMap<std::unique_ptr<Chunk>> chunks_;
+    /// Last-chunk cache (serial mode only). Chunk storage is stable
+    /// (vectors never resize, unique_ptr targets never move), so a
+    /// cached pointer stays valid for the lifetime of the ShadowMemory.
+    /// Mutable so const readers benefit from sequential access too.
+    mutable std::uint64_t cachedIdx_ = ~0ULL;
+    mutable Chunk *cachedChunk_ = nullptr;
+    /// Concurrent mode only: guards the chunk map (find/insert). Chunk
+    /// *contents* are unlocked: backing-byte granularity plus protocol
+    /// ordering make that race-free.
+    mutable std::mutex mapMutex_;
 };
 
 } // namespace paralog

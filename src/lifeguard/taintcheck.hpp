@@ -26,9 +26,8 @@ class TaintCheck : public Lifeguard
     static constexpr std::uint8_t kUntainted = 0;
     static constexpr std::uint8_t kTainted = 1;
 
-    explicit TaintCheck(std::uint32_t num_threads,
-                        std::uint32_t shadow_shards = 1)
-        : Lifeguard(num_threads, 2, shadow_shards)
+    explicit TaintCheck(std::uint32_t num_threads)
+        : Lifeguard(num_threads, 2)
     {
     }
 

@@ -1,7 +1,5 @@
 #include "sim/config.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <sstream>
 
 #include "common/logging.hpp"
@@ -45,14 +43,6 @@ SimConfig::totalCores() const
     panic("unreachable monitor mode");
 }
 
-std::uint32_t
-SimConfig::effectiveShadowShards(std::uint32_t lifeguard_cores) const
-{
-    if (shadowShards != 0)
-        return shadowShards;
-    return std::bit_ceil(std::max(lifeguard_cores, 1u));
-}
-
 std::string
 SimConfig::describe() const
 {
@@ -72,12 +62,7 @@ SimConfig::describe() const
        << ", dependence tracking: " << toString(depTracking) << "\n"
        << "Accelerators: IT=" << accel.inheritanceTracking
        << " IF=" << accel.idempotentFilter << " M-TLB=" << accel.metadataTlb
-       << "\n"
-       << "Shadow shards: ";
-    if (shadowShards == 0)
-        os << "auto (per lifeguard core)\n";
-    else
-        os << shadowShards << "\n";
+       << "\n";
     return os.str();
 }
 

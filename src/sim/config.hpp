@@ -144,14 +144,6 @@ struct SimConfig
     /// costs accumulate exactly as single-pop delivery would).
     std::uint32_t deliverBatchMax = 16;
 
-    /// Shadow-memory shard count (power of two). 0 = auto: one shard
-    /// per lifeguard core, rounded up to a power of two (so the
-    /// timesliced baseline's single lifeguard core gets one shard and a
-    /// k-thread parallel run gets ceil-pow2(k)). Sharding only changes
-    /// the chunk-table layout — simulated results are bit-identical for
-    /// any value.
-    std::uint32_t shadowShards = 0;
-
     /// Deterministic seed for workloads.
     std::uint64_t seed = 1;
 
@@ -164,10 +156,6 @@ struct SimConfig
 
     /** Total simulated cores for the configured mode. */
     std::uint32_t totalCores() const;
-
-    /** Resolve the `shadowShards` knob for a platform running
-     *  @p lifeguard_cores lifeguard cores (0 = auto). */
-    std::uint32_t effectiveShadowShards(std::uint32_t lifeguard_cores) const;
 
     /** Human-readable Table-1-style description. */
     std::string describe() const;

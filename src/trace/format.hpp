@@ -19,6 +19,12 @@
  *   Chunk*                          (any interleaving of kinds/threads)
  *   footer chunk                    (kind = kChunkFooter, last)
  *
+ * The header's u32 at offset 36 is reserved. Writers store 0; readers
+ * must accept any value there and ignore it, because older recordings
+ * may hold a nonzero one (a since-removed host tuning knob, the shadow
+ * memory's shard count, which never affected results). The config
+ * fingerprint at offset 16 still covers it like every byte of 24..63.
+ *
  * Chunk = { u32 kind, u32 tid, u32 payloadBytes, u32 crc32(payload) }
  * followed by payloadBytes of payload. Per (kind, tid), chunk payloads
  * concatenate into one logical stream; a CRC mismatch fails the load.
@@ -123,7 +129,6 @@ struct TraceConfig
     bool liveParallel = false;
     std::uint8_t filterBits = 0;
     std::uint32_t appThreads = 1;
-    std::uint32_t shadowShards = 0;
     std::uint64_t scale = 0;
     std::uint64_t seed = 1;
     std::uint64_t logBufferBytes = 64 * 1024;
@@ -142,7 +147,6 @@ struct TraceConfig
         sim.accel.metadataTlb = accelMTLB;
         sim.seed = seed;
         sim.logBufferBytes = logBufferBytes;
-        sim.shadowShards = shadowShards;
         return sim;
     }
 };
@@ -319,7 +323,7 @@ parseTraceHeader(const std::uint8_t *h, ParsedHeader &out)
     out.cfg.liveParallel = h[29] & kCfgLiveParallel;
     out.cfg.filterBits = h[30];
     out.cfg.appThreads = get32le(h + 32);
-    out.cfg.shadowShards = get32le(h + 36);
+    // h + 36 is the reserved word (see the file comment): ignored.
     out.cfg.scale = get64le(h + 40);
     out.cfg.seed = get64le(h + 48);
     out.cfg.logBufferBytes = get64le(h + 56);

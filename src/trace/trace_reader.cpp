@@ -5,11 +5,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
-#include <thread>
 
 #include "trace/v2_block.hpp"
 
@@ -30,8 +27,6 @@ TraceReader::TraceReader(const std::string &path, const Options &opts)
         parseHeader();
     if (ok_)
         indexChunks();
-    if (ok_ && formatVersion_ == kFormatVersionV2 && opts.decodeJobs > 1)
-        predecodeParallel(opts.decodeJobs);
 }
 
 TraceReader::~TraceReader()
@@ -208,10 +203,6 @@ TraceReader::chunkPayload(std::size_t i, std::vector<std::uint8_t> &out)
         return false;
     const ChunkRef &ref = chunks_[i];
     if (ref.kind == kChunkOps && formatVersion_ == kFormatVersionV2) {
-        if (!decoded_.empty() && !decoded_[i].empty()) {
-            out = decoded_[i];
-            return true;
-        }
         if (!decodeOpsBlock(data_ + ref.offset, ref.bytes, out,
                             kMaxDecodedChunkBytes)) {
             out.clear();
@@ -222,59 +213,6 @@ TraceReader::chunkPayload(std::size_t i, std::vector<std::uint8_t> &out)
     }
     out.assign(data_ + ref.offset, data_ + ref.offset + ref.bytes);
     return true;
-}
-
-void
-TraceReader::predecodeParallel(unsigned jobs)
-{
-    std::vector<std::size_t> work;
-    for (std::size_t i = 0; i < chunks_.size(); ++i)
-        if (chunks_[i].kind == kChunkOps)
-            work.push_back(i);
-    if (work.empty())
-        return;
-    decoded_.resize(chunks_.size());
-
-    // Transient worker pool over an atomic work index — the same shape
-    // runMatrix uses. Chunks decode independently, so the result is
-    // identical to the lazy path regardless of scheduling.
-    std::atomic<std::size_t> next{0};
-    std::mutex mu;
-    std::string first_error;
-    auto worker = [&] {
-        for (;;) {
-            std::size_t w = next.fetch_add(1);
-            if (w >= work.size())
-                return;
-            std::size_t i = work[w];
-            const ChunkRef &ref = chunks_[i];
-            std::string why;
-            if (crc32(data_ + ref.offset, ref.bytes) != ref.crc)
-                why = "chunk CRC mismatch (corrupt trace)";
-            else if (!decodeOpsBlock(data_ + ref.offset, ref.bytes,
-                                     decoded_[i],
-                                     kMaxDecodedChunkBytes))
-                why = "v2 ops chunk does not decode (corrupt trace)";
-            if (!why.empty()) {
-                std::lock_guard<std::mutex> lock(mu);
-                if (first_error.empty())
-                    first_error = why;
-            }
-        }
-    };
-    unsigned n = std::min<std::size_t>(jobs, work.size());
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (unsigned t = 0; t < n; ++t)
-        threads.emplace_back(worker);
-    for (auto &t : threads)
-        t.join();
-    if (!first_error.empty()) {
-        fail(first_error);
-        return;
-    }
-    for (std::size_t i : work)
-        chunkChecked_[i] = 1;
 }
 
 void
@@ -351,12 +289,6 @@ TraceReader::cursorForChunk(std::size_t i, std::vector<std::uint8_t> &buf,
     }
     const ChunkRef &ref = chunks_[i];
     if (ref.kind == kChunkOps && formatVersion_ == kFormatVersionV2) {
-        if (!decoded_.empty() && !decoded_[i].empty()) {
-            // Eagerly decoded at open(): zero-copy from the shared
-            // buffer (streams never mutate what they read).
-            cur = ByteCursor(decoded_[i].data(), decoded_[i].size());
-            return true;
-        }
         if (!decodeOpsBlock(data_ + ref.offset, ref.bytes, buf,
                             kMaxDecodedChunkBytes)) {
             buf.clear();

@@ -11,11 +11,9 @@
  * poisoned chunk fails the reader.
  *
  * v1 ops chunks and latency chunks are consumed zero-copy — cursors
- * point straight into the mapping. v2 ops chunks decode back into
- * exact v1 op bytes (v2_block.hpp) either lazily per chunk, or — with
- * Options::decodeJobs > 1 — eagerly at open() on a transient worker
- * pool, after which every stream reads from the pre-decoded buffers.
- * Everything above the chunk layer is format-agnostic.
+ * point straight into the mapping. v2 ops chunks decode lazily, one
+ * chunk at a time as a stream reaches it, back into exact v1 op bytes
+ * (v2_block.hpp). Everything above the chunk layer is format-agnostic.
  *
  * Files without a footer (crashed recordings) are rejected, as is a
  * parallel-mode footer whose lifeguard stats list does not match the
@@ -94,10 +92,6 @@ class TraceReader
          *  path exists for platforms/filesystems where mmap fails and
          *  so tests can cover both. */
         bool preferMmap = true;
-        /** > 1: decode all v2 ops chunks eagerly at open() with this
-         *  many worker threads (no effect on v1 files). 1 = decode
-         *  lazily, chunk by chunk, as streams reach them. */
-        unsigned decodeJobs = 1;
     };
 
     explicit TraceReader(const std::string &path)
@@ -200,7 +194,6 @@ class TraceReader
     void parseHeader();
     void indexChunks();
     void parseFooter(const std::vector<std::uint8_t> &payload);
-    void predecodeParallel(unsigned jobs);
     /** CRC-check chunk @p i; false (reader failed) on mismatch. */
     bool checkChunk(std::size_t i);
     /** Point @p cur at chunk @p i's v1 op/latency bytes, CRC-checking
@@ -229,7 +222,6 @@ class TraceReader
     std::vector<char> chunkChecked_;      ///< CRC verified already
     std::vector<std::vector<std::size_t>> opChunks_;  ///< per-thread
     std::vector<std::vector<std::size_t>> latChunks_; ///< indices
-    std::vector<std::vector<std::uint8_t>> decoded_;  ///< eager v2
 };
 
 } // namespace paralog::trace

@@ -74,7 +74,7 @@ TraceWriter::writeHeader()
             (cfg_.liveParallel ? kCfgLiveParallel : 0);
     h[30] = cfg_.filterBits;
     put32le(h + 32, cfg_.appThreads);
-    put32le(h + 36, cfg_.shadowShards);
+    // h + 36 stays 0: the reserved word (format.hpp).
     put64le(h + 40, cfg_.scale);
     put64le(h + 48, cfg_.seed);
     put64le(h + 56, cfg_.logBufferBytes);

@@ -3,17 +3,24 @@
  * Recordings whose journal is tampered with at record time while the
  * live run, the footer and every chunk CRC stay valid: the inputs the
  * replay watchdog and the journal reader must turn into fast, named
- * failures (offline and inside paralogd).
+ * failures (offline and inside paralogd). Also committed recordings
+ * whose header is rewritten with a consistent config fingerprint: the
+ * inputs replay must accept unchanged.
  */
 
 #ifndef PARALOG_TESTS_HARNESS_TAMPERED_JOURNALS_HPP
 #define PARALOG_TESTS_HARNESS_TAMPERED_JOURNALS_HPP
 
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "harness/paralog_test.hpp"
+#include "trace/format.hpp"
 #include "trace/recorder.hpp"
 
 namespace paralog::test {
@@ -40,7 +47,6 @@ recordLuJournal(const std::string &path, MemoryModel mm)
     tc.memoryModel = mm;
     tc.depTracking = cfg.sim.depTracking;
     tc.appThreads = 2;
-    tc.shadowShards = cfg.sim.shadowShards;
     tc.scale = 300;
     tc.seed = cfg.sim.seed;
     tc.logBufferBytes = cfg.sim.logBufferBytes;
@@ -77,6 +83,39 @@ class FutureStampRecorder : public trace::TraceRecorder
   private:
     bool stamped_ = false;
 };
+
+/** Path of the committed corpus recording @p stem (e.g.
+ *  "addrcheck_sc_v2"), or "" when PARALOG_CORPUS is unset (outside
+ *  CTest). */
+inline std::string
+corpusTrace(const std::string &stem)
+{
+    const char *dir = std::getenv("PARALOG_CORPUS");
+    return dir ? std::string(dir) + "/" + stem + ".trace" : std::string();
+}
+
+/**
+ * Copy the recording at @p src to @p dst with the header's reserved
+ * u32 at offset 36 set to @p value, and the config fingerprint at
+ * offset 16 (FNV-1a over bytes 24..63) recomputed so the header still
+ * validates: what a recording from before the word was reserved holds.
+ */
+inline void
+copyWithReservedWord(const std::string &src, const std::string &dst,
+                     std::uint32_t value)
+{
+    std::ifstream in(src, std::ios::binary);
+    ASSERT_TRUE(in) << src;
+    std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
+                                    std::istreambuf_iterator<char>()};
+    ASSERT_GE(bytes.size(), trace::kHeaderBytes) << src;
+    trace::put32le(bytes.data() + 36, value);
+    trace::put64le(bytes.data() + 16, trace::fnv1a(bytes.data() + 24, 40));
+    std::ofstream out(dst, std::ios::binary);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out) << dst;
+}
 
 } // namespace paralog::test
 

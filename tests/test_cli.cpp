@@ -197,26 +197,31 @@ TEST(CliParse, SeedListSweeps)
 
 TEST(CliParse, MatrixExecutionFlags)
 {
-    ParseResult r = parse({"--jobs=4", "--repeat=3", "--shadow-shards=8",
+    ParseResult r = parse({"--jobs=4", "--repeat=3",
                            "--max-cycles=123456"});
     ASSERT_EQ(r.status, ParseStatus::kOk);
     EXPECT_EQ(r.options.jobs, 4u);
     EXPECT_EQ(r.options.repeat, 3u);
-    EXPECT_EQ(r.options.shadowShards, 8u);
     EXPECT_EQ(r.options.maxCycles, 123456u);
     EXPECT_TRUE(r.options.sweepColumns()); // repeat > 1
     ExperimentOptions o = r.options.experimentOptions();
-    EXPECT_EQ(o.shadowShards, 8u);
     EXPECT_EQ(o.maxCycles, 123456u);
 
     EXPECT_EQ(parse({"--jobs=0"}).status, ParseStatus::kError);
     EXPECT_EQ(parse({"--jobs=65"}).status, ParseStatus::kError);
     EXPECT_EQ(parse({"--repeat=0"}).status, ParseStatus::kError);
-    EXPECT_EQ(parse({"--shadow-shards=3"}).status, ParseStatus::kError);
-    EXPECT_EQ(parse({"--shadow-shards=512"}).status, ParseStatus::kError);
     EXPECT_EQ(parse({"--max-cycles=0"}).status, ParseStatus::kError);
-    // 0 = auto is legal for shards.
-    EXPECT_EQ(parse({"--shadow-shards=0"}).status, ParseStatus::kOk);
+
+    // The shadow memory's chunk table and the v2 chunk decode have no
+    // host-tuning knobs: the old flags are unknown, live or replay.
+    for (std::string_view flag : {"--shadow-shards=8", "--decode-jobs=2"}) {
+        for (const ParseResult &bad :
+             {parse({flag}), parse({"--replay=/tmp/x.trace", flag})}) {
+            ASSERT_EQ(bad.status, ParseStatus::kError) << flag;
+            EXPECT_NE(bad.error.find("unknown flag"), std::string::npos)
+                << bad.error;
+        }
+    }
 }
 
 TEST(CliParse, CsvAndJsonAreMutuallyExclusive)
@@ -265,7 +270,7 @@ TEST(CliParse, ReplayTakesAxesFromTheRecording)
     EXPECT_EQ(parse({"--replay=/tmp/x", "--lifeguard=all"}).status,
               ParseStatus::kOk);
     EXPECT_EQ(parse({"--replay=/tmp/x", "--jobs=4", "--repeat=2",
-                     "--json", "--shadow-shards=8"})
+                     "--json"})
                   .status,
               ParseStatus::kOk);
     EXPECT_EQ(parse({"--replay=/tmp/x", "--workload=lu"}).status,
@@ -1083,18 +1088,6 @@ TEST_F(CliEndToEnd, SubmitWithoutDaemonFailsCleanly)
                 out);
     EXPECT_EQ(rc, 1) << out;
     EXPECT_NE(out.find("--daemon-stats"), std::string::npos) << out;
-}
-
-TEST_F(CliEndToEnd, ShadowShardsAreResultInvariant)
-{
-    // The sharded chunk table is invisible to simulated results: CSV
-    // output is bit-identical for any shard count.
-    const std::string flags = "--workload=lu --lifeguard=memcheck "
-                              "--cores=2 --scale=2000 --csv";
-    std::string one, eight;
-    ASSERT_EQ(runCli(flags + " --shadow-shards=1", one), 0) << one;
-    ASSERT_EQ(runCli(flags + " --shadow-shards=8", eight), 0) << eight;
-    EXPECT_EQ(one, eight);
 }
 
 } // namespace

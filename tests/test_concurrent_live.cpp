@@ -32,7 +32,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -72,14 +71,15 @@ struct LiveRun
 LiveRun
 runLive(WorkloadKind w, LifeguardKind lg, std::uint32_t cores,
         MemoryModel mm, std::uint64_t scale, std::uint32_t lg_threads,
-        std::uint32_t shards = 0)
+        std::uint32_t deliver_batch = 0)
 {
     ExperimentOptions opt = test::makeOptions(scale);
     opt.memoryModel = mm;
     opt.lgThreads = lg_threads;
-    opt.shadowShards = shards;
     PlatformConfig cfg =
         makeConfig(w, lg, MonitorMode::kParallel, cores, opt);
+    if (deliver_batch != 0)
+        cfg.sim.deliverBatchMax = deliver_batch;
     Platform p(std::move(cfg));
     LiveRun run;
     run.result = p.run();
@@ -159,19 +159,16 @@ class LiveConcurrentModes : public QuietTest
 {
 };
 
-TEST_F(LiveConcurrentModes, ShardCountInvariance)
+TEST_F(LiveConcurrentModes, OceanMatchesSerial)
 {
-    // The sharded shadow memory must reach the same fingerprint under
-    // live-concurrent delivery for any shard count.
+    // The differential matrix runs lu; ocean's stencil sweeps give the
+    // shared chunk table a second, differently shaped access pattern.
     LiveRun serial = runLive(WorkloadKind::kOcean,
                              LifeguardKind::kTaintCheck, 4,
                              MemoryModel::kSC, 400, 0);
-    for (std::uint32_t shards : {1u, 4u}) {
-        LiveRun conc = runLive(WorkloadKind::kOcean,
-                               LifeguardKind::kTaintCheck, 4,
-                               MemoryModel::kSC, 400, 4, shards);
-        expectSameAnalysis(conc, serial);
-    }
+    LiveRun conc = runLive(WorkloadKind::kOcean, LifeguardKind::kTaintCheck,
+                           4, MemoryModel::kSC, 400, 4);
+    expectSameAnalysis(conc, serial);
 }
 
 TEST_F(LiveConcurrentModes, ZeroAndOneThreadSelectTheSerialEngine)
@@ -222,12 +219,10 @@ TEST_F(LiveConcurrentModes, DeliveryBatchSizeInvariance)
     LiveRun serial = runLive(WorkloadKind::kLu,
                              LifeguardKind::kTaintCheck, 4,
                              MemoryModel::kTSO, 400, 0);
-    for (const char *batch : {"1", "16"}) {
-        ::setenv("PARALOG_DELIVER_BATCH", batch, 1);
+    for (std::uint32_t batch : {1u, 16u}) {
         LiveRun conc = runLive(WorkloadKind::kLu,
                                LifeguardKind::kTaintCheck, 4,
-                               MemoryModel::kTSO, 400, 4);
-        ::unsetenv("PARALOG_DELIVER_BATCH");
+                               MemoryModel::kTSO, 400, 4, batch);
         expectSameAnalysis(conc, serial);
     }
 }

@@ -126,13 +126,11 @@ class CorpusGate : public test::QuietTest
      *  self-checks every stat against the footer (panics — here,
      *  throws — on divergence). */
     RunResult
-    replay(const std::string &path, std::uint32_t lg_threads = 0,
-           std::uint32_t decode_jobs = 1)
+    replay(const std::string &path, std::uint32_t lg_threads = 0)
     {
         ReplayConfig cfg;
         cfg.path = path;
         cfg.lgThreads = lg_threads;
-        cfg.decodeJobs = decode_jobs;
         ReplayPlatform rp(std::move(cfg));
         return rp.run();
     }
@@ -210,11 +208,10 @@ TEST_F(CorpusGate, V1AndV2PairsReplayIdentically)
     }
 }
 
-TEST_F(CorpusGate, ConcurrentReplayAndParallelDecodeAgree)
+TEST_F(CorpusGate, ConcurrentReplayMatchesFooters)
 {
-    // The host-parallel engine (lg-threads=2) plus the v2 reader's
-    // eager parallel chunk decode, over committed recordings — the
-    // combination the tsan CI label exists for.
+    // The host-parallel engine (lg-threads=2) over committed v2
+    // recordings — the engine the tsan CI label exists for.
     PanicThrowScope throws;
     for (const CorpusEntry &e : allEntries()) {
         if (e.format != 2)
@@ -226,7 +223,7 @@ TEST_F(CorpusGate, ConcurrentReplayAndParallelDecodeAgree)
 
         RunResult result;
         try {
-            result = replay(path, /*lg_threads=*/2, /*decode_jobs=*/3);
+            result = replay(path, /*lg_threads=*/2);
         } catch (const std::exception &ex) {
             FAIL() << path << ": " << ex.what();
         }

@@ -37,6 +37,7 @@
 #include "harness/paralog_test.hpp"
 #include "harness/tampered_journals.hpp"
 #include "trace/format.hpp"
+#include "trace/trace_reader.hpp"
 
 namespace paralog::daemon {
 namespace {
@@ -596,6 +597,34 @@ TEST_F(DaemonTest, FutureStampedOpFailsItsJobAndFreesTheWorker)
               std::string::npos)
         << good.responseJson;
     EXPECT_EQ(h.stats().get("jobs.failed"), 1u);
+    EXPECT_EQ(h.stop(), 0);
+}
+
+TEST_F(DaemonTest, ReservedHeaderWordGetsAnOkVerdict)
+{
+    // An upload whose header holds a nonzero reserved word (offset 36,
+    // a since-removed host-tuning value) is a valid recording: the job
+    // runs to an ok verdict with the untouched recording's results.
+    const std::string src = test::corpusTrace("addrcheck_sc_v2");
+    if (src.empty())
+        GTEST_SKIP() << "PARALOG_CORPUS not set (run under CTest)";
+    DaemonHarness h("reserved");
+    ASSERT_TRUE(h.started());
+
+    std::string path = ::testing::TempDir() + "pld_reserved_" +
+                       std::to_string(::getpid()) + ".trace";
+    test::copyWithReservedWord(src, path, 3);
+    SubmitResult r = submitTrace(path, h.submitOpts());
+    std::remove(path.c_str());
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.status(), "ok") << r.responseJson;
+
+    trace::TraceReader original(src);
+    ASSERT_TRUE(original.ok()) << original.error();
+    EXPECT_NE(r.responseJson.find(
+                  fingerprintField(original.footer().shadowFingerprint)),
+              std::string::npos)
+        << r.responseJson;
     EXPECT_EQ(h.stop(), 0);
 }
 

@@ -5,7 +5,6 @@
  * batched delivery fast path (must match single-pop exactly).
  */
 
-#include <cstdlib>
 
 #include <gtest/gtest.h>
 
@@ -286,18 +285,19 @@ TEST(BatchDeliveryEquivalence, RunsIdenticalAcrossBatchSizes)
     setQuiet(true);
     ExperimentOptions opt;
     opt.scale = 6000;
-    auto run = [&](const char *batch, WorkloadKind w, MonitorMode m) {
-        setenv("PARALOG_DELIVER_BATCH", batch, 1);
-        RunResult r = runExperiment(w, LifeguardKind::kAddrCheck, m, 2,
-                                    opt);
-        unsetenv("PARALOG_DELIVER_BATCH");
-        return r;
+    auto run = [&](std::uint32_t batch, WorkloadKind w, MonitorMode m) {
+        PlatformConfig cfg =
+            makeConfig(w, LifeguardKind::kAddrCheck, m, 2, opt);
+        cfg.sim.deliverBatchMax = batch;
+        if (m == MonitorMode::kTimesliced)
+            return Timesliced(std::move(cfg)).run();
+        return Platform(std::move(cfg)).run();
     };
     for (WorkloadKind w : {WorkloadKind::kSwaptions, WorkloadKind::kFmm}) {
         for (MonitorMode m :
              {MonitorMode::kParallel, MonitorMode::kTimesliced}) {
-            RunResult a = run("1", w, m);
-            RunResult b = run("64", w, m);
+            RunResult a = run(1, w, m);
+            RunResult b = run(64, w, m);
             EXPECT_EQ(a.totalCycles, b.totalCycles);
             EXPECT_EQ(a.violationCount, b.violationCount);
             ASSERT_EQ(a.lifeguard.size(), b.lifeguard.size());

@@ -5,9 +5,9 @@
  * model (the semantics of the original implementation; for the
  * chunk-walking fingerprint, the original per-byte FNV-1a loop) across
  * all four metadata ratios, unaligned ranges, chunk-boundary crossings
- * and the zero-write elision — and, for the sharded chunk table, against the
- * legacy single-shard layout (which must stay bit-identical for every
- * shard count, all the way up to whole-run lifeguard fingerprints).
+ * and the zero-write elision, in both the single-threaded (word-wise)
+ * and the concurrent (backing-byte-granular) mode, up to whole-run
+ * lifeguard fingerprints.
  */
 
 #include <map>
@@ -81,8 +81,13 @@ class RefShadow
     std::map<Addr, std::uint8_t> bytes_;
 };
 
-class ShadowFastPath : public ::testing::TestWithParam<std::uint32_t>
+/** (bits per byte, concurrent mode). */
+class ShadowFastPath
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, bool>>
 {
+  protected:
+    std::uint32_t bpb() const { return std::get<0>(GetParam()); }
+    bool concurrent() const { return std::get<1>(GetParam()); }
 };
 
 /// Address pool biased toward interesting spots: chunk boundaries,
@@ -105,10 +110,10 @@ pickAddr(Rng &rng)
 
 TEST_P(ShadowFastPath, RandomizedDifferential)
 {
-    const std::uint32_t bpb = GetParam();
-    ShadowMemory s(bpb);
-    RefShadow ref(bpb);
-    Rng rng(0xC0FFEE ^ bpb);
+    ShadowMemory s(bpb());
+    s.setConcurrent(concurrent());
+    RefShadow ref(bpb());
+    Rng rng(0xC0FFEE ^ bpb() ^ (concurrent() << 12));
 
     for (int i = 0; i < 20000; ++i) {
         Addr a = pickAddr(rng);
@@ -165,9 +170,9 @@ TEST_P(ShadowFastPath, RandomizedDifferential)
 
 TEST_P(ShadowFastPath, LargeFillMatchesReference)
 {
-    const std::uint32_t bpb = GetParam();
-    ShadowMemory s(bpb);
-    RefShadow ref(bpb);
+    ShadowMemory s(bpb());
+    s.setConcurrent(concurrent());
+    RefShadow ref(bpb());
 
     // A multi-chunk unaligned fill followed by unaligned re-fills.
     constexpr Addr kChunk = ShadowMemory::kChunkAppBytes;
@@ -189,13 +194,17 @@ TEST_P(ShadowFastPath, LargeFillMatchesReference)
 
 TEST_P(ShadowFastPath, ZeroWriteElision)
 {
-    ShadowMemory s(GetParam());
+    ShadowMemory s(bpb());
+    s.setConcurrent(concurrent());
+    constexpr Addr kChunk = ShadowMemory::kChunkAppBytes;
     EXPECT_EQ(s.bytesAllocated(), 0u);
 
     // Zero writes and zero fills over untouched space allocate nothing.
     s.write(0x5000, 0);
     s.writePacked(0x6000, 8, 0);
-    s.fill(AddrRange{0, 4 * ShadowMemory::kChunkAppBytes}, 0);
+    s.fill(AddrRange{0, 16 * kChunk}, 0);
+    for (unsigned c = 0; c < 16; ++c)
+        s.write(c * kChunk + 5, 0);
     EXPECT_EQ(s.chunkCount(), 0u);
     EXPECT_EQ(s.bytesAllocated(), 0u);
     EXPECT_TRUE(s.rangeAll(AddrRange{0x5000, 0x7000}, 0));
@@ -204,144 +213,38 @@ TEST_P(ShadowFastPath, ZeroWriteElision)
     s.write(0x5000, 1);
     EXPECT_EQ(s.chunkCount(), 1u);
     std::uint64_t one = s.bytesAllocated();
-    EXPECT_EQ(one, ShadowMemory::kChunkAppBytes * GetParam() / 8);
+    EXPECT_EQ(one, kChunk * bpb() / 8);
 
     // ...and zero writes into a *mapped* chunk really clear metadata.
     s.write(0x5000, 0);
     EXPECT_EQ(s.read(0x5000), 0u);
     EXPECT_EQ(s.bytesAllocated(), one);
+
+    // One non-zero write per chunk maps each chunk exactly once.
+    for (unsigned c = 0; c < 16; ++c)
+        s.write(c * kChunk + 5, 1);
+    EXPECT_EQ(s.chunkCount(), 16u);
+    EXPECT_EQ(s.bytesAllocated(), 16 * one);
 }
 
 TEST_P(ShadowFastPath, OutOfMaskComparisonNeverMatches)
 {
-    const std::uint32_t bpb = GetParam();
-    if (bpb == 8)
+    if (bpb() == 8)
         GTEST_SKIP() << "all 8-bit values are in-mask";
-    ShadowMemory s(bpb);
+    ShadowMemory s(bpb());
+    s.setConcurrent(concurrent());
     s.fill(AddrRange{0x100, 0x140}, 1);
     // Stored metadata is masked, so comparing against an out-of-range
     // value reports the first byte (legacy per-byte semantics).
-    std::uint8_t big = static_cast<std::uint8_t>((1u << bpb));
+    std::uint8_t big = static_cast<std::uint8_t>((1u << bpb()));
     EXPECT_EQ(s.rangeFindNot(AddrRange{0x100, 0x140}, big), 0x100u);
     EXPECT_FALSE(s.rangeAll(AddrRange{0x100, 0x140}, big));
 }
 
-INSTANTIATE_TEST_SUITE_P(Ratios, ShadowFastPath,
-                         ::testing::Values(1u, 2u, 4u, 8u));
-
-// ------------------------------------------------ sharded chunk table
-
-/** (bits per byte, shard count). */
-class ShadowSharding
-    : public ::testing::TestWithParam<std::tuple<std::uint32_t,
-                                                 std::uint32_t>>
-{
-};
-
-TEST_P(ShadowSharding, DifferentialAgainstLegacyAndReference)
-{
-    const auto [bpb, shards] = GetParam();
-    ShadowMemory sharded(bpb, shards);
-    ShadowMemory legacy(bpb, 1); // the unsharded layout
-    RefShadow ref(bpb);
-    Rng rng(0xBEEF00 ^ (bpb << 8) ^ shards);
-
-    EXPECT_EQ(sharded.shardCount(), shards);
-    EXPECT_EQ(legacy.shardCount(), 1u);
-
-    for (int i = 0; i < 12000; ++i) {
-        Addr a = pickAddr(rng);
-        switch (rng.below(6)) {
-          case 1: {
-            std::uint8_t v = static_cast<std::uint8_t>(rng.below(256));
-            sharded.write(a, v);
-            legacy.write(a, v);
-            ref.write(a, v);
-            break;
-          }
-          case 2: {
-            unsigned n = static_cast<unsigned>(rng.range(1, 8));
-            std::uint64_t bits = rng.next();
-            sharded.writePacked(a, n, bits);
-            legacy.writePacked(a, n, bits);
-            ref.writePacked(a, n, bits);
-            break;
-          }
-          case 3: {
-            std::uint64_t len = rng.range(0, 300);
-            std::uint8_t v = static_cast<std::uint8_t>(rng.below(4));
-            sharded.fill(AddrRange{a, a + len}, v);
-            legacy.fill(AddrRange{a, a + len}, v);
-            ref.fill(AddrRange{a, a + len}, v);
-            break;
-          }
-          case 4: {
-            unsigned n = static_cast<unsigned>(rng.range(1, 8));
-            std::uint64_t want = ref.readPacked(a, n);
-            ASSERT_EQ(sharded.readPacked(a, n), want)
-                << "sharded readPacked @" << a << " n=" << n;
-            ASSERT_EQ(legacy.readPacked(a, n), want);
-            break;
-          }
-          case 5: {
-            std::uint64_t len = rng.range(0, 300);
-            std::uint8_t v = static_cast<std::uint8_t>(rng.below(4));
-            AddrRange r{a, a + len};
-            Addr want = ref.rangeFindNot(r, v);
-            ASSERT_EQ(sharded.rangeFindNot(r, v), want)
-                << "sharded rangeFindNot @" << a << " len=" << len;
-            ASSERT_EQ(legacy.rangeFindNot(r, v), want);
-            ASSERT_EQ(sharded.rangeAll(r, v), want == kInvalidAddr);
-            break;
-          }
-          default:
-            ASSERT_EQ(sharded.read(a), ref.read(a))
-                << "sharded read @" << a;
-            ASSERT_EQ(legacy.read(a), sharded.read(a));
-            break;
-        }
-    }
-
-    // The sharded layout allocates the same chunks (just distributed
-    // over shard maps) and must fingerprint identically to the legacy
-    // layout over the whole exercised window.
-    EXPECT_EQ(sharded.chunkCount(), legacy.chunkCount());
-    EXPECT_EQ(sharded.bytesAllocated(), legacy.bytesAllocated());
-    constexpr Addr kChunk = ShadowMemory::kChunkAppBytes;
-    EXPECT_EQ(test::shadowFingerprint(sharded, 0, 1024),
-              test::shadowFingerprint(legacy, 0, 1024));
-    EXPECT_EQ(test::shadowFingerprint(sharded, kChunk - 256, 512),
-              test::shadowFingerprint(legacy, kChunk - 256, 512));
-    EXPECT_EQ(test::shadowFingerprint(sharded, 3 * kChunk - 256, 512),
-              test::shadowFingerprint(legacy, 3 * kChunk - 256, 512));
-}
-
-TEST_P(ShadowSharding, ZeroWriteElisionPerShard)
-{
-    const auto [bpb, shards] = GetParam();
-    ShadowMemory s(bpb, shards);
-    constexpr Addr kChunk = ShadowMemory::kChunkAppBytes;
-
-    // Zero traffic over many chunks (landing in every shard) allocates
-    // nothing, regardless of shard count.
-    s.fill(AddrRange{0, 16 * kChunk}, 0);
-    for (unsigned c = 0; c < 16; ++c)
-        s.write(c * kChunk + 5, 0);
-    EXPECT_EQ(s.chunkCount(), 0u);
-    EXPECT_EQ(s.bytesAllocated(), 0u);
-
-    // One non-zero write per chunk allocates exactly one chunk each,
-    // and the totals aggregate correctly across shard maps.
-    for (unsigned c = 0; c < 16; ++c)
-        s.write(c * kChunk + 5, 1);
-    EXPECT_EQ(s.chunkCount(), 16u);
-    EXPECT_EQ(s.bytesAllocated(), 16u * kChunk * bpb / 8);
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    RatiosTimesShards, ShadowSharding,
+    RatiosConcurrency, ShadowFastPath,
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
-                       ::testing::Values(1u, 2u, 4u, 8u)));
+                       ::testing::Bool()));
 
 // ------------------------------------------------ fingerprint oracle
 
@@ -358,22 +261,21 @@ perByteFingerprint(const ShadowMemory &s, Addr base, std::uint64_t bytes)
     return h;
 }
 
-/** (bits per byte, shard count, concurrent mode). */
+/** (bits per byte, concurrent mode). */
 class ShadowFingerprintOracle
-    : public ::testing::TestWithParam<
-          std::tuple<std::uint32_t, std::uint32_t, bool>>
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, bool>>
 {
 };
 
 TEST_P(ShadowFingerprintOracle, MatchesPerByteLoopOverRandomShadows)
 {
-    const auto [bpb, shards, concurrent] = GetParam();
+    const auto [bpb, concurrent] = GetParam();
     constexpr Addr kChunk = ShadowMemory::kChunkAppBytes;
     const std::uint64_t word_app_bytes = 64 / bpb;
-    Rng rng(0xF1A9E7 ^ (bpb << 8) ^ (shards << 4) ^ concurrent);
+    Rng rng(0xF1A9E7 ^ (bpb << 8) ^ concurrent);
 
     for (int trial = 0; trial < 25; ++trial) {
-        ShadowMemory s(bpb, shards);
+        ShadowMemory s(bpb);
         s.setConcurrent(concurrent);
         const std::uint8_t max_v = static_cast<std::uint8_t>((1u << bpb) - 1);
 
@@ -424,9 +326,8 @@ TEST_P(ShadowFingerprintOracle, MatchesPerByteLoopOverRandomShadows)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RatiosShardsConcurrency, ShadowFingerprintOracle,
+    RatiosConcurrency, ShadowFingerprintOracle,
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
-                       ::testing::Values(1u, 4u),
                        ::testing::Bool()));
 
 TEST(ShadowFingerprint, EmptyShadowOverHeapAndGlobalsIsPinned)
@@ -454,41 +355,36 @@ TEST(ShadowFingerprint, EmptyShadowOverHeapAndGlobalsIsPinned)
 // ----------------------------- whole-run fingerprints, all lifeguards
 
 /**
- * The end-to-end guarantee the tentpole rides on: a full platform run
- * reaches bit-identical analysis conclusions (shadow fingerprints) for
- * every shard count, for all four lifeguards.
+ * A full platform run's shadow, for all four lifeguards: the
+ * chunk-walking heap + globals fingerprint every recording, replay and
+ * daemon verdict carries equals the per-byte oracle over the metadata
+ * a real run leaves behind.
  */
-class ShardedLifeguardRuns
+class LifeguardRunFingerprint
     : public test::QuietTestWithParam<LifeguardKind>
 {
 };
 
-TEST_P(ShardedLifeguardRuns, FingerprintIdenticalAcrossShardCounts)
+TEST_P(LifeguardRunFingerprint, MatchesPerByteLoop)
 {
-    const LifeguardKind lg = GetParam();
-    std::uint64_t baseline_fp = 0;
-    std::uint64_t baseline_cycles = 0;
-    for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-        ExperimentOptions opt = opts(1200);
-        opt.shadowShards = shards;
-        PlatformConfig cfg = makeConfig(WorkloadKind::kLu, lg,
-                                        MonitorMode::kParallel, 2, opt);
-        Platform p(cfg);
-        RunResult r = p.run();
-        ASSERT_EQ(p.lifeguard().shadow().shardCount(), shards);
-        std::uint64_t fp = heapGlobalsFingerprint(p.lifeguard().shadow());
-        if (shards == 1) {
-            baseline_fp = fp;
-            baseline_cycles = r.totalCycles;
-        } else {
-            EXPECT_EQ(fp, baseline_fp) << "shards=" << shards;
-            EXPECT_EQ(r.totalCycles, baseline_cycles)
-                << "shards=" << shards;
-        }
-    }
+    // A workload that leaves this lifeguard's final metadata non-empty
+    // (lu leaves AddrCheck's and LockSet's empty, fmm TaintCheck's).
+    const WorkloadKind w = GetParam() == LifeguardKind::kTaintCheck
+                               ? WorkloadKind::kLu
+                               : WorkloadKind::kFmm;
+    PlatformConfig cfg = makeConfig(w, GetParam(), MonitorMode::kParallel,
+                                    2, opts(1200));
+    Platform p(cfg);
+    p.run();
+    const ShadowMemory &s = p.lifeguard().shadow();
+    EXPECT_GT(s.chunkCount(), 0u);
+    EXPECT_EQ(heapGlobalsFingerprint(s),
+              perByteFingerprint(s, AddressLayout::kHeapBase, 1 << 20) ^
+                  perByteFingerprint(s, AddressLayout::kGlobalBase,
+                                     1 << 16));
 }
 
-INSTANTIATE_TEST_SUITE_P(AllLifeguards, ShardedLifeguardRuns,
+INSTANTIATE_TEST_SUITE_P(AllLifeguards, LifeguardRunFingerprint,
                          ::testing::Values(LifeguardKind::kAddrCheck,
                                            LifeguardKind::kTaintCheck,
                                            LifeguardKind::kMemCheck,

@@ -47,21 +47,6 @@ TEST(SimConfig, DescribeMentionsKeyParameters)
     EXPECT_NE(d.find("90-cycle"), std::string::npos);
 }
 
-TEST(SimConfig, EffectiveShadowShards)
-{
-    SimConfig c;
-    // Auto (0): one shard per lifeguard core, rounded up to a power of
-    // two; at least 1.
-    EXPECT_EQ(c.effectiveShadowShards(0), 1u);
-    EXPECT_EQ(c.effectiveShadowShards(1), 1u);
-    EXPECT_EQ(c.effectiveShadowShards(2), 2u);
-    EXPECT_EQ(c.effectiveShadowShards(3), 4u);
-    EXPECT_EQ(c.effectiveShadowShards(8), 8u);
-    // An explicit knob wins.
-    c.shadowShards = 16;
-    EXPECT_EQ(c.effectiveShadowShards(2), 16u);
-}
-
 TEST(SimConfig, EnumNames)
 {
     EXPECT_STREQ(toString(MemoryModel::kSC), "SC");

@@ -458,22 +458,20 @@ class ReplayModes : public QuietTest
 {
 };
 
-TEST_F(ReplayModes, ShardCountInvariance)
+TEST_F(ReplayModes, OceanReplaysBitIdentical)
 {
-    TempTrace tmp("shards");
+    // The bit-identity matrix records lu; ocean's stencil sweeps are a
+    // second, differently shaped journal.
+    TempTrace tmp("ocean");
     RunSpec spec = makeSpec(WorkloadKind::kOcean,
                             LifeguardKind::kTaintCheck, 2,
                             MemoryModel::kSC, 400, tmp.path());
     RunResult live = recordExperiment(spec);
 
-    for (std::uint32_t shards : {1u, 4u}) {
-        ReplayConfig cfg;
-        cfg.path = tmp.path();
-        cfg.shadowShards = shards;
-        ReplayPlatform rp(cfg);
-        RunResult replayed = rp.run();
-        expectSameRun(replayed, live);
-    }
+    ReplayConfig cfg;
+    cfg.path = tmp.path();
+    ReplayPlatform rp(std::move(cfg));
+    expectSameRun(rp.run(), live);
 }
 
 TEST_F(ReplayModes, CrossLifeguardReMonitoring)
@@ -663,6 +661,35 @@ TEST_F(ReplayModes, FutureStampedOpFailsReplayFast)
             rp.run();
         },
         "replay: .*malformed op stream: op cycle beyond the recorded run");
+}
+
+TEST_F(ReplayModes, ReservedHeaderWordIsIgnored)
+{
+    // Header offset 36 is reserved; older recordings may hold a
+    // nonzero value there (a host-tuning word that never affected
+    // results). Replay must ignore it, not reject the file: the
+    // rewritten copy replays to the untouched recording's results.
+    const std::string src = test::corpusTrace("addrcheck_sc_v2");
+    if (src.empty())
+        GTEST_SKIP() << "PARALOG_CORPUS not set (run under CTest)";
+    TempTrace tmp("reserved");
+    test::copyWithReservedWord(src, tmp.path(), 3);
+
+    trace::TraceReader tampered(tmp.path());
+    ASSERT_TRUE(tampered.ok()) << tampered.error();
+    trace::TraceReader original(src);
+    ASSERT_TRUE(original.ok()) << original.error();
+    EXPECT_NE(tampered.configFingerprint(), original.configFingerprint());
+
+    ReplayConfig want_cfg;
+    want_cfg.path = src;
+    RunResult want = ReplayPlatform(std::move(want_cfg)).run();
+    ReplayConfig got_cfg;
+    got_cfg.path = tmp.path();
+    RunResult got = ReplayPlatform(std::move(got_cfg)).run();
+    EXPECT_EQ(got.shadowFingerprint, original.footer().shadowFingerprint);
+    EXPECT_EQ(got.shadowFingerprint, want.shadowFingerprint);
+    EXPECT_EQ(got.violationFingerprint, want.violationFingerprint);
 }
 
 } // namespace

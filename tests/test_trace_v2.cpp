@@ -347,10 +347,8 @@ TEST_P(V2ReplayBitIdentical, V2ReplayMatchesV1ReplayAndLive)
     expectSameRun(from1, live);
     expectSameRun(from2, from1);
 
-    // Concurrent replay (lg-threads=4) and parallel chunk pre-decode:
-    // analysis results stay identical.
+    // Concurrent replay (lg-threads=4): analysis results stay identical.
     rep2.opt.lgThreads = 4;
-    rep2.opt.decodeJobs = 4;
     RunResult conc = replayExperiment(rep2);
     EXPECT_EQ(conc.shadowFingerprint, live.shadowFingerprint);
     EXPECT_EQ(conc.violationFingerprint, live.violationFingerprint);

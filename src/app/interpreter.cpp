@@ -166,8 +166,9 @@ Interpreter::expandSyscall(ThreadContext &tc, const Inst &inst)
     copy.size = inst.size;
     copy.imm = (inst.op == Op::kSyscallRead) ? 1 : 0;
 
-    if (cfg_.stallAppAtSyscalls)
-        tc.pushMicroOp(microSimple(Op::kDrainWait));
+    // Damage containment (paper section 3): the application waits at
+    // the system call until its lifeguard drains the log.
+    tc.pushMicroOp(microSimple(Op::kDrainWait));
     Inst begin = microHighLevel(HighLevelKind::kSyscallBegin, range,
                                 cfg_.conflictAlerts);
     begin.imm = (inst.op == Op::kSyscallRead) ? 1 : 2;

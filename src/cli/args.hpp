@@ -71,11 +71,11 @@ struct CliOptions
     std::uint64_t maxCycles = 0; ///< 0 = platform default watchdog
 
     /// --lg-threads=N: host threads for the lifeguard cores, live or
-    /// replay (0/1 = serial engine; >= 2 = concurrent engine). Live
-    /// concurrent runs keep analysis fingerprints identical to serial
-    /// but relax timing columns; composed with --record, the journal
-    /// carries a live-parallel header bit and replays result-exact
-    /// through the concurrent replay engine.
+    /// replay (0/1 = serial engine; >= 2 = concurrent engine). Which
+    /// result columns each engine keeps is ResultTier
+    /// (core/run_stats.hpp). Composed with --record, the journal
+    /// carries a live-parallel header bit and replays through the
+    /// concurrent replay engine.
     std::uint32_t lgThreads = 0;
     bool lgThreadsSet = false; ///< flag given (drives conflict checks)
 

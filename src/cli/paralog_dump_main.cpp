@@ -125,18 +125,19 @@ void
 printFooter(const TraceReader &reader)
 {
     const TraceFooter &f = reader.footer();
+    const RunResult &r = f.result;
     std::printf("footer:\n");
-    std::printf("  total cycles:       %llu\n", ull(f.totalCycles));
-    std::printf("  violations:         %llu\n", ull(f.violations));
+    std::printf("  total cycles:       %llu\n", ull(r.totalCycles));
+    std::printf("  violations:         %llu\n", ull(r.violationCount));
     std::printf("  versions:           produced %llu, consumed %llu, "
                 "stall retries %llu\n",
-                ull(f.versionsProduced), ull(f.versionsConsumed),
-                ull(f.versionStallRetries));
+                ull(r.versionsProduced), ull(r.versionsConsumed),
+                ull(r.versionStallRetries));
     std::printf("  shadow fingerprint: 0x%016llx\n",
-                ull(f.shadowFingerprint));
+                ull(r.shadowFingerprint));
     if (f.hasViolationFingerprint)
         std::printf("  violation fingerprint: 0x%016llx\n",
-                    ull(f.violationFingerprint));
+                    ull(r.violationFingerprint));
     else
         std::printf("  violation fingerprint: absent (pre-v2 tooling)\n");
     std::printf("  ops per thread:     [");

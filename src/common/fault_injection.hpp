@@ -42,8 +42,7 @@ namespace paralog {
 
 /**
  * The armed value of @p point, or nullopt when the point is not armed.
- * Precedence: programmatic arm, then a PARALOG_FAULT entry, then a
- * legacy alias variable.
+ * Precedence: programmatic arm, then a PARALOG_FAULT entry.
  */
 std::optional<std::uint64_t> faultValue(const std::string &point);
 

@@ -38,6 +38,27 @@ strprintf(const char *fmt, ...)
     return s;
 }
 
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    for (char c : s) {
+        switch (c) {
+          case '"':  out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20)
+                out += strprintf("\\u%04x", c);
+            else
+                out += c;
+        }
+    }
+    return out;
+}
+
 void
 panic(const char *fmt, ...)
 {

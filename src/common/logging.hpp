@@ -17,6 +17,11 @@ namespace paralog {
 std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/** @p s escaped for a JSON string literal: quote, backslash, newline,
+ *  carriage return and tab by their short escapes, any other control
+ *  character as a `\u00XX` escape. */
+std::string jsonEscape(const std::string &s);
+
 /**
  * What panic() carries when panic-throw mode is enabled: the simulation
  * is wedged or an invariant broke, but the *process* can carry on (the

@@ -120,7 +120,7 @@ recordExperiment(const RunSpec &spec)
     RunResult result = p.run();
     result.shadowFingerprint =
         heapGlobalsFingerprint(p.lifeguard().shadow());
-    if (!recorder.finalize(result, result.shadowFingerprint))
+    if (!recorder.finalize(result))
         panic("record: %s", recorder.error().c_str());
     return result;
 }

@@ -40,10 +40,8 @@ struct ExperimentOptions
     std::uint64_t maxCycles = 0;
     /// Host lifeguard threads (ReplayConfig::lgThreads for replay
     /// runs, PlatformConfig::lgThreads for live ones): 0/1 = serial
-    /// engine, >= 2 = concurrent engine. Live concurrent runs keep
-    /// analysis fingerprints identical to serial but relax timing
-    /// columns; composed with recording, the journal replays
-    /// result-exact (see PlatformConfig::lgThreads).
+    /// engine, >= 2 = concurrent engine. Which result columns each
+    /// engine keeps is ResultTier (core/run_stats.hpp).
     std::uint32_t lgThreads = 0;
 
     /** Scale override from the environment (PARALOG_SCALE), if set. */

@@ -288,4 +288,21 @@ LifeguardCore::step(Cycle now, Cycle batch_horizon)
     busyUntil = now + cost;
 }
 
+void
+collectLifeguardResult(
+    RunResult &result,
+    const std::vector<std::unique_ptr<LifeguardCore>> &cores,
+    VersionStore &versions, const Lifeguard &lifeguard)
+{
+    for (const auto &c : cores) {
+        result.lifeguard.push_back(c->stats);
+        result.versionStallRetries +=
+            c->enforcer().stats.get("version_stalls");
+    }
+    result.versionsProduced = versions.stats.counter("produced").value();
+    result.versionsConsumed = versions.stats.counter("consumed").value();
+    result.violationCount = lifeguard.violations.count();
+    result.violationFingerprint = lifeguard.violations.setFingerprint();
+}
+
 } // namespace paralog

@@ -88,6 +88,17 @@ class LifeguardCore
     std::vector<std::pair<VersionTag, RecordId>> pendingWriterStores_;
 };
 
+/**
+ * Fill the lifeguard-side columns of @p result the one way every
+ * engine reports them: per-core stats, TSO version counters,
+ * version-stall retries, and the violation count and distinct-set
+ * fingerprint.
+ */
+void collectLifeguardResult(
+    RunResult &result,
+    const std::vector<std::unique_ptr<LifeguardCore>> &cores,
+    VersionStore &versions, const Lifeguard &lifeguard);
+
 } // namespace paralog
 
 #endif // PARALOG_CORE_LIFEGUARD_CORE_HPP

@@ -269,18 +269,8 @@ Platform::collectResult(Cycle total_cycles)
         c->stats.programInsts = c->tc().programInsts;
         result.app.push_back(c->stats);
     }
-    for (auto &c : lgCores_) {
-        result.lifeguard.push_back(c->stats);
-        result.versionStallRetries +=
-            c->enforcer().stats.get("version_stalls");
-    }
-    result.versionsProduced = versions_.stats.counter("produced").value();
-    result.versionsConsumed = versions_.stats.counter("consumed").value();
-    if (lifeguard_) {
-        result.violationCount = lifeguard_->violations.count();
-        result.violationFingerprint =
-            lifeguard_->violations.setFingerprint();
-    }
+    if (lifeguard_) // unmonitored runs have no lifeguard side
+        collectLifeguardResult(result, lgCores_, versions_, *lifeguard_);
     return result;
 }
 

@@ -75,10 +75,8 @@ struct PlatformConfig
      * while min(lgThreads, appThreads) consumer threads run the
      * lifeguard cores round-robin behind lock-free SPSC rings, gated by
      * the online publication seal (CaptureUnit::publishSealed).
-     * Analysis results (shadow fingerprint, violation set) stay
-     * identical to serial; simulated timing and delivery-schedule
-     * columns are relaxed (no global clock across host threads).
-     * Requires parallel monitoring mode with ConflictAlerts enabled.
+     * Results match serial at ResultTier::kAnalysis. Requires parallel
+     * monitoring mode with ConflictAlerts enabled.
      */
     std::uint32_t lgThreads = 0;
 };

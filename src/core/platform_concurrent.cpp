@@ -38,12 +38,8 @@
  *
  * Delivery *order* on the consumer side is protocol-enforced (arcs
  * against the progress table, two-sided CA barriers, TSO version
- * waits), never schedule-reproduced. Analysis results — the shadow
- * fingerprint and the distinct-violation set — are identical to a
- * serial live run; simulated timing, stall breakdowns, per-stream
- * record counts and version counts are relaxed (application timing
- * feedback differs: the serial app waits for *consumption* at drain
- * points, the parallel app for *publication*).
+ * waits), never schedule-reproduced. The results match a serial live
+ * run at ResultTier::kAnalysis (core/run_stats.hpp).
  */
 
 #include "core/platform.hpp"

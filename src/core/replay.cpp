@@ -230,22 +230,16 @@ ReplayPlatform::run()
 
     // The oracle panics when a lifeguard performs *more* metadata
     // accesses than recorded; the opposite divergence — recorded
-    // latencies left unconsumed — is checked here (a warning in
-    // diagnosis mode, where the run is allowed to finish).
+    // latencies left unconsumed — is checked here.
     for (ThreadId t = 0; t < latStreams_.size(); ++t) {
-        if (latStreams_[t].exhausted())
-            continue;
-        if (cfg_.verify)
+        if (!latStreams_[t].exhausted())
             panic("replay diverged: lifeguard %u performed fewer "
                   "metadata accesses than recorded",
                   t);
-        warn("replay: lifeguard %u left recorded metadata-access "
-             "latencies unconsumed (divergence)",
-             t);
     }
 
-    if (sameLifeguard_ && cfg_.verify)
-        verifyAgainstFooter(result);
+    if (sameLifeguard_)
+        checkFooter(result, ResultTier::kExact);
     return result;
 }
 
@@ -315,92 +309,22 @@ ReplayPlatform::collectResult(Cycle total_cycles)
 {
     RunResult result;
     result.totalCycles = total_cycles;
-    result.app = reader_.footer().app; // no application ran: recorded
-    for (auto &c : lgCores_) {
-        result.lifeguard.push_back(c->stats);
-        result.versionStallRetries +=
-            c->enforcer().stats.get("version_stalls");
-    }
-    result.versionsProduced = versions_.stats.counter("produced").value();
-    result.versionsConsumed = versions_.stats.counter("consumed").value();
-    result.violationCount = lifeguard_->violations.count();
-    result.violationFingerprint = lifeguard_->violations.setFingerprint();
+    result.app = reader_.footer().result.app; // no application ran: recorded
+    collectLifeguardResult(result, lgCores_, versions_, *lifeguard_);
     result.shadowFingerprint = heapGlobalsFingerprint(lifeguard_->shadow());
     return result;
 }
 
-namespace {
-
-/** The one footer comparison both tiers use. */
 void
-expectFooter(const char *what, std::uint64_t got, std::uint64_t want)
+ReplayPlatform::checkFooter(const RunResult &result, ResultTier tier) const
 {
-    if (got != want)
-        panic("replay diverged from the recording: %s = %llu, recorded "
-              "%llu",
-              what, static_cast<unsigned long long>(got),
-              static_cast<unsigned long long>(want));
-}
-
-} // namespace
-
-void
-ReplayPlatform::verifyResultsAgainstFooter(const RunResult &result) const
-{
-    const trace::TraceFooter &f = reader_.footer();
-    expectFooter("shadow fingerprint", result.shadowFingerprint,
-                 f.shadowFingerprint);
-    // Violation *reports* are a delivery-schedule quantity: the
-    // Idempotent Filters absorb repeated checks, and how many repeats
-    // they absorb depends on stall-flush timing, which free-running
-    // consumers cannot reproduce. A first occurrence can never be
-    // absorbed, though, so found-any must agree.
-    if ((result.violationCount == 0) != (f.violations == 0))
-        expectFooter("violations (found-any)", result.violationCount,
-                     f.violations);
-    // The distinct-set fingerprint *is* schedule-invariant (unlike the
-    // report count), so footers that carry one pin it exactly. Older
-    // recordings predate it.
-    if (f.hasViolationFingerprint)
-        expectFooter("violation fingerprint", result.violationFingerprint,
-                     f.violationFingerprint);
-    expectFooter("versions produced", result.versionsProduced,
-                 f.versionsProduced);
-    expectFooter("versions consumed", result.versionsConsumed,
-                 f.versionsConsumed);
-    PARALOG_ASSERT(result.lifeguard.size() == f.lifeguard.size(),
-                   "recorded lifeguard thread count mismatch");
-    for (std::size_t i = 0; i < f.lifeguard.size(); ++i)
-        expectFooter("records processed",
-                     result.lifeguard[i].recordsProcessed,
-                     f.lifeguard[i].recordsProcessed);
-}
-
-void
-ReplayPlatform::verifyAgainstFooter(const RunResult &result) const
-{
-    verifyResultsAgainstFooter(result);
-    // Exact tier: the serial engine also reproduces the schedule, so
-    // the timing columns and the report count must match too.
-    const trace::TraceFooter &f = reader_.footer();
-    expectFooter("total cycles", result.totalCycles, f.totalCycles);
-    expectFooter("violations", result.violationCount, f.violations);
-    expectFooter("version stall retries", result.versionStallRetries,
-                 f.versionStallRetries);
-    for (std::size_t i = 0; i < f.lifeguard.size(); ++i) {
-        const LifeguardThreadStats &got = result.lifeguard[i];
-        const LifeguardThreadStats &want = f.lifeguard[i];
-        expectFooter("lifeguard useful cycles", got.usefulCycles,
-                     want.usefulCycles);
-        expectFooter("lifeguard dep stall", got.depStall, want.depStall);
-        expectFooter("lifeguard CA stall", got.caStall, want.caStall);
-        expectFooter("lifeguard version stall", got.versionStall,
-                     want.versionStall);
-        expectFooter("lifeguard app stall", got.appStall, want.appStall);
-        expectFooter("events handled", got.eventsHandled,
-                     want.eventsHandled);
-        expectFooter("lifeguard done cycle", got.doneAt, want.doneAt);
-    }
+    RunResult want = reader_.footer().result;
+    // Recordings older than the violation fingerprint pin nothing there.
+    if (!reader_.footer().hasViolationFingerprint)
+        want.violationFingerprint = result.violationFingerprint;
+    const std::string diff = resultMismatch(tier, result, want);
+    if (!diff.empty())
+        panic("replay diverged from the recording: %s", diff.c_str());
 }
 
 } // namespace paralog

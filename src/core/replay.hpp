@@ -46,17 +46,13 @@ struct ReplayConfig
     LifeguardKind lifeguard = LifeguardKind::kTaintCheck;
     std::uint64_t maxCycles = 1ULL << 36;
     std::uint64_t stallWatchdogIters = 2'000'000;
-    /// Skip the footer self-check (divergence diagnosis tooling).
-    bool verify = true;
     /**
-     * Host lifeguard threads. 0 and 1 select the serial engine
-     * (bit-identical, footer-verified). >= 2 selects the concurrent
-     * engine: the calling thread re-applies the journal while
-     * min(lgThreads, k) consumer threads run the lifeguard cores,
-     * fed through lock-free SPSC rings. Analysis results (shadow
-     * fingerprint, violations, records processed, versions) stay
-     * identical to the serial engine; simulated *timing* is relaxed
-     * (see runConcurrent).
+     * Host lifeguard threads. 0 and 1 select the serial engine.
+     * >= 2 selects the concurrent engine: the calling thread re-applies
+     * the journal while min(lgThreads, k) consumer threads run the
+     * lifeguard cores, fed through lock-free SPSC rings. The footer
+     * self-check holds the serial engine to ResultTier::kExact and the
+     * concurrent one to ResultTier::kResults (core/run_stats.hpp).
      */
     std::uint32_t lgThreads = 0;
 };
@@ -139,7 +135,8 @@ class ReplayPlatform
      *  host-parallel engine select it implicitly (same-lifeguard
      *  replays only): their journals carry no lifeguard-step stamps,
      *  so the serial scheduler has no interleaving to reproduce — the
-     *  protocol-enforced engine re-monitors them result-exact. */
+     *  protocol-enforced engine re-monitors them at
+     *  ResultTier::kResults. */
     bool concurrent() const { return concurrent_; }
 
     /** The recording was made by the live host-parallel engine
@@ -152,12 +149,9 @@ class ReplayPlatform
     /// Shared result assembly (per-core stats, version counters,
     /// violation and shadow fingerprints; app stats from the footer).
     RunResult collectResult(Cycle total_cycles);
-    /// Results-tier footer check: the analysis results every engine
-    /// reproduces (timing columns are relaxed in the concurrent one).
-    void verifyResultsAgainstFooter(const RunResult &result) const;
-    /// Exact-tier footer check of the serial engine: the results tier
-    /// plus cycle counts, report counts and per-core timing stats.
-    void verifyAgainstFooter(const RunResult &result) const;
+    /// The footer self-check: panics unless @p result matches the
+    /// recorded results on every column of @p tier.
+    void checkFooter(const RunResult &result, ResultTier tier) const;
 
     // SerialScheduler hooks (core/serial_scheduler.hpp). The producers
     // are the recorded journals, one per application thread.

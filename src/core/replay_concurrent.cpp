@@ -34,11 +34,9 @@
  * order-enforcing components run the real protocol (dependence arcs
  * against the release/acquire progress table, two-sided ConflictAlert
  * barriers, TSO version waits), which is what orders same-line metadata
- * accesses. Analysis results — shadow fingerprint, violations, records
- * processed, versions produced/consumed — are therefore identical to
- * the serial engine (checked against the trace footer and by the
- * differential test matrix). Simulated *timing* (cycle counts, stall
- * breakdowns) is relaxed: there is no global clock across host threads.
+ * accesses. The results therefore match the recording at
+ * ResultTier::kResults (core/run_stats.hpp), checked against the trace
+ * footer and by the differential test matrix.
  */
 
 #include "core/replay.hpp"
@@ -122,8 +120,7 @@ ReplayPlatform::runConcurrent()
     for (auto &c : lgCores_)
         total = std::max(total, c->busyUntil);
     RunResult result = collectResult(total);
-    if (cfg_.verify)
-        verifyResultsAgainstFooter(result);
+    checkFooter(result, ResultTier::kResults);
     return result;
 }
 

@@ -9,6 +9,7 @@
 #define PARALOG_CORE_RUN_STATS_HPP
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -69,11 +70,8 @@ struct RunResult
     std::uint64_t shadowFingerprint = 0;
 
     /// Hash of the set of *distinct* (kind, tid, addr) violations
-    /// (ViolationLog::setFingerprint). violationCount is a
-    /// report-granularity quantity — duplicate reports absorbed by the
-    /// Idempotent Filters vary with stall-flush timing — while the
-    /// distinct set is invariant across serial and host-parallel
-    /// monitoring; the concurrent-replay differential compares this.
+    /// (ViolationLog::setFingerprint). Unlike violationCount it holds
+    /// in every ResultTier.
     std::uint64_t violationFingerprint = 0;
 
     Cycle
@@ -103,6 +101,42 @@ struct RunResult
         return sum;
     }
 };
+
+/**
+ * Which RunResult columns two runs of the same recording or program
+ * must agree on. Each engine guarantees one tier, and resultMismatch()
+ * is the one place that says which columns a tier compares.
+ *
+ * - kAnalysis: the shadow fingerprint, the distinct-violation
+ *   fingerprint, and found-any (whether both sides found at least one
+ *   violation). A live `--lg-threads` run guarantees this tier against
+ *   a serial live run.
+ * - kResults: kAnalysis, plus versions produced and consumed, the
+ *   lifeguard count, and per-lifeguard records processed. Concurrent
+ *   replay guarantees this tier against the recorded footer.
+ * - kExact: every RunResult field. Serial replay guarantees this tier
+ *   against the footer; it also holds between a recording and its
+ *   replay, between v1 and v2 twins, and across repeated runs.
+ *
+ * Why each tier leaves columns out:
+ * - Violation *report* counts (beyond found-any) are outside kResults:
+ *   the Idempotent Filters absorb duplicate reports, and how many they
+ *   absorb depends on stall-flush timing. A first occurrence is never
+ *   absorbed, so found-any and the distinct set still hold.
+ * - Record and version counts are outside kAnalysis: the live parallel
+ *   application waits for publication, not for consumption, so its
+ *   interleaving differs from the serial application's. Replay has no
+ *   application, so kResults keeps them.
+ * - Cycle counts, stall breakdowns, events handled and version-stall
+ *   retries are kExact only: there is no global clock across host
+ *   threads.
+ */
+enum class ResultTier { kAnalysis, kResults, kExact };
+
+/** "" when @p got agrees with @p want on every column of @p tier,
+ *  else the first column that differs, as "<column> = X, expected Y". */
+std::string resultMismatch(ResultTier tier, const RunResult &got,
+                           const RunResult &want);
 
 } // namespace paralog
 

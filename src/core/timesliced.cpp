@@ -213,11 +213,9 @@ Timesliced::run()
     RunResult result;
     result.totalCycles = now;
     result.app = appStats_;
-    result.lifeguard.push_back(lgCores_[0]->stats);
-    result.violationCount = lifeguard_->violations.count();
-    for (auto &tc : tcs_) {
+    for (auto &tc : tcs_)
         result.app[tc->tid()].programInsts = tc->programInsts;
-    }
+    collectLifeguardResult(result, lgCores_, versions_, *lifeguard_);
     return result;
 }
 

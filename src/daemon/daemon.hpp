@@ -180,10 +180,6 @@ class Daemon
     bool panicThrowsPrev_ = false;
 };
 
-/** JSON string escaping for the response bodies (shared with client
- *  tests that assemble expected substrings). */
-std::string jsonEscape(const std::string &s);
-
 } // namespace paralog::daemon
 
 #endif // PARALOG_DAEMON_DAEMON_HPP

@@ -12,7 +12,6 @@ SimConfig::forAppThreads(std::uint32_t app_threads)
     SimConfig cfg;
     cfg.appThreads = app_threads;
 
-    cfg.l1i = CacheParams{64 * 1024, 64, 4, 1};
     cfg.l1d = CacheParams{64 * 1024, 64, 4, 2};
 
     // Table 1: shared L2 of 2/4/8 MB as the core count grows (4/8/16

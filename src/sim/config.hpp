@@ -88,7 +88,6 @@ struct SimConfig
     /// latency dominates the compute kernels.
     Cycle aluLatency = 3;
 
-    CacheParams l1i; ///< 64 KB, 4-way, 1 cycle (unused by the trace model)
     CacheParams l1d; ///< 64 KB, 4-way, 2 cycles
     CacheParams l2;  ///< sized by cores, 8-way, 6 cycles
     Cycle memLatency = 90;
@@ -97,10 +96,6 @@ struct SimConfig
     std::uint64_t logBufferBytes = 64 * 1024;
 
     AccelParams accel;
-
-    /// Stall the application at system calls until its lifeguard drains
-    /// the log (damage containment, paper section 3).
-    bool stallAppAtSyscalls = true;
 
     /// Issue ConflictAlert broadcasts from the malloc/free wrapper
     /// library and around system calls (section 5.4). Disabling this is

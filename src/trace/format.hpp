@@ -151,24 +151,18 @@ struct TraceConfig
     }
 };
 
-/** Recorded run results: replay copies the application side verbatim
- *  and self-checks the recomputed lifeguard side against the rest. */
+/** A recording's run results plus what only a journal carries: replay
+ *  copies `result.app` verbatim and self-checks its recomputed
+ *  lifeguard side against the rest (core/run_stats.hpp, ResultTier). */
 struct TraceFooter
 {
-    std::vector<AppThreadStats> app;
-    std::vector<LifeguardThreadStats> lifeguard;
+    RunResult result;
     std::vector<std::uint64_t> opCount;     ///< journal ops per thread
     std::vector<std::uint64_t> recordCount; ///< appended records per thread
-    Cycle totalCycles = 0;
-    std::uint64_t violations = 0;
-    std::uint64_t versionsProduced = 0;
-    std::uint64_t versionsConsumed = 0;
-    std::uint64_t versionStallRetries = 0;
-    std::uint64_t shadowFingerprint = 0;
-    // Appended after the original fields (additive evolution): absent
-    // in recordings made before it existed, so presence is tracked
-    // explicitly rather than inferred from a sentinel value.
-    std::uint64_t violationFingerprint = 0;
+    // result.violationFingerprint is appended after the original fields
+    // (additive evolution): absent in recordings made before it
+    // existed, so presence is tracked explicitly rather than inferred
+    // from a sentinel value.
     bool hasViolationFingerprint = false;
 };
 

@@ -131,19 +131,10 @@ TraceRecorder::onCaBroadcast(const CaBroadcast &b)
 }
 
 bool
-TraceRecorder::finalize(const RunResult &result,
-                        std::uint64_t shadow_fingerprint)
+TraceRecorder::finalize(const RunResult &result)
 {
     TraceFooter footer;
-    footer.app = result.app;
-    footer.lifeguard = result.lifeguard;
-    footer.totalCycles = result.totalCycles;
-    footer.violations = result.violationCount;
-    footer.versionsProduced = result.versionsProduced;
-    footer.versionsConsumed = result.versionsConsumed;
-    footer.versionStallRetries = result.versionStallRetries;
-    footer.shadowFingerprint = shadow_fingerprint;
-    footer.violationFingerprint = result.violationFingerprint;
+    footer.result = result;
     footer.hasViolationFingerprint = true;
     return writer_.finalize(footer);
 }

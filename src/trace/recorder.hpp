@@ -73,10 +73,9 @@ class TraceRecorder : public CaptureJournal
         writer_.appendMetaLatency(tid, latency);
     }
 
-    /** Write the footer (recorded results + shadow fingerprint) and
-     *  close the file. Returns false on I/O failure. */
-    bool finalize(const RunResult &result,
-                  std::uint64_t shadow_fingerprint);
+    /** Write the footer (the run's results, shadow fingerprint
+     *  included) and close the file. Returns false on I/O failure. */
+    bool finalize(const RunResult &result);
 
   private:
     /** Start an op in the scratch buffer: opcode + (gseq, cycle,

@@ -219,10 +219,11 @@ void
 TraceReader::parseFooter(const std::vector<std::uint8_t> &payload)
 {
     ByteCursor c(payload.data(), payload.size());
+    RunResult &r = footer_.result;
     std::uint64_t n = 0;
     bool good = c.getVarint(n) && n == cfg_.appThreads;
-    footer_.app.resize(good ? n : 0);
-    for (AppThreadStats &a : footer_.app) {
+    r.app.resize(good ? n : 0);
+    for (AppThreadStats &a : r.app) {
         good = good && c.getVarint(a.execCycles) &&
                c.getVarint(a.logFullStall) && c.getVarint(a.lockStall) &&
                c.getVarint(a.barrierStall) && c.getVarint(a.drainStall) &&
@@ -238,20 +239,20 @@ TraceReader::parseFooter(const std::vector<std::uint8_t> &payload)
     }
     std::uint64_t nlg = 0;
     good = good && c.getVarint(nlg) && nlg <= 1024;
-    footer_.lifeguard.resize(good ? nlg : 0);
-    for (LifeguardThreadStats &l : footer_.lifeguard) {
+    r.lifeguard.resize(good ? nlg : 0);
+    for (LifeguardThreadStats &l : r.lifeguard) {
         good = good && c.getVarint(l.usefulCycles) &&
                c.getVarint(l.depStall) && c.getVarint(l.caStall) &&
                c.getVarint(l.versionStall) && c.getVarint(l.appStall) &&
                c.getVarint(l.recordsProcessed) &&
                c.getVarint(l.eventsHandled) && c.getVarint(l.doneAt);
     }
-    good = good && c.getVarint(footer_.totalCycles) &&
-           c.getVarint(footer_.violations) &&
-           c.getVarint(footer_.versionsProduced) &&
-           c.getVarint(footer_.versionsConsumed) &&
-           c.getVarint(footer_.versionStallRetries) &&
-           c.getVarint(footer_.shadowFingerprint);
+    good = good && c.getVarint(r.totalCycles) &&
+           c.getVarint(r.violationCount) &&
+           c.getVarint(r.versionsProduced) &&
+           c.getVarint(r.versionsConsumed) &&
+           c.getVarint(r.versionStallRetries) &&
+           c.getVarint(r.shadowFingerprint);
     if (!good) {
         fail("malformed footer");
         return;
@@ -259,7 +260,7 @@ TraceReader::parseFooter(const std::vector<std::uint8_t> &payload)
     // Appended-field region: absent in older recordings, ignored
     // beyond what this reader knows (additive evolution).
     if (!c.atEnd()) {
-        if (!c.getVarint(footer_.violationFingerprint)) {
+        if (!c.getVarint(r.violationFingerprint)) {
             fail("malformed footer");
             return;
         }
@@ -268,12 +269,12 @@ TraceReader::parseFooter(const std::vector<std::uint8_t> &payload)
     // A parallel recording runs one lifeguard core per app core; a
     // footer disagreeing with the header's thread count (e.g. an empty
     // lifeguard list behind an intact config fingerprint — the header
-    // checksum does not cover the footer) would otherwise surface as
-    // an assertion failure deep inside replay's footer self-check.
+    // checksum does not cover the footer) would otherwise surface
+    // only after a whole replay, as a footer self-check mismatch.
     if (cfg_.mode == MonitorMode::kParallel &&
-        footer_.lifeguard.size() != cfg_.appThreads)
+        r.lifeguard.size() != cfg_.appThreads)
         fail("footer has lifeguard stats for " +
-             std::to_string(footer_.lifeguard.size()) +
+             std::to_string(r.lifeguard.size()) +
              " cores in a " + std::to_string(cfg_.appThreads) +
              "-core parallel recording (corrupt or tampered footer)");
 }
@@ -348,7 +349,7 @@ TraceReader::OpStream::next(TraceOp &out)
         return bad("truncated op prelude");
     // Replay holds an op until its cycle comes round, so an op stamped
     // past the recorded run would idle the scheduler up to maxCycles.
-    if (d_cycle > reader_->footer_.totalCycles - cycle_)
+    if (d_cycle > reader_->footer_.result.totalCycles - cycle_)
         return bad("op cycle beyond the recorded run");
     gseq_ += d_gseq;
     cycle_ += d_cycle;

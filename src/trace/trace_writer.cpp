@@ -207,9 +207,10 @@ TraceWriter::finalize(const TraceFooter &footer)
     }
 
     finalized_ = true; // writeHeader() now records the footer offset
+    const RunResult &r = footer.result;
     std::vector<std::uint8_t> f;
-    putVarint(f, footer.app.size());
-    for (const AppThreadStats &a : footer.app) {
+    putVarint(f, r.app.size());
+    for (const AppThreadStats &a : r.app) {
         putVarint(f, a.execCycles);
         putVarint(f, a.logFullStall);
         putVarint(f, a.lockStall);
@@ -225,8 +226,8 @@ TraceWriter::finalize(const TraceFooter &footer)
         putVarint(f, t < opCount.size() ? opCount[t] : 0);
         putVarint(f, t < recordCount.size() ? recordCount[t] : 0);
     }
-    putVarint(f, footer.lifeguard.size());
-    for (const LifeguardThreadStats &l : footer.lifeguard) {
+    putVarint(f, r.lifeguard.size());
+    for (const LifeguardThreadStats &l : r.lifeguard) {
         putVarint(f, l.usefulCycles);
         putVarint(f, l.depStall);
         putVarint(f, l.caStall);
@@ -236,16 +237,16 @@ TraceWriter::finalize(const TraceFooter &footer)
         putVarint(f, l.eventsHandled);
         putVarint(f, l.doneAt);
     }
-    putVarint(f, footer.totalCycles);
-    putVarint(f, footer.violations);
-    putVarint(f, footer.versionsProduced);
-    putVarint(f, footer.versionsConsumed);
-    putVarint(f, footer.versionStallRetries);
-    putVarint(f, footer.shadowFingerprint);
+    putVarint(f, r.totalCycles);
+    putVarint(f, r.violationCount);
+    putVarint(f, r.versionsProduced);
+    putVarint(f, r.versionsConsumed);
+    putVarint(f, r.versionStallRetries);
+    putVarint(f, r.shadowFingerprint);
     // Additive field: old readers ignore trailing footer bytes, old
     // recordings simply lack it (migration preserves the absence).
     if (footer.hasViolationFingerprint)
-        putVarint(f, footer.violationFingerprint);
+        putVarint(f, r.violationFingerprint);
 
     long footer_at = ok_ ? std::ftell(file_) : -1;
     flushChunk(kChunkFooter, kNoThread, f);

@@ -4,8 +4,9 @@
  * live run, the footer and every chunk CRC stay valid: the inputs the
  * replay watchdog and the journal reader must turn into fast, named
  * failures (offline and inside paralogd). Also committed recordings
- * whose header is rewritten with a consistent config fingerprint: the
- * inputs replay must accept unchanged.
+ * whose header is rewritten with a consistent config fingerprint (the
+ * inputs replay must accept unchanged), and recordings copied behind an
+ * edited footer (the inputs the footer self-check must refuse).
  */
 
 #ifndef PARALOG_TESTS_HARNESS_TAMPERED_JOURNALS_HPP
@@ -22,6 +23,8 @@
 #include "harness/paralog_test.hpp"
 #include "trace/format.hpp"
 #include "trace/recorder.hpp"
+#include "trace/trace_reader.hpp"
+#include "trace/trace_writer.hpp"
 
 namespace paralog::test {
 
@@ -58,8 +61,7 @@ recordLuJournal(const std::string &path, MemoryModel mm)
     RunResult result = p.run();
     result.shadowFingerprint =
         heapGlobalsFingerprint(p.lifeguard().shadow());
-    ASSERT_TRUE(recorder.finalize(result, result.shadowFingerprint))
-        << recorder.error();
+    ASSERT_TRUE(recorder.finalize(result)) << recorder.error();
 }
 
 /** Records normally, except that the journal's first retire op is
@@ -115,6 +117,38 @@ copyWithReservedWord(const std::string &src, const std::string &dst,
     out.write(reinterpret_cast<const char *>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
     ASSERT_TRUE(out) << dst;
+}
+
+/**
+ * Copy the recording at @p src to @p dst the way trace::migrateTrace
+ * does, in the same container format, after passing its footer through
+ * @p edit: the same journal, every chunk CRC valid, behind a footer
+ * that TraceWriter::finalize re-encodes from the edited copy.
+ */
+template <typename Edit>
+void
+copyWithFooter(const std::string &src, const std::string &dst, Edit edit)
+{
+    trace::TraceReader reader(src);
+    ASSERT_TRUE(reader.ok()) << src << ": " << reader.error();
+    trace::TraceWriter writer(dst, reader.config(), reader.formatVersion());
+    writer.opCount = reader.footer().opCount;
+    writer.recordCount = reader.footer().recordCount;
+    writer.setTotals(reader.totalOps(), reader.totalRecords());
+    std::vector<std::uint8_t> payload;
+    for (std::size_t i = 0; i < reader.chunkCount(); ++i) {
+        const std::uint32_t kind = reader.chunkKind(i);
+        if (kind != trace::kChunkOps && kind != trace::kChunkMetaLatency)
+            continue;
+        ASSERT_TRUE(reader.chunkPayload(i, payload)) << reader.error();
+        if (kind == trace::kChunkOps)
+            writer.writeOpsChunk(reader.chunkTid(i), payload);
+        else
+            writer.writeLatencyChunk(reader.chunkTid(i), payload);
+    }
+    trace::TraceFooter footer = reader.footer();
+    edit(footer);
+    ASSERT_TRUE(writer.finalize(footer)) << writer.error();
 }
 
 } // namespace paralog::test

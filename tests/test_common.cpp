@@ -6,6 +6,7 @@
 
 #include "common/bitops.hpp"
 #include "common/interval_set.hpp"
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 
@@ -133,6 +134,15 @@ TEST(IntervalSet, Overlaps)
     EXPECT_TRUE(s.overlaps(199, 300));
     EXPECT_FALSE(s.overlaps(200, 300));
     EXPECT_FALSE(s.overlaps(0, 100));
+}
+
+TEST(JsonEscape, EscapesQuotesBackslashesAndControlCharacters)
+{
+    EXPECT_EQ(jsonEscape("plain text"), "plain text");
+    EXPECT_EQ(jsonEscape("say \"hi\""), "say \\\"hi\\\"");
+    EXPECT_EQ(jsonEscape("C:\\dir"), "C:\\\\dir");
+    EXPECT_EQ(jsonEscape("a\nb\rc\td"), "a\\nb\\rc\\td");
+    EXPECT_EQ(jsonEscape(std::string("x\x01y")), "x\\u0001y");
 }
 
 TEST(Stats, CounterBasics)

@@ -3,17 +3,11 @@
  * Differential tests for the host-parallel *live* monitoring engine
  * (`--lg-threads` without `--replay`, core/platform_concurrent.cpp):
  * for every lifeguard × memory model × core count × thread count, a
- * live run with the lifeguard cores on host threads must reach exactly
- * the serial scheduler's analysis conclusions — shadow fingerprint and
- * distinct-violation set — while timing-derived columns are relaxed.
- *
- * The equality contract here is deliberately *narrower* than the
- * replay-engine differential (test_concurrent_replay.cpp): live, the
- * application's timing feedback differs between the engines (the
- * serial app waits for record *consumption* at drain points, the
- * parallel app for *publication*), so per-stream record counts and
- * TSO version counts are legitimately different executions of the
- * same program — only the analysis conclusions are invariant.
+ * live run with the lifeguard cores on host threads must match the
+ * serial scheduler at ResultTier::kAnalysis (core/run_stats.hpp): one
+ * tier below the replay-engine differential (test_concurrent_replay.cpp),
+ * because live the two engines execute legitimately different
+ * interleavings of the same program.
  *
  * Also covers: --record composing with the live engine (the journal
  * replays result-exact through the concurrent replay engine, selected
@@ -61,14 +55,8 @@ class TempTrace
     std::string path_;
 };
 
-/** One live run plus the shadow fingerprint plain runs leave unset. */
-struct LiveRun
-{
-    RunResult result;
-    std::uint64_t shadowFp = 0;
-};
-
-LiveRun
+/** One live run, with the shadow fingerprint plain runs leave unset. */
+RunResult
 runLive(WorkloadKind w, LifeguardKind lg, std::uint32_t cores,
         MemoryModel mm, std::uint64_t scale, std::uint32_t lg_threads,
         std::uint32_t deliver_batch = 0)
@@ -81,23 +69,9 @@ runLive(WorkloadKind w, LifeguardKind lg, std::uint32_t cores,
     if (deliver_batch != 0)
         cfg.sim.deliverBatchMax = deliver_batch;
     Platform p(std::move(cfg));
-    LiveRun run;
-    run.result = p.run();
-    run.shadowFp = heapGlobalsFingerprint(p.lifeguard().shadow());
-    return run;
-}
-
-/** The analysis-conclusion equality the live engine guarantees. See
- *  the file comment for why everything else (timing, per-stream record
- *  counts, version counters, violation *report* counts) is relaxed. */
-void
-expectSameAnalysis(const LiveRun &conc, const LiveRun &serial)
-{
-    EXPECT_EQ(conc.shadowFp, serial.shadowFp);
-    EXPECT_EQ(conc.result.violationFingerprint,
-              serial.result.violationFingerprint);
-    EXPECT_EQ(conc.result.violationCount == 0,
-              serial.result.violationCount == 0);
+    RunResult result = p.run();
+    result.shadowFingerprint = heapGlobalsFingerprint(p.lifeguard().shadow());
+    return result;
 }
 
 // ------------------------------------------- differential matrix ----
@@ -117,17 +91,17 @@ class LiveConcurrentMatchesSerial
 TEST_P(LiveConcurrentMatchesSerial, AnalysisConclusionsIdentical)
 {
     const LiveCell &cell = GetParam();
-    LiveRun serial = runLive(WorkloadKind::kLu, cell.lifeguard,
-                             cell.cores, cell.memoryModel, 400, 0);
-    ASSERT_NE(serial.shadowFp, 0u);
+    RunResult serial = runLive(WorkloadKind::kLu, cell.lifeguard,
+                               cell.cores, cell.memoryModel, 400, 0);
+    ASSERT_NE(serial.shadowFingerprint, 0u);
 
     // lgThreads beyond the core count exercises the min(lgThreads, k)
     // consumer clamp (every cell at cores=1 runs a single consumer).
     for (std::uint32_t threads : {2u, 4u}) {
-        LiveRun conc = runLive(WorkloadKind::kLu, cell.lifeguard,
-                               cell.cores, cell.memoryModel, 400,
-                               threads);
-        expectSameAnalysis(conc, serial);
+        RunResult conc = runLive(WorkloadKind::kLu, cell.lifeguard,
+                                 cell.cores, cell.memoryModel, 400,
+                                 threads);
+        EXPECT_EQ(resultMismatch(ResultTier::kAnalysis, conc, serial), "");
     }
 }
 
@@ -163,12 +137,12 @@ TEST_F(LiveConcurrentModes, OceanMatchesSerial)
 {
     // The differential matrix runs lu; ocean's stencil sweeps give the
     // shared chunk table a second, differently shaped access pattern.
-    LiveRun serial = runLive(WorkloadKind::kOcean,
-                             LifeguardKind::kTaintCheck, 4,
-                             MemoryModel::kSC, 400, 0);
-    LiveRun conc = runLive(WorkloadKind::kOcean, LifeguardKind::kTaintCheck,
-                           4, MemoryModel::kSC, 400, 4);
-    expectSameAnalysis(conc, serial);
+    RunResult serial = runLive(WorkloadKind::kOcean,
+                               LifeguardKind::kTaintCheck, 4,
+                               MemoryModel::kSC, 400, 0);
+    RunResult conc = runLive(WorkloadKind::kOcean, LifeguardKind::kTaintCheck,
+                             4, MemoryModel::kSC, 400, 4);
+    EXPECT_EQ(resultMismatch(ResultTier::kAnalysis, conc, serial), "");
 }
 
 TEST_F(LiveConcurrentModes, ZeroAndOneThreadSelectTheSerialEngine)
@@ -200,13 +174,13 @@ TEST_F(LiveConcurrentModes, RepeatedConcurrentRunsAreStable)
     // Host-thread scheduling varies run to run; analysis conclusions
     // must not. Repeats under the most protocol-heavy cell (TSO +
     // ConflictAlerts + LockSet's serialized read-side metadata writes).
-    LiveRun serial = runLive(WorkloadKind::kLu, LifeguardKind::kLockSet,
-                             4, MemoryModel::kTSO, 400, 0);
+    RunResult serial = runLive(WorkloadKind::kLu, LifeguardKind::kLockSet,
+                               4, MemoryModel::kTSO, 400, 0);
     for (int i = 0; i < 3; ++i) {
-        LiveRun conc = runLive(WorkloadKind::kLu,
-                               LifeguardKind::kLockSet, 4,
-                               MemoryModel::kTSO, 400, 4);
-        expectSameAnalysis(conc, serial);
+        RunResult conc = runLive(WorkloadKind::kLu,
+                                 LifeguardKind::kLockSet, 4,
+                                 MemoryModel::kTSO, 400, 4);
+        EXPECT_EQ(resultMismatch(ResultTier::kAnalysis, conc, serial), "");
     }
 }
 
@@ -216,14 +190,14 @@ TEST_F(LiveConcurrentModes, DeliveryBatchSizeInvariance)
     // boundary must never leak into analysis conclusions. TSO makes
     // this load-bearing: version consume/produce ops interleave with
     // deliveries inside one batch.
-    LiveRun serial = runLive(WorkloadKind::kLu,
-                             LifeguardKind::kTaintCheck, 4,
-                             MemoryModel::kTSO, 400, 0);
-    for (std::uint32_t batch : {1u, 16u}) {
-        LiveRun conc = runLive(WorkloadKind::kLu,
+    RunResult serial = runLive(WorkloadKind::kLu,
                                LifeguardKind::kTaintCheck, 4,
-                               MemoryModel::kTSO, 400, 4, batch);
-        expectSameAnalysis(conc, serial);
+                               MemoryModel::kTSO, 400, 0);
+    for (std::uint32_t batch : {1u, 16u}) {
+        RunResult conc = runLive(WorkloadKind::kLu,
+                                 LifeguardKind::kTaintCheck, 4,
+                                 MemoryModel::kTSO, 400, 4, batch);
+        EXPECT_EQ(resultMismatch(ResultTier::kAnalysis, conc, serial), "");
     }
 }
 
@@ -263,9 +237,7 @@ TEST_F(LiveRecordReplay, LiveParallelRecordingReplaysResultExact)
         EXPECT_TRUE(rp.recordedConfig().liveParallel);
         EXPECT_TRUE(rp.concurrent());
         RunResult result = rp.run();
-        EXPECT_EQ(result.shadowFingerprint, live.shadowFingerprint);
-        EXPECT_EQ(result.violationFingerprint,
-                  live.violationFingerprint);
+        EXPECT_EQ(resultMismatch(ResultTier::kResults, result, live), "");
     }
     // Explicit thread counts compose with the implicit selection.
     {
@@ -275,7 +247,7 @@ TEST_F(LiveRecordReplay, LiveParallelRecordingReplaysResultExact)
         ReplayPlatform rp(std::move(cfg));
         EXPECT_TRUE(rp.concurrent());
         RunResult result = rp.run();
-        EXPECT_EQ(result.shadowFingerprint, live.shadowFingerprint);
+        EXPECT_EQ(resultMismatch(ResultTier::kResults, result, live), "");
     }
     // Cross-lifeguard re-monitoring of a live-parallel journal keeps
     // the serial engine (approximate, no footer check): the implicit

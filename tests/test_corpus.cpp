@@ -29,6 +29,7 @@
 
 #include "core/replay.hpp"
 #include "harness/paralog_test.hpp"
+#include "harness/tampered_journals.hpp"
 #include "trace/format.hpp"
 #include "trace/trace_reader.hpp"
 
@@ -161,7 +162,6 @@ TEST_F(CorpusGate, SerialReplayMatchesEveryRecordedFooter)
         std::string path = tracePath(e);
         trace::TraceReader reader(path);
         ASSERT_TRUE(reader.ok()) << path << ": " << reader.error();
-        const trace::TraceFooter footer = reader.footer();
 
         RunResult result;
         try {
@@ -170,13 +170,10 @@ TEST_F(CorpusGate, SerialReplayMatchesEveryRecordedFooter)
             FAIL() << path << " diverged from its recorded footer: "
                    << ex.what();
         }
-        EXPECT_EQ(result.shadowFingerprint, footer.shadowFingerprint)
+        EXPECT_EQ(resultMismatch(ResultTier::kExact, result,
+                                 reader.footer().result),
+                  "")
             << path;
-        EXPECT_EQ(result.violationCount, footer.violations) << path;
-        EXPECT_EQ(result.violationFingerprint,
-                  footer.violationFingerprint)
-            << path;
-        EXPECT_EQ(result.totalCycles, footer.totalCycles) << path;
     }
 }
 
@@ -196,14 +193,7 @@ TEST_F(CorpusGate, V1AndV2PairsReplayIdentically)
             FAIL() << e.stem() << "/" << twin.stem() << ": "
                    << ex.what();
         }
-        EXPECT_EQ(from1.totalCycles, from2.totalCycles) << e.stem();
-        EXPECT_EQ(from1.shadowFingerprint, from2.shadowFingerprint)
-            << e.stem();
-        EXPECT_EQ(from1.violationFingerprint, from2.violationFingerprint)
-            << e.stem();
-        EXPECT_EQ(from1.violationCount, from2.violationCount)
-            << e.stem();
-        EXPECT_EQ(from1.retiredTotal(), from2.retiredTotal())
+        EXPECT_EQ(resultMismatch(ResultTier::kExact, from1, from2), "")
             << e.stem();
     }
 }
@@ -219,7 +209,6 @@ TEST_F(CorpusGate, ConcurrentReplayMatchesFooters)
         std::string path = tracePath(e);
         trace::TraceReader reader(path);
         ASSERT_TRUE(reader.ok()) << path << ": " << reader.error();
-        const trace::TraceFooter footer = reader.footer();
 
         RunResult result;
         try {
@@ -227,10 +216,9 @@ TEST_F(CorpusGate, ConcurrentReplayMatchesFooters)
         } catch (const std::exception &ex) {
             FAIL() << path << ": " << ex.what();
         }
-        EXPECT_EQ(result.shadowFingerprint, footer.shadowFingerprint)
-            << path;
-        EXPECT_EQ(result.violationFingerprint,
-                  footer.violationFingerprint)
+        EXPECT_EQ(resultMismatch(ResultTier::kResults, result,
+                                 reader.footer().result),
+                  "")
             << path;
     }
 }
@@ -314,6 +302,71 @@ TEST_F(CorpusGate, CorruptJournalChunkFailsSerialReplayWithTheCrcError)
         }
         std::remove(bad.c_str());
     }
+}
+
+TEST_F(CorpusGate, EditedFooterFailsEveryEngineWhoseTierPinsTheColumn)
+{
+    // The same journal behind a footer with one column edited. Serial
+    // replay holds the footer to ResultTier::kExact, concurrent replay
+    // to kResults: each edit must fail exactly the engines whose tier
+    // compares the column, naming it.
+    struct Edit
+    {
+        const char *column;
+        bool concurrentRefuses;
+        void (*apply)(trace::TraceFooter &);
+    };
+    const std::vector<Edit> edits = {
+        {"totalCycles", false,
+         [](trace::TraceFooter &f) { ++f.result.totalCycles; }},
+        {"lifeguard[0].usefulCycles", false,
+         [](trace::TraceFooter &f) { ++f.result.lifeguard[0].usefulCycles; }},
+        {"lifeguard[0].recordsProcessed", true,
+         [](trace::TraceFooter &f) {
+             ++f.result.lifeguard[0].recordsProcessed;
+         }},
+        {"shadowFingerprint", true,
+         [](trace::TraceFooter &f) { f.result.shadowFingerprint ^= 1; }},
+        {"versionsConsumed", true,
+         [](trace::TraceFooter &f) { ++f.result.versionsConsumed; }},
+        // A footer from before the violation fingerprint existed pins
+        // nothing in that column, whatever the stale value says.
+        {nullptr, false,
+         [](trace::TraceFooter &f) {
+             f.hasViolationFingerprint = false;
+             f.result.violationFingerprint ^= 1;
+         }},
+    };
+    const std::string src =
+        tracePath({LifeguardKind::kTaintCheck, MemoryModel::kTSO, 2});
+    const std::string bad = ::testing::TempDir() + "edited_footer.trace";
+    PanicThrowScope throws;
+    for (const Edit &e : edits) {
+        test::copyWithFooter(src, bad, e.apply);
+        const std::string label = e.column ? e.column : "no fingerprint";
+        for (std::uint32_t lg_threads : {0u, 2u}) {
+            std::string message;
+            try {
+                replay(bad, lg_threads);
+            } catch (const SimPanicError &ex) {
+                message = ex.what();
+            }
+            const bool refuses =
+                e.column && (lg_threads == 0 || e.concurrentRefuses);
+            if (refuses)
+                EXPECT_NE(message.find(
+                              std::string("replay diverged from the "
+                                          "recording: ") +
+                              e.column + " = "),
+                          std::string::npos)
+                    << label << ", lg_threads=" << lg_threads << ": "
+                    << message;
+            else
+                EXPECT_EQ(message, "")
+                    << label << ", lg_threads=" << lg_threads;
+        }
+    }
+    std::remove(bad.c_str());
 }
 
 // --------------------------------------------- paralog-dump goldens

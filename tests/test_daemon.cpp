@@ -621,8 +621,8 @@ TEST_F(DaemonTest, ReservedHeaderWordGetsAnOkVerdict)
 
     trace::TraceReader original(src);
     ASSERT_TRUE(original.ok()) << original.error();
-    EXPECT_NE(r.responseJson.find(
-                  fingerprintField(original.footer().shadowFingerprint)),
+    EXPECT_NE(r.responseJson.find(fingerprintField(
+                  original.footer().result.shadowFingerprint)),
               std::string::npos)
         << r.responseJson;
     EXPECT_EQ(h.stop(), 0);

@@ -298,26 +298,7 @@ TEST(BatchDeliveryEquivalence, RunsIdenticalAcrossBatchSizes)
              {MonitorMode::kParallel, MonitorMode::kTimesliced}) {
             RunResult a = run(1, w, m);
             RunResult b = run(64, w, m);
-            EXPECT_EQ(a.totalCycles, b.totalCycles);
-            EXPECT_EQ(a.violationCount, b.violationCount);
-            ASSERT_EQ(a.lifeguard.size(), b.lifeguard.size());
-            for (std::size_t i = 0; i < a.lifeguard.size(); ++i) {
-                EXPECT_EQ(a.lifeguard[i].usefulCycles,
-                          b.lifeguard[i].usefulCycles);
-                EXPECT_EQ(a.lifeguard[i].depStall,
-                          b.lifeguard[i].depStall);
-                EXPECT_EQ(a.lifeguard[i].appStall,
-                          b.lifeguard[i].appStall);
-                EXPECT_EQ(a.lifeguard[i].recordsProcessed,
-                          b.lifeguard[i].recordsProcessed);
-                EXPECT_EQ(a.lifeguard[i].eventsHandled,
-                          b.lifeguard[i].eventsHandled);
-                EXPECT_EQ(a.lifeguard[i].doneAt, b.lifeguard[i].doneAt);
-            }
-            for (std::size_t i = 0; i < a.app.size(); ++i) {
-                EXPECT_EQ(a.app[i].logFullStall, b.app[i].logFullStall);
-                EXPECT_EQ(a.app[i].retired, b.app[i].retired);
-            }
+            EXPECT_EQ(resultMismatch(ResultTier::kExact, b, a), "");
         }
     }
 }

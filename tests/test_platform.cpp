@@ -5,6 +5,10 @@
  * (shadow state consistency, ordering, ConflictAlert effects).
  */
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "harness/paralog_test.hpp"
@@ -167,9 +171,7 @@ TEST_F(PlatformTest, DeterministicAcrossRuns)
     RunResult b = runExperiment(WorkloadKind::kBarnes,
                                 LifeguardKind::kTaintCheck,
                                 MonitorMode::kParallel, 2, opts());
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
-    EXPECT_EQ(a.retiredTotal(), b.retiredTotal());
-    EXPECT_EQ(a.eventsHandledTotal(), b.eventsHandledTotal());
+    EXPECT_EQ(resultMismatch(ResultTier::kExact, b, a), "");
 }
 
 TEST_F(PlatformTest, SeedChangesExecution)
@@ -281,6 +283,127 @@ TEST_F(PlatformTest, LockSetFlagsRacyWorkload)
     Platform p(cfg);
     RunResult r = p.run();
     EXPECT_GT(r.violationCount, 0u);
+}
+
+// ------------------------------------------------- result tiers ----
+
+struct TierColumn
+{
+    std::string name; ///< how resultMismatch names it
+    /// The lowest tier comparing the column; the tiers are nested, so
+    /// every tier above it compares it too.
+    ResultTier from;
+    std::function<void(RunResult &)> bump;
+};
+
+/** Every RunResult column, bumped one at a time, on a two-thread,
+ *  two-lifeguard result. */
+std::vector<TierColumn>
+allTierColumns()
+{
+    using T = ResultTier;
+    std::vector<TierColumn> cols = {
+        {"shadowFingerprint", T::kAnalysis,
+         [](RunResult &r) { ++r.shadowFingerprint; }},
+        {"violationFingerprint", T::kAnalysis,
+         [](RunResult &r) { ++r.violationFingerprint; }},
+        {"versionsProduced", T::kResults,
+         [](RunResult &r) { ++r.versionsProduced; }},
+        {"versionsConsumed", T::kResults,
+         [](RunResult &r) { ++r.versionsConsumed; }},
+        {"lifeguard count", T::kResults,
+         [](RunResult &r) { r.lifeguard.emplace_back(); }},
+        {"totalCycles", T::kExact, [](RunResult &r) { ++r.totalCycles; }},
+        {"violationCount", T::kExact,
+         [](RunResult &r) { ++r.violationCount; }}, // 1 -> 2
+        {"versionStallRetries", T::kExact,
+         [](RunResult &r) { ++r.versionStallRetries; }},
+        {"app count", T::kExact, [](RunResult &r) { r.app.emplace_back(); }},
+    };
+    using LgField = std::uint64_t LifeguardThreadStats::*;
+    const std::pair<const char *, LgField> lg_fields[] = {
+        {"usefulCycles", &LifeguardThreadStats::usefulCycles},
+        {"depStall", &LifeguardThreadStats::depStall},
+        {"caStall", &LifeguardThreadStats::caStall},
+        {"versionStall", &LifeguardThreadStats::versionStall},
+        {"appStall", &LifeguardThreadStats::appStall},
+        {"recordsProcessed", &LifeguardThreadStats::recordsProcessed},
+        {"eventsHandled", &LifeguardThreadStats::eventsHandled},
+        {"doneAt", &LifeguardThreadStats::doneAt},
+    };
+    using AppField = std::uint64_t AppThreadStats::*;
+    const std::pair<const char *, AppField> app_fields[] = {
+        {"execCycles", &AppThreadStats::execCycles},
+        {"logFullStall", &AppThreadStats::logFullStall},
+        {"lockStall", &AppThreadStats::lockStall},
+        {"barrierStall", &AppThreadStats::barrierStall},
+        {"drainStall", &AppThreadStats::drainStall},
+        {"caAckCycles", &AppThreadStats::caAckCycles},
+        {"storeBufStall", &AppThreadStats::storeBufStall},
+        {"retired", &AppThreadStats::retired},
+        {"programInsts", &AppThreadStats::programInsts},
+        {"doneAt", &AppThreadStats::doneAt},
+    };
+    for (std::size_t i = 0; i < 2; ++i) {
+        const std::string at = "[" + std::to_string(i) + "].";
+        for (const auto &[name, field] : lg_fields) {
+            cols.push_back(
+                {"lifeguard" + at + name,
+                 field == &LifeguardThreadStats::recordsProcessed
+                     ? T::kResults
+                     : T::kExact,
+                 [i, field = field](RunResult &r) {
+                     ++(r.lifeguard[i].*field);
+                 }});
+        }
+        for (const auto &[name, field] : app_fields) {
+            cols.push_back({"app" + at + name, T::kExact,
+                            [i, field = field](RunResult &r) {
+                                ++(r.app[i].*field);
+                            }});
+        }
+    }
+    return cols;
+}
+
+TEST(ResultTierRule, EachColumnIsFlaggedByExactlyTheTiersListingIt)
+{
+    RunResult want;
+    want.app.resize(2);
+    want.lifeguard.resize(2);
+    want.violationCount = 1;
+
+    for (const TierColumn &col : allTierColumns()) {
+        RunResult got = want;
+        col.bump(got);
+        for (ResultTier tier : {ResultTier::kAnalysis, ResultTier::kResults,
+                                ResultTier::kExact}) {
+            const bool listed =
+                static_cast<int>(tier) >= static_cast<int>(col.from);
+            const std::string diff = resultMismatch(tier, got, want);
+            if (listed)
+                EXPECT_EQ(diff.rfind(col.name + " = ", 0), 0u)
+                    << col.name << " at tier " << static_cast<int>(tier)
+                    << ": " << diff;
+            else
+                EXPECT_EQ(diff, "")
+                    << col.name << " at tier " << static_cast<int>(tier);
+        }
+    }
+}
+
+TEST(ResultTierRule, FindingAnyViolationIsPinnedByEveryTier)
+{
+    RunResult want;
+    want.lifeguard.resize(2);
+    RunResult got = want;
+    got.violationCount = 1; // 0 -> 1
+    for (ResultTier tier : {ResultTier::kAnalysis, ResultTier::kResults,
+                            ResultTier::kExact}) {
+        EXPECT_EQ(resultMismatch(tier, got, want),
+                  "violationCount (found-any) = 1, expected 0");
+        EXPECT_EQ(resultMismatch(tier, want, want), "");
+    }
 }
 
 } // namespace

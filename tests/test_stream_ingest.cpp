@@ -50,9 +50,9 @@ makeTraceBytes(std::size_t ops_per_thread = 600)
             w.appendMetaLatency(0, 4 + (i % 5));
         }
         TraceFooter footer;
-        footer.app.resize(cfg.appThreads);
-        footer.lifeguard.resize(cfg.appThreads);
-        footer.totalCycles = 1234;
+        footer.result.app.resize(cfg.appThreads);
+        footer.result.lifeguard.resize(cfg.appThreads);
+        footer.result.totalCycles = 1234;
         EXPECT_TRUE(w.finalize(footer)) << w.error();
     }
     std::vector<std::uint8_t> bytes;

@@ -32,8 +32,19 @@ TEST_F(TimeslicedTest, SameAnalysisResultsAsParallel)
     Timesliced ts(cfg);
     RunResult r = ts.run();
     EXPECT_EQ(r.violationCount, 0u);
+    // Reported the way every engine reports it, even with no violation.
+    EXPECT_EQ(r.violationFingerprint,
+              ts.lifeguard().violations.setFingerprint());
     auto &taint = static_cast<TaintCheck &>(ts.lifeguard());
     EXPECT_TRUE(taint.isTainted(AddressLayout::kGlobalBase, 64));
+    r.shadowFingerprint = heapGlobalsFingerprint(ts.lifeguard().shadow());
+
+    Platform p(test::makeScaledConfig(WorkloadKind::kLu,
+                                      LifeguardKind::kTaintCheck,
+                                      MonitorMode::kParallel, 2));
+    RunResult par = p.run();
+    par.shadowFingerprint = heapGlobalsFingerprint(p.lifeguard().shadow());
+    EXPECT_EQ(resultMismatch(ResultTier::kAnalysis, r, par), "");
 }
 
 TEST_F(TimeslicedTest, SlowerThanParallel)
@@ -98,7 +109,7 @@ TEST_F(TimeslicedTest, Deterministic)
     RunResult b = runExperiment(WorkloadKind::kFmm,
                                 LifeguardKind::kTaintCheck,
                                 MonitorMode::kTimesliced, 2, opts());
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
+    EXPECT_EQ(resultMismatch(ResultTier::kExact, b, a), "");
 }
 
 } // namespace

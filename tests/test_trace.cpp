@@ -88,32 +88,6 @@ spit(const std::string &path, const std::vector<std::uint8_t> &bytes)
     std::fclose(f);
 }
 
-void
-expectSameRun(const RunResult &replayed, const RunResult &live)
-{
-    EXPECT_EQ(replayed.totalCycles, live.totalCycles);
-    EXPECT_EQ(replayed.violationCount, live.violationCount);
-    EXPECT_EQ(replayed.versionsProduced, live.versionsProduced);
-    EXPECT_EQ(replayed.versionsConsumed, live.versionsConsumed);
-    EXPECT_EQ(replayed.versionStallRetries, live.versionStallRetries);
-    EXPECT_EQ(replayed.shadowFingerprint, live.shadowFingerprint);
-    EXPECT_EQ(replayed.retiredTotal(), live.retiredTotal());
-    EXPECT_EQ(replayed.appExecTotal(), live.appExecTotal());
-    ASSERT_EQ(replayed.lifeguard.size(), live.lifeguard.size());
-    for (std::size_t i = 0; i < live.lifeguard.size(); ++i) {
-        const LifeguardThreadStats &r = replayed.lifeguard[i];
-        const LifeguardThreadStats &l = live.lifeguard[i];
-        EXPECT_EQ(r.usefulCycles, l.usefulCycles) << "lg " << i;
-        EXPECT_EQ(r.depStall, l.depStall) << "lg " << i;
-        EXPECT_EQ(r.caStall, l.caStall) << "lg " << i;
-        EXPECT_EQ(r.versionStall, l.versionStall) << "lg " << i;
-        EXPECT_EQ(r.appStall, l.appStall) << "lg " << i;
-        EXPECT_EQ(r.recordsProcessed, l.recordsProcessed) << "lg " << i;
-        EXPECT_EQ(r.eventsHandled, l.eventsHandled) << "lg " << i;
-        EXPECT_EQ(r.doneAt, l.doneAt) << "lg " << i;
-    }
-}
-
 // ------------------------------------------------- file format tests
 
 class TraceFormatTest : public QuietTest
@@ -139,15 +113,10 @@ TEST_F(TraceFormatTest, HeaderFooterRoundTrip)
     EXPECT_EQ(tc.seed, 1u);
     EXPECT_NE(reader.configFingerprint(), 0u);
 
-    const trace::TraceFooter &f = reader.footer();
-    EXPECT_EQ(f.totalCycles, live.totalCycles);
-    EXPECT_EQ(f.violations, live.violationCount);
-    EXPECT_EQ(f.shadowFingerprint, live.shadowFingerprint);
-    ASSERT_EQ(f.app.size(), 2u);
-    EXPECT_EQ(f.app[0].retired + f.app[1].retired, live.retiredTotal());
-    ASSERT_EQ(f.lifeguard.size(), 2u);
-    EXPECT_EQ(f.lifeguard[0].recordsProcessed,
-              live.lifeguard[0].recordsProcessed);
+    EXPECT_EQ(resultMismatch(ResultTier::kExact, reader.footer().result,
+                             live),
+              "");
+    EXPECT_TRUE(reader.footer().hasViolationFingerprint);
 
     // The journal carries every retire tick plus the appends.
     EXPECT_GE(reader.totalOps(), live.retiredTotal());
@@ -356,37 +325,18 @@ TEST_F(TraceFormatTest, RejectsParallelFooterWithoutLifeguardStats)
     // footer whose per-core lifeguard list disagrees with the header's
     // thread count — the empty list being the degenerate case — can sit
     // behind an intact header. The reader must reject it at open, not
-    // let replay's footer self-check trip an assertion later.
+    // let a whole replay run before the footer self-check fails.
     TempTrace src("nolg_src"), bad("nolg");
     RunSpec spec = makeSpec(WorkloadKind::kLu, LifeguardKind::kTaintCheck,
                             2, MemoryModel::kSC, 300, src.path());
     recordExperiment(spec);
 
-    trace::TraceReader reader(src.path());
-    ASSERT_TRUE(reader.ok()) << reader.error();
-    ASSERT_EQ(reader.config().mode, MonitorMode::kParallel);
-    ASSERT_EQ(reader.footer().lifeguard.size(), 2u);
-
-    // Rewrite the recording with the lifeguard stats stripped — the
-    // same journal bytes behind a tampered footer.
-    trace::TraceWriter writer(bad.path(), reader.config());
-    writer.opCount = reader.footer().opCount;
-    writer.recordCount = reader.footer().recordCount;
-    writer.setTotals(reader.totalOps(), reader.totalRecords());
-    std::vector<std::uint8_t> payload;
-    for (std::size_t i = 0; i < reader.chunkCount(); ++i) {
-        std::uint32_t kind = reader.chunkKind(i);
-        if (kind != trace::kChunkOps && kind != trace::kChunkMetaLatency)
-            continue;
-        ASSERT_TRUE(reader.chunkPayload(i, payload)) << reader.error();
-        if (kind == trace::kChunkOps)
-            writer.writeOpsChunk(reader.chunkTid(i), payload);
-        else
-            writer.writeLatencyChunk(reader.chunkTid(i), payload);
-    }
-    trace::TraceFooter tampered = reader.footer();
-    tampered.lifeguard.clear();
-    ASSERT_TRUE(writer.finalize(tampered)) << writer.error();
+    // The same journal bytes behind a footer with the lifeguard stats
+    // stripped.
+    test::copyWithFooter(src.path(), bad.path(), [](trace::TraceFooter &f) {
+        ASSERT_EQ(f.result.lifeguard.size(), 2u);
+        f.result.lifeguard.clear();
+    });
 
     trace::TraceReader check(bad.path());
     EXPECT_FALSE(check.ok())
@@ -426,7 +376,7 @@ TEST_P(ReplayBitIdentical, ReplayReproducesTheLiveRun)
                               cell.cores, cell.memoryModel, 400, "",
                               tmp.path());
     RunResult replayed = replayExperiment(replay);
-    expectSameRun(replayed, live);
+    EXPECT_EQ(resultMismatch(ResultTier::kExact, replayed, live), "");
 }
 
 /** The full acceptance matrix: lifeguard × {SC,TSO} × {1,2,4} cores. */
@@ -471,7 +421,7 @@ TEST_F(ReplayModes, OceanReplaysBitIdentical)
     ReplayConfig cfg;
     cfg.path = tmp.path();
     ReplayPlatform rp(std::move(cfg));
-    expectSameRun(rp.run(), live);
+    EXPECT_EQ(resultMismatch(ResultTier::kExact, rp.run(), live), "");
 }
 
 TEST_F(ReplayModes, CrossLifeguardReMonitoring)
@@ -556,7 +506,9 @@ TEST_F(ReplayModes, ReplayThroughRunMatrixIsJobCountInvariant)
     for (std::size_t i = 0; i < seq.size(); ++i) {
         ASSERT_FALSE(seq[i].failed) << seq[i].error;
         ASSERT_FALSE(par[i].failed) << par[i].error;
-        expectSameRun(par[i].result, seq[i].result);
+        EXPECT_EQ(resultMismatch(ResultTier::kExact, par[i].result,
+                                 seq[i].result),
+                  "");
     }
 }
 
@@ -576,7 +528,7 @@ TEST_F(ReplayModes, RecordingLeavesResultsUntouched)
     // result-invariant, so the default-batched run must match too.
     RunResult live = runSpecExperiment(plain);
     live.shadowFingerprint = recorded.shadowFingerprint; // not computed
-    expectSameRun(live, recorded);
+    EXPECT_EQ(resultMismatch(ResultTier::kExact, live, recorded), "");
 }
 
 // ------------------------------------------------ replay watchdog
@@ -687,9 +639,10 @@ TEST_F(ReplayModes, ReservedHeaderWordIsIgnored)
     ReplayConfig got_cfg;
     got_cfg.path = tmp.path();
     RunResult got = ReplayPlatform(std::move(got_cfg)).run();
-    EXPECT_EQ(got.shadowFingerprint, original.footer().shadowFingerprint);
-    EXPECT_EQ(got.shadowFingerprint, want.shadowFingerprint);
-    EXPECT_EQ(got.violationFingerprint, want.violationFingerprint);
+    EXPECT_EQ(resultMismatch(ResultTier::kExact, got,
+                             original.footer().result),
+              "");
+    EXPECT_EQ(resultMismatch(ResultTier::kExact, got, want), "");
 }
 
 } // namespace

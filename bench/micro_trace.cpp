@@ -5,25 +5,34 @@
  * record→file and file→replay round trips. Reports encode/decode
  * throughput in records/s and MB/s of payload, plus end-to-end replay
  * records/s (the lifeguard hot path with no application simulation —
- * the number the record-once/replay-many workflow buys).
+ * the number the record-once/replay-many workflow buys), serial
+ * same-lifeguard and TaintCheck->AddrCheck re-monitoring, and the v2
+ * journal scan split into its layers (CRC, LZ, block rebuild, op
+ * parse) in ns per op.
  *
  * Scale with PARALOG_SCALE (records in the codec loops; default
  * 2000000), or pass --smoke for the seconds-long CTest tier2 run.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/logging.hpp"
+#include "common/lz.hpp"
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "core/replay.hpp"
 #include "trace/codec.hpp"
+#include "trace/format.hpp"
 #include "trace/trace_reader.hpp"
+#include "trace/v2_block.hpp"
 
 namespace {
 
@@ -184,6 +193,20 @@ benchReplay(std::uint64_t scale)
     auto t5 = Clock::now();
     gSink += concurrent.totalCycles;
 
+    // Cross-lifeguard re-monitoring: the journal re-filtered for
+    // AddrCheck (the drop log and arc carry of ReplayCore), serial.
+    rcfg = ReplayConfig{};
+    rcfg.path = path;
+    rcfg.lifeguardOverride = true;
+    rcfg.lifeguard = LifeguardKind::kAddrCheck;
+    auto t6 = Clock::now();
+    ReplayPlatform rpx(std::move(rcfg));
+    RunResult cross = rpx.run();
+    auto t7 = Clock::now();
+    std::uint64_t kept = 0;
+    for (const auto &l : cross.lifeguard)
+        kept += l.recordsProcessed;
+
     trace::TraceReader reader(path);
     std::printf("record (live run):  %8.2f Mrec/s  (%llu records, "
                 "%llu journal ops)\n",
@@ -199,6 +222,11 @@ benchReplay(std::uint64_t scale)
                 "passed; %.2fx vs serial)\n",
                 perSecond(t4, t5, records) / 1e6,
                 conc_s > 0 ? serial_s / conc_s : 0.0);
+    std::printf("replay TC->AC:      %8.2f Mrec/s  (serial, re-filtered: "
+                "%llu of %llu records kept)\n",
+                perSecond(t6, t7, records) / 1e6,
+                static_cast<unsigned long long>(kept),
+                static_cast<unsigned long long>(records));
     std::remove(path.c_str());
 }
 
@@ -207,6 +235,91 @@ fileBytes(const std::string &path)
 {
     trace::TraceReader reader(path);
     return reader.ok() ? reader.fileBytes() : 0;
+}
+
+/** Best-of-3 wall time of @p body, in seconds. */
+template <typename Body>
+double
+bestOf3(Body body)
+{
+    double best = 0;
+    for (int rep = 0; rep < 3; ++rep) {
+        auto t0 = Clock::now();
+        body();
+        double s = std::chrono::duration<double>(Clock::now() - t0).count();
+        best = rep == 0 ? s : std::min(best, s);
+    }
+    return best;
+}
+
+/**
+ * Split the v2 journal scan at @p path into its layers, in ns per op:
+ * chunk CRC, the LZ stage, the columnar block rebuild (decodeOpsBlock
+ * minus its LZ stage) and op parse (the whole scan minus the other
+ * three). The scan opens a fresh reader and drains every op stream;
+ * each layer runs over every ops-chunk payload of the file. Best of 3
+ * each.
+ */
+void
+benchV2DecodeSplit(const std::string &path)
+{
+    std::uint64_t ops = 0;
+    const double scan_s = bestOf3([&] {
+        trace::TraceReader reader(path);
+        trace::TraceOp op;
+        ops = 0;
+        for (ThreadId t = 0; t < reader.config().appThreads; ++t) {
+            auto stream = reader.opStream(t);
+            while (stream.next(op))
+                ++ops;
+        }
+    });
+
+    std::ifstream in(path, std::ios::binary);
+    std::vector<std::uint8_t> file{std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>()};
+    std::vector<std::pair<std::size_t, std::uint32_t>> chunks;
+    for (std::size_t off = trace::kHeaderBytes; off + 16 <= file.size();) {
+        const std::uint32_t bytes = trace::get32le(&file[off + 8]);
+        if (trace::get32le(&file[off]) == trace::kChunkOps)
+            chunks.emplace_back(off + 16, bytes);
+        off += 16 + std::size_t{bytes};
+    }
+
+    std::vector<std::uint8_t> out;
+    bool ok = true;
+    const double crc_s = bestOf3([&] {
+        for (const auto &[off, bytes] : chunks)
+            gSink += trace::crc32(&file[off], bytes);
+    });
+    const double lz_s = bestOf3([&] {
+        for (const auto &[off, bytes] : chunks) {
+            ByteCursor c(&file[off], bytes);
+            std::uint64_t v1_len = 0;
+            ok = ok && c.getVarint(v1_len) &&
+                 lzDecompress(c.pos, c.remaining(), out,
+                              2 * static_cast<std::size_t>(v1_len) + 1024);
+            gSink += out.size();
+        }
+    });
+    const double block_s = bestOf3([&] {
+        for (const auto &[off, bytes] : chunks) {
+            ok = ok && trace::decodeOpsBlock(&file[off], bytes, out,
+                                             16u << 20);
+            gSink += out.size();
+        }
+    });
+    if (!ok || chunks.empty()) {
+        std::fprintf(stderr, "v2 decode split: chunk decode failed\n");
+        std::exit(1);
+    }
+    const double per_op = ops > 0 ? 1e9 / static_cast<double>(ops) : 0.0;
+    const double rebuild_s = std::max(0.0, block_s - lz_s);
+    const double parse_s = std::max(0.0, scan_s - crc_s - block_s);
+    std::printf("v2 decode split:     crc %.1f  lz %.1f  rebuild %.1f  "
+                "parse %.1f ns/op  (%zu chunks)\n",
+                crc_s * per_op, lz_s * per_op, rebuild_s * per_op,
+                parse_s * per_op, chunks.size());
 }
 
 /** v1-vs-v2 container comparison: file size, chunk decode throughput
@@ -275,6 +388,7 @@ benchTraceV2(std::uint64_t scale)
                 scan_s > 0 ? live_s / scan_s : 0.0,
                 scan_s > 0 && live_s / scan_s >= 5.0 ? "[>=5x: ok]"
                                                      : "[>=5x: MISS]");
+    benchV2DecodeSplit(v2_path);
 
     // Replay from the mapped v2 container vs re-running the simulation,
     // with the v1 replay alongside; all three must agree bit-for-bit.

@@ -16,6 +16,10 @@ namespace {
 // chain while keeping compression O(n).
 inline constexpr std::size_t kHashBits = 15;
 
+/** Output slack lzDecompress() allocates past rawLen, and the fixed
+ *  copy width of its short tokens. */
+inline constexpr std::size_t kLzSlack = 16;
+
 inline std::uint32_t
 hash4(const std::uint8_t *p)
 {
@@ -84,34 +88,55 @@ lzDecompress(const std::uint8_t *data, std::size_t n,
 {
     ByteCursor c(data, n);
     std::uint64_t raw_len = 0;
-    if (!c.getVarint(raw_len) || raw_len > max_out)
+    if (!c.getVarint(raw_len) || raw_len > max_out ||
+        raw_len > out.max_size() - kLzSlack)
         return false;
-    out.clear();
-    out.reserve(raw_len);
+    const std::size_t raw = static_cast<std::size_t>(raw_len);
+    // Sized once; the slack past rawLen lets a short token copy a
+    // fixed kLzSlack bytes (one unaligned 16-byte move) instead of its
+    // exact length. The bytes it writes past the token are rewritten
+    // by the next token before anything reads them, or trimmed below.
+    out.resize(raw + kLzSlack);
+    std::uint8_t *const base = out.data();
+    std::size_t w = 0; // bytes reconstructed so far
 
-    while (out.size() < raw_len) {
+    while (w < raw) {
         std::uint64_t lit = 0;
-        if (!c.getVarint(lit) || lit > c.remaining() ||
-            lit > raw_len - out.size())
+        if (!c.getVarint(lit) || lit > c.remaining() || lit > raw - w)
             return false;
-        out.insert(out.end(), c.pos, c.pos + lit);
+        if (lit <= kLzSlack && c.remaining() >= kLzSlack)
+            std::memcpy(base + w, c.pos, kLzSlack);
+        else if (lit != 0)
+            std::memcpy(base + w, c.pos, static_cast<std::size_t>(lit));
         c.pos += lit;
-        if (out.size() == raw_len)
+        w += static_cast<std::size_t>(lit);
+        if (w == raw)
             break;
 
         std::uint64_t len = 0, dist = 0;
         if (!c.getVarint(len) || !c.getVarint(dist))
             return false;
         len += kLzMinMatch;
-        if (dist == 0 || dist > out.size() || len > raw_len - out.size())
+        if (dist == 0 || dist > w || len > raw - w)
             return false;
-        // Matches may self-overlap (dist < len): copy byte-wise from
-        // the already-reconstructed output.
-        std::size_t from = out.size() - static_cast<std::size_t>(dist);
-        for (std::uint64_t i = 0; i < len; ++i)
-            out.push_back(out[from + i]);
+        std::uint8_t *dst = base + w;
+        const std::uint8_t *src = dst - dist;
+        if (len <= kLzSlack && dist >= kLzSlack) {
+            std::memcpy(dst, src, kLzSlack);
+        } else if (dist >= len) {
+            std::memcpy(dst, src, static_cast<std::size_t>(len));
+        } else {
+            // Self-overlapping (dist < len): each byte may read one
+            // this match wrote, so copy byte-wise.
+            for (std::uint64_t i = 0; i < len; ++i)
+                dst[i] = src[i];
+        }
+        w += static_cast<std::size_t>(len);
     }
-    return c.atEnd();
+    if (!c.atEnd())
+        return false;
+    out.resize(raw);
+    return true;
 }
 
 } // namespace paralog

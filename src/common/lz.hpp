@@ -18,9 +18,18 @@
  *
  * Matches may self-overlap (dist < matchLen), which is what turns a
  * run of identical bytes — or a repeating k-byte pattern — into a
- * couple of tokens. Decoding is bounds-checked everywhere: a
- * truncated or tampered stream returns false instead of reading or
- * writing out of bounds.
+ * couple of tokens.
+ *
+ * Decoding checks its bounds once per token, before copying it: the
+ * literal run fits both the remaining input and the remaining output,
+ * the match fits the remaining output, and 1 <= dist <= bytes already
+ * reconstructed. A truncated or tampered stream returns false instead
+ * of reading or writing out of bounds. The output is sized once, to
+ * rawLen plus 16 slack bytes: a token of at most 16 bytes then copies
+ * a fixed 16 bytes (a literal when that much input is left, a match
+ * when dist >= 16, so source and destination never overlap), and the
+ * slack is trimmed before a successful return. Self-overlapping
+ * matches copy byte by byte.
  */
 
 #ifndef PARALOG_COMMON_LZ_HPP

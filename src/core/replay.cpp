@@ -44,7 +44,7 @@ ReplayCore::apply()
         if (filter_ && !filter_->wants(op.rec)) {
             for (const DepArc &a : op.rec.arcs)
                 arcsCarry_.push_back(a);
-            droppedRids_.insert(op.rec.rid);
+            droppedRids_.push_back(op.rec.rid);
             break;
         }
         if (filter_ && !arcsCarry_.empty()) {
@@ -64,7 +64,8 @@ ReplayCore::apply()
         // sit inside a later journalled append; adding them again would
         // double-count).
         if (filter_ && !unit_.buffer().findByRid(op.rid) &&
-            droppedRids_.count(op.rid)) {
+            std::binary_search(droppedRids_.begin(), droppedRids_.end(),
+                               op.rid)) {
             for (const DepArc &a : op.arcs)
                 arcsCarry_.push_back(a);
             break;

@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/lifeguard_core.hpp"
@@ -100,11 +99,13 @@ class ReplayCore
     CaManager &ca_;
     const EventFilter *filter_;
     std::vector<DepArc> arcsCarry_; ///< arcs of re-filtered records
-    /// Rids this replay's re-filter dropped: a later kAttachArcs to one
-    /// of them must carry its arcs (live capture would), while arcs to
-    /// records the *recording* never held are already carried inside a
-    /// later journalled append.
-    std::unordered_set<RecordId> droppedRids_;
+    /// Rids this replay's re-filter dropped, in stream order: a later
+    /// kAttachArcs to one of them must carry its arcs (live capture
+    /// would), while arcs to records the *recording* never held are
+    /// already carried inside a later journalled append. Sorted because
+    /// a thread's append rids never decrease (the record decoder
+    /// refuses a rid delta that wraps), so lookups binary-search it.
+    std::vector<RecordId> droppedRids_;
     trace::TraceReader::OpStream stream_;
     trace::TraceOp pending_;
     bool hasPending_ = false;

@@ -128,6 +128,12 @@ RecordDecoder::decode(ByteCursor &c, std::uint32_t payload_bytes,
     std::uint64_t flags = 0, rid_delta = 0;
     if (!c.getVarint(flags) || !c.getVarint(rid_delta))
         return false;
+    // The encoder writes rid - lastRid unsigned, so a rid below its
+    // predecessor comes back as a delta that wraps past 2^64. Appended
+    // rids never decrease (the log buffer and replay's drop log both
+    // search them as sorted): refuse it.
+    if (rid_delta > ~lastRid_)
+        return false;
     out.rid = lastRid_ + rid_delta;
     lastRid_ = out.rid;
     out.wrapper = flags & kSbWrapper;

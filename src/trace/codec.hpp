@@ -73,8 +73,10 @@ class RecordDecoder
     /**
      * Decode one record: reads the sideband, then exactly
      * @p payload_bytes of payload, reconstructing @p out. Returns false
-     * on malformed input (including a payload length mismatch — the
-     * decoder re-deriving a different size than the encoder charged).
+     * on malformed input, including a payload length mismatch (the
+     * decoder re-deriving a different size than the encoder charged)
+     * and a rid below the previous record's (a delta wrapping past
+     * 2^64).
      */
     bool decode(ByteCursor &c, std::uint32_t payload_bytes,
                 EventRecord &out);

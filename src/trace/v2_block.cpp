@@ -1,5 +1,7 @@
 #include "trace/v2_block.hpp"
 
+#include <cstring>
+
 #include "common/lz.hpp"
 #include "common/varint.hpp"
 #include "trace/codec.hpp"
@@ -203,28 +205,46 @@ decodeOpsBlock(const std::uint8_t *v2, std::size_t n,
     if (!s.atEnd())
         return false;
 
-    out.clear();
-    out.reserve(v1_len);
+    // Re-interleave the columns straight into the pre-sized v1 buffer;
+    // every write is checked against v1Len before it is made.
+    out.resize(static_cast<std::size_t>(v1_len));
+    std::uint8_t *o = out.data();
+    std::uint8_t *const o_end = o + out.size();
+    // Varints (nearly all one byte) copy byte by byte, within
+    // ByteCursor::getVarint's limits: truncated or over 10 bytes fails.
+    auto copy_varint = [&o, o_end](ByteCursor &src) {
+        for (int i = 0; i < 10; ++i) {
+            if (src.atEnd() || o == o_end)
+                return false;
+            const std::uint8_t b = *src.pos++;
+            *o++ = b;
+            if (!(b & 0x80))
+                return true;
+        }
+        return false; // over-long encoding
+    };
     for (std::uint64_t i = 0; i < op_count; ++i) {
         std::uint8_t opcode = 0;
-        if (!col[0].getByte(opcode) || opcode > kMaxOpCode)
+        if (!col[0].getByte(opcode) || opcode > kMaxOpCode || o == o_end)
             return false;
-        out.push_back(opcode);
-        if (!copyVarint(col[1], out) || !copyVarint(col[2], out) ||
-            !copyVarint(col[3], out))
+        *o++ = opcode;
+        if (!copy_varint(col[1]) || !copy_varint(col[2]) ||
+            !copy_varint(col[3]))
             return false;
         std::uint64_t body_len = 0;
         if (!col[4].getVarint(body_len) ||
             body_len > col[5].remaining() ||
-            out.size() + body_len > v1_len)
+            body_len > static_cast<std::uint64_t>(o_end - o))
             return false;
-        out.insert(out.end(), col[5].pos, col[5].pos + body_len);
+        if (body_len != 0)
+            std::memcpy(o, col[5].pos, static_cast<std::size_t>(body_len));
+        o += body_len;
         col[5].pos += body_len;
     }
     for (const auto &cc : col)
         if (!cc.atEnd())
             return false; // leftover column bytes: corrupt framing
-    return out.size() == v1_len;
+    return o == o_end;
 }
 
 } // namespace paralog::trace

@@ -63,8 +63,9 @@ bool encodeOpsBlock(const std::uint8_t *v1, std::size_t n,
  * bytes (replacing @p out's contents). Returns false on any
  * structural violation: bad compression stream, column over/underrun,
  * an opcode above kMaxOpCode, or a reconstruction whose size differs
- * from the recorded v1Len. @p max_v1_bytes bounds the decoded size
- * (hostile length fields must not drive allocation).
+ * from the recorded v1Len (the output is sized to v1Len up front, and a
+ * write past it is refused before it is made). @p max_v1_bytes bounds
+ * the decoded size (hostile length fields must not drive allocation).
  */
 bool decodeOpsBlock(const std::uint8_t *v2, std::size_t n,
                     std::vector<std::uint8_t> &out,

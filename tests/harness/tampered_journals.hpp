@@ -31,11 +31,12 @@ namespace paralog::test {
 /**
  * Record lu/TaintCheck/2 cores/scale 300 under @p mm to @p path through
  * a @p Recorder (a trace::TraceRecorder subclass), the way
- * recordExperiment records it.
+ * recordExperiment records it, in container @p format.
  */
 template <typename Recorder>
 void
-recordLuJournal(const std::string &path, MemoryModel mm)
+recordLuJournal(const std::string &path, MemoryModel mm,
+                std::uint32_t format = trace::kFormatVersion)
 {
     ExperimentOptions o = makeOptions(300);
     o.memoryModel = mm;
@@ -54,7 +55,7 @@ recordLuJournal(const std::string &path, MemoryModel mm)
     tc.seed = cfg.sim.seed;
     tc.logBufferBytes = cfg.sim.logBufferBytes;
 
-    Recorder recorder(path, tc);
+    Recorder recorder(path, tc, format);
     ASSERT_TRUE(recorder.ok()) << recorder.error();
     cfg.recorder = &recorder;
     Platform p(cfg);
@@ -84,6 +85,35 @@ class FutureStampRecorder : public trace::TraceRecorder
 
   private:
     bool stamped_ = false;
+};
+
+/** Records normally, except that thread 0's tenth append is journalled
+ *  with a rid one below the rid of the append before it: the encoder
+ *  writes that rid delta as a u64 that wraps past 2^64. */
+class DecreasingRidRecorder : public trace::TraceRecorder
+{
+  public:
+    using TraceRecorder::TraceRecorder;
+
+    void
+    onAppend(ThreadId tid, const EventRecord &rec,
+             std::uint32_t charged_bytes,
+             const std::vector<std::uint8_t> &payload) override
+    {
+        if (tid != 0 || ++appends_ != 10) {
+            if (tid == 0)
+                prevRid_ = rec.rid;
+            TraceRecorder::onAppend(tid, rec, charged_bytes, payload);
+            return;
+        }
+        EventRecord back = rec;
+        back.rid = prevRid_ - 1;
+        TraceRecorder::onAppend(tid, back, charged_bytes, payload);
+    }
+
+  private:
+    std::uint32_t appends_ = 0;
+    RecordId prevRid_ = 0;
 };
 
 /** Path of the committed corpus recording @p stem (e.g.

@@ -460,27 +460,50 @@ TEST_F(ReplayModes, CrossLifeguardReMonitoringUnderTso)
     // annotations; a cross-lifeguard replay must keep the arcs of
     // records its re-filter drops (carried to the next surviving
     // record, as a live capture of the new lifeguard would) so
-    // delivery ordering stays conservative. AddrCheck's conclusions
-    // from the re-filtered TaintCheck recording must match its native
-    // run.
-    TempTrace tmp("cross_tso"), tmp_native("cross_tso_native");
-    RunSpec spec = makeSpec(WorkloadKind::kLu, LifeguardKind::kTaintCheck,
-                            4, MemoryModel::kTSO, 400, tmp.path());
-    recordExperiment(spec);
+    // delivery ordering stays conservative. In fmm's journal some arcs
+    // are attached at drain time to records the re-filter already
+    // dropped, so ReplayCore's drop log carries them. AddrCheck's
+    // conclusions from the re-filtered TaintCheck recording must match
+    // its native run. The re-filtered replay is itself deterministic
+    // and does not depend on the container: replaying the journal
+    // twice, and replaying a v2 recording of the same run, agree on
+    // every column.
+    for (WorkloadKind w : {WorkloadKind::kLu, WorkloadKind::kFmm}) {
+        SCOPED_TRACE(toString(w));
+        TempTrace tmp("cross_tso"), tmp_v2("cross_tso_v2"),
+            tmp_native("cross_tso_native");
+        RunSpec spec = makeSpec(w, LifeguardKind::kTaintCheck, 4,
+                                MemoryModel::kTSO, 400, tmp.path());
+        recordExperiment(spec);
+        spec.recordPath = tmp_v2.path();
+        spec.recordFormat = trace::kFormatVersionV2;
+        recordExperiment(spec);
 
-    RunSpec native = makeSpec(WorkloadKind::kLu, LifeguardKind::kAddrCheck,
-                              4, MemoryModel::kTSO, 400,
-                              tmp_native.path());
-    RunResult native_live = recordExperiment(native);
+        RunSpec native = makeSpec(w, LifeguardKind::kAddrCheck, 4,
+                                  MemoryModel::kTSO, 400,
+                                  tmp_native.path());
+        RunResult native_live = recordExperiment(native);
 
-    ReplayConfig cfg;
-    cfg.path = tmp.path();
-    cfg.lifeguardOverride = true;
-    cfg.lifeguard = LifeguardKind::kAddrCheck;
-    ReplayPlatform rp(std::move(cfg));
-    RunResult remon = rp.run();
-    EXPECT_EQ(remon.violationCount, native_live.violationCount);
-    EXPECT_EQ(remon.shadowFingerprint, native_live.shadowFingerprint);
+        auto remonitor = [](const std::string &path) {
+            ReplayConfig cfg;
+            cfg.path = path;
+            cfg.lifeguardOverride = true;
+            cfg.lifeguard = LifeguardKind::kAddrCheck;
+            ReplayPlatform rp(std::move(cfg));
+            EXPECT_FALSE(rp.replaysRecordedLifeguard());
+            return rp.run();
+        };
+        RunResult remon = remonitor(tmp.path());
+        EXPECT_EQ(remon.violationCount, native_live.violationCount);
+        EXPECT_EQ(remon.shadowFingerprint, native_live.shadowFingerprint);
+
+        EXPECT_EQ(resultMismatch(ResultTier::kExact,
+                                 remonitor(tmp.path()), remon),
+                  "");
+        EXPECT_EQ(resultMismatch(ResultTier::kExact,
+                                 remonitor(tmp_v2.path()), remon),
+                  "");
+    }
 }
 
 TEST_F(ReplayModes, ReplayThroughRunMatrixIsJobCountInvariant)
@@ -613,6 +636,45 @@ TEST_F(ReplayModes, FutureStampedOpFailsReplayFast)
             rp.run();
         },
         "replay: .*malformed op stream: op cycle beyond the recorded run");
+}
+
+TEST_F(ReplayModes, DecreasingRecordIdFailsReplay)
+{
+    // The encoder writes each append's rid as an unsigned delta from
+    // the previous one, so a journal whose rids go backwards carries a
+    // delta that wraps past 2^64. The log buffer's rid lookups and the
+    // cross-lifeguard drop log assume sorted rids: the reader must
+    // refuse that delta in either container, and replay with it.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (std::uint32_t format :
+         {trace::kFormatVersion, trace::kFormatVersionV2}) {
+        SCOPED_TRACE("format v" + std::to_string(format));
+        TempTrace tmp("rid_back_v" + std::to_string(format));
+        test::recordLuJournal<test::DecreasingRidRecorder>(
+            tmp.path(), MemoryModel::kSC, format);
+
+        trace::TraceReader reader(tmp.path());
+        ASSERT_TRUE(reader.ok()) << reader.error();
+        EXPECT_EQ(reader.formatVersion(), format);
+        trace::TraceOp op;
+        auto stream = reader.opStream(0);
+        while (stream.next(op)) {
+        }
+        EXPECT_FALSE(reader.ok());
+        EXPECT_NE(reader.error().find(
+                      "malformed op stream: record decode failed"),
+                  std::string::npos)
+            << reader.error();
+
+        ReplayConfig cfg;
+        cfg.path = tmp.path();
+        EXPECT_DEATH(
+            {
+                ReplayPlatform rp(cfg);
+                rp.run();
+            },
+            "replay: .*malformed op stream: record decode failed");
+    }
 }
 
 TEST_F(ReplayModes, ReservedHeaderWordIsIgnored)

@@ -1,7 +1,9 @@
 /**
  * @file
  * Tests for the `paralog-trace-v2` container: the LZ entropy stage, the
- * columnar ops-block codec, end-to-end record/replay equivalence with
+ * columnar ops-block codec (both decode kernels checked against their
+ * byte-wise oracle on the committed corpus, its corruptions and
+ * hand-built token streams), end-to-end record/replay equivalence with
  * v1 (bit-identical fingerprints, serial and concurrent), v1<->v2
  * migration round trips, and the corruption/truncation surface — every
  * structural boundary ±1, CRC-valid-but-garbage compressed payloads,
@@ -10,18 +12,25 @@
  * validator (paralogd's ingest path) is covered against v2 bytes too.
  */
 
+#include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/lz.hpp"
+#include "common/rng.hpp"
+#include "common/varint.hpp"
 #include "core/replay.hpp"
 #include "harness/paralog_test.hpp"
+#include "harness/tampered_journals.hpp"
 #include "trace/migrate.hpp"
 #include "trace/stream_ingest.hpp"
 #include "trace/trace_reader.hpp"
@@ -245,6 +254,586 @@ TEST_F(V2Block, RejectsNonOpBytesAndCorruptBlocks)
             EXPECT_EQ(dec.size(), v1.size());
         }
     }
+}
+
+// ------------------------------- decode kernels vs byte-wise oracle
+
+/**
+ * The byte-wise LZ and block decoders that the bounded-copy kernels
+ * replaced, kept verbatim as the differential oracle (as
+ * test_shadow_fastpath keeps its per-byte fingerprint loop). Every
+ * input must get the same accept/reject answer from both, and, when
+ * accepted, the same output bytes.
+ */
+namespace oracle {
+
+bool
+lzDecompress(const std::uint8_t *data, std::size_t n,
+             std::vector<std::uint8_t> &out, std::size_t max_out)
+{
+    ByteCursor c(data, n);
+    std::uint64_t raw_len = 0;
+    if (!c.getVarint(raw_len) || raw_len > max_out)
+        return false;
+    out.clear();
+    out.reserve(raw_len);
+
+    while (out.size() < raw_len) {
+        std::uint64_t lit = 0;
+        if (!c.getVarint(lit) || lit > c.remaining() ||
+            lit > raw_len - out.size())
+            return false;
+        out.insert(out.end(), c.pos, c.pos + lit);
+        c.pos += lit;
+        if (out.size() == raw_len)
+            break;
+
+        std::uint64_t len = 0, dist = 0;
+        if (!c.getVarint(len) || !c.getVarint(dist))
+            return false;
+        len += kLzMinMatch;
+        if (dist == 0 || dist > out.size() || len > raw_len - out.size())
+            return false;
+        std::size_t from = out.size() - static_cast<std::size_t>(dist);
+        for (std::uint64_t i = 0; i < len; ++i)
+            out.push_back(out[from + i]);
+    }
+    return c.atEnd();
+}
+
+bool
+copyVarint(ByteCursor &src, std::vector<std::uint8_t> &dst)
+{
+    const std::uint8_t *start = src.pos;
+    std::uint64_t v = 0;
+    if (!src.getVarint(v))
+        return false;
+    dst.insert(dst.end(), start, src.pos);
+    return true;
+}
+
+bool
+decodeOpsBlock(const std::uint8_t *v2, std::size_t n,
+               std::vector<std::uint8_t> &out, std::size_t max_v1_bytes)
+{
+    ByteCursor c(v2, n);
+    std::uint64_t v1_len = 0;
+    if (!c.getVarint(v1_len) || v1_len > max_v1_bytes)
+        return false;
+
+    std::vector<std::uint8_t> section;
+    if (!oracle::lzDecompress(c.pos, c.remaining(), section,
+                              2 * static_cast<std::size_t>(v1_len) + 1024))
+        return false;
+
+    ByteCursor s(section.data(), section.size());
+    std::uint64_t op_count = 0;
+    if (!s.getVarint(op_count) || op_count > v1_len)
+        return false;
+    ByteCursor col[6];
+    for (auto &cc : col) {
+        std::uint64_t len = 0;
+        if (!s.getVarint(len) || len > s.remaining())
+            return false;
+        cc = ByteCursor(s.pos, static_cast<std::size_t>(len));
+        s.pos += len;
+    }
+    if (!s.atEnd())
+        return false;
+
+    out.clear();
+    out.reserve(v1_len);
+    for (std::uint64_t i = 0; i < op_count; ++i) {
+        std::uint8_t opcode = 0;
+        if (!col[0].getByte(opcode) || opcode > trace::kMaxOpCode)
+            return false;
+        out.push_back(opcode);
+        if (!copyVarint(col[1], out) || !copyVarint(col[2], out) ||
+            !copyVarint(col[3], out))
+            return false;
+        std::uint64_t body_len = 0;
+        if (!col[4].getVarint(body_len) ||
+            body_len > col[5].remaining() ||
+            out.size() + body_len > v1_len)
+            return false;
+        out.insert(out.end(), col[5].pos, col[5].pos + body_len);
+        col[5].pos += body_len;
+    }
+    for (const auto &cc : col)
+        if (!cc.atEnd())
+            return false;
+    return out.size() == v1_len;
+}
+
+} // namespace oracle
+
+/** Structural ceiling the reader passes for one v2 ops chunk. */
+inline constexpr std::size_t kMaxChunkV1Bytes = 16u << 20;
+
+/**
+ * Runs each input through a kernel and its oracle and compares. Inputs
+ * are copied so they end exactly at a PROT_NONE page: a decoder that
+ * reads even one byte past its input faults instead of reading heap
+ * slack.
+ */
+class DecodeOracle
+{
+  public:
+    DecodeOracle()
+    {
+        const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+        len_ = kArenaBytes + page;
+        map_ = ::mmap(nullptr, len_, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (map_ == MAP_FAILED)
+            std::abort();
+        guard_ = static_cast<std::uint8_t *>(map_) + kArenaBytes;
+        if (::mprotect(guard_, page, PROT_NONE) != 0)
+            std::abort();
+    }
+    ~DecodeOracle() { ::munmap(map_, len_); }
+    DecodeOracle(const DecodeOracle &) = delete;
+    DecodeOracle &operator=(const DecodeOracle &) = delete;
+
+    void
+    lz(const std::vector<std::uint8_t> &enc, std::size_t max_out,
+       const std::string &what)
+    {
+        const std::uint8_t *p = place(enc);
+        std::vector<std::uint8_t> want, got;
+        bool w = oracle::lzDecompress(p, enc.size(), want, max_out);
+        bool g = lzDecompress(p, enc.size(), got, max_out);
+        tally(w, g, want, got, "lz " + what);
+    }
+
+    void
+    block(const std::vector<std::uint8_t> &v2, std::size_t max_v1,
+          const std::string &what)
+    {
+        const std::uint8_t *p = place(v2);
+        std::vector<std::uint8_t> want, got;
+        bool w = oracle::decodeOpsBlock(p, v2.size(), want, max_v1);
+        bool g = trace::decodeOpsBlock(p, v2.size(), got, max_v1);
+        tally(w, g, want, got, "block " + what);
+    }
+
+    std::size_t checked = 0;
+    std::size_t accepted = 0;
+
+  private:
+    static constexpr std::size_t kArenaBytes = 1u << 20;
+
+    const std::uint8_t *
+    place(const std::vector<std::uint8_t> &bytes)
+    {
+        if (bytes.size() > kArenaBytes)
+            std::abort();
+        std::uint8_t *p = guard_ - bytes.size();
+        if (!bytes.empty())
+            std::memcpy(p, bytes.data(), bytes.size());
+        return p;
+    }
+
+    void
+    tally(bool w, bool g, const std::vector<std::uint8_t> &want,
+          const std::vector<std::uint8_t> &got, const std::string &what)
+    {
+        ++checked;
+        EXPECT_EQ(g, w) << what;
+        if (w && g) {
+            ++accepted;
+            EXPECT_EQ(got, want) << what;
+        }
+    }
+
+    std::size_t len_ = 0;
+    void *map_ = nullptr;
+    std::uint8_t *guard_ = nullptr;
+};
+
+/** Every v2 ops-chunk payload of the committed corpus; empty when
+ *  PARALOG_CORPUS is unset (outside CTest). */
+std::vector<std::vector<std::uint8_t>>
+corpusV2OpsChunks()
+{
+    std::vector<std::vector<std::uint8_t>> chunks;
+    for (const char *lg : {"addrcheck", "lockset", "memcheck", "taintcheck"}) {
+        for (const char *mm : {"sc", "tso"}) {
+            const std::string path = test::corpusTrace(
+                std::string(lg) + "_" + mm + "_v2");
+            if (path.empty())
+                return {};
+            std::vector<std::uint8_t> file = slurp(path);
+            EXPECT_GT(file.size(), trace::kHeaderBytes) << path;
+            std::size_t off = trace::kHeaderBytes;
+            while (off + 16 <= file.size()) {
+                const std::uint32_t kind = trace::get32le(&file[off]);
+                const std::uint32_t bytes = trace::get32le(&file[off + 8]);
+                if (kind == trace::kChunkOps)
+                    chunks.emplace_back(file.begin() + off + 16,
+                                        file.begin() + off + 16 + bytes);
+                off += 16 + bytes;
+            }
+            EXPECT_EQ(off, file.size()) << path << ": chunk walk";
+        }
+    }
+    return chunks;
+}
+
+/** A v2 payload split at its v1Len varint. */
+struct SplitPayload
+{
+    std::uint64_t v1Len = 0;
+    std::vector<std::uint8_t> lz; ///< the LZ stream after v1Len
+};
+
+SplitPayload
+splitPayload(const std::vector<std::uint8_t> &payload)
+{
+    SplitPayload sp;
+    ByteCursor c(payload.data(), payload.size());
+    EXPECT_TRUE(c.getVarint(sp.v1Len));
+    sp.lz.assign(c.pos, c.end);
+    return sp;
+}
+
+std::vector<std::uint8_t>
+joinPayload(std::uint64_t v1_len, const std::vector<std::uint8_t> &lz)
+{
+    std::vector<std::uint8_t> out;
+    putVarint(out, v1_len);
+    out.insert(out.end(), lz.begin(), lz.end());
+    return out;
+}
+
+/** @p lz with its leading rawLen varint replaced by @p raw_len. */
+std::vector<std::uint8_t>
+withRawLen(const std::vector<std::uint8_t> &lz, std::uint64_t raw_len)
+{
+    ByteCursor c(lz.data(), lz.size());
+    std::uint64_t old = 0;
+    EXPECT_TRUE(c.getVarint(old));
+    std::vector<std::uint8_t> out;
+    putVarint(out, raw_len);
+    out.insert(out.end(), c.pos, c.end);
+    return out;
+}
+
+std::size_t
+lzCeiling(std::uint64_t v1_len)
+{
+    return 2 * static_cast<std::size_t>(v1_len) + 1024;
+}
+
+TEST(DecodeKernelOracle, CorpusChunksDecodeIdentically)
+{
+    const auto chunks = corpusV2OpsChunks();
+    if (chunks.empty())
+        GTEST_SKIP() << "PARALOG_CORPUS not set (run under CTest)";
+    DecodeOracle o;
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+        const SplitPayload sp = splitPayload(chunks[i]);
+        o.block(chunks[i], kMaxChunkV1Bytes, "chunk " + std::to_string(i));
+        o.lz(sp.lz, lzCeiling(sp.v1Len), "chunk " + std::to_string(i));
+    }
+    EXPECT_EQ(o.accepted, o.checked) << "a committed chunk was refused";
+    EXPECT_EQ(o.checked, 2 * chunks.size());
+}
+
+TEST(DecodeKernelOracle, FlippedTruncatedAndLengthEditedChunksAgree)
+{
+    const auto chunks = corpusV2OpsChunks();
+    if (chunks.empty())
+        GTEST_SKIP() << "PARALOG_CORPUS not set (run under CTest)";
+    DecodeOracle o;
+    Rng rng(19);
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+        const std::vector<std::uint8_t> &payload = chunks[i];
+        const SplitPayload sp = splitPayload(payload);
+        const std::string tag = "chunk " + std::to_string(i);
+
+        // Truncations: a spread of cuts, plus every one of the last 20
+        // bytes, through both decoders.
+        std::vector<std::size_t> cuts;
+        for (std::size_t cut = 0; cut < payload.size();
+             cut += 1 + payload.size() / 48)
+            cuts.push_back(cut);
+        for (std::size_t k = 1; k <= 20 && k <= payload.size(); ++k)
+            cuts.push_back(payload.size() - k);
+        for (std::size_t cut : cuts) {
+            std::vector<std::uint8_t> cut_payload(payload.begin(),
+                                                  payload.begin() + cut);
+            o.block(cut_payload, kMaxChunkV1Bytes,
+                    tag + " cut " + std::to_string(cut));
+            if (cut < sp.lz.size()) {
+                std::vector<std::uint8_t> cut_lz(sp.lz.begin(),
+                                                 sp.lz.begin() + cut);
+                o.lz(cut_lz, lzCeiling(sp.v1Len),
+                     tag + " cut " + std::to_string(cut));
+            }
+        }
+
+        // Seeded byte flips.
+        for (int f = 0; f < 48; ++f) {
+            std::vector<std::uint8_t> bad = payload;
+            const std::size_t at = rng.below(bad.size());
+            bad[at] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+            o.block(bad, kMaxChunkV1Bytes, tag + " flip " + std::to_string(at));
+            std::vector<std::uint8_t> bad_lz = sp.lz;
+            const std::size_t lz_at = rng.below(bad_lz.size());
+            bad_lz[lz_at] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+            o.lz(bad_lz, lzCeiling(sp.v1Len),
+                 tag + " flip " + std::to_string(lz_at));
+        }
+
+        // Length-field edits: v1Len and the LZ rawLen, against both
+        // decoders and against the exact ceilings.
+        ByteCursor rc(sp.lz.data(), sp.lz.size());
+        std::uint64_t raw_len = 0;
+        ASSERT_TRUE(rc.getVarint(raw_len));
+        for (std::int64_t d : {-17, -16, -1, 1, 15, 16}) {
+            const std::string dt = " d=" + std::to_string(d);
+            o.block(joinPayload(sp.v1Len + d, sp.lz), kMaxChunkV1Bytes,
+                    tag + " v1Len" + dt);
+            o.block(joinPayload(sp.v1Len, withRawLen(sp.lz, raw_len + d)),
+                    kMaxChunkV1Bytes, tag + " rawLen" + dt);
+            o.lz(withRawLen(sp.lz, raw_len + d), lzCeiling(sp.v1Len),
+                 tag + " rawLen" + dt);
+        }
+        o.block(payload, static_cast<std::size_t>(sp.v1Len) - 1,
+                tag + " ceiling v1Len-1");
+        o.lz(sp.lz, static_cast<std::size_t>(raw_len) - 1,
+             tag + " ceiling rawLen-1");
+
+        // Column-section edits (recompressed, so the LZ stage passes
+        // and the block rebuild meets them): opCount, each column
+        // length, and the first and last body lengths.
+        std::vector<std::uint8_t> section;
+        ASSERT_TRUE(oracle::lzDecompress(sp.lz.data(), sp.lz.size(),
+                                         section, lzCeiling(sp.v1Len)));
+        ByteCursor sc(section.data(), section.size());
+        std::uint64_t fields[7] = {};
+        std::vector<std::uint8_t> cols[6];
+        ASSERT_TRUE(sc.getVarint(fields[0]));
+        for (int k = 0; k < 6; ++k) {
+            ASSERT_TRUE(sc.getVarint(fields[k + 1]));
+            ASSERT_LE(fields[k + 1], sc.remaining());
+            cols[k].assign(sc.pos, sc.pos + fields[k + 1]);
+            sc.pos += fields[k + 1];
+        }
+        auto rebuild = [&](const std::uint64_t (&f)[7],
+                           const std::vector<std::uint8_t> (&c)[6],
+                           const std::string &what) {
+            std::vector<std::uint8_t> sec;
+            putVarint(sec, f[0]);
+            for (int k = 0; k < 6; ++k) {
+                putVarint(sec, f[k + 1]);
+                sec.insert(sec.end(), c[k].begin(), c[k].end());
+            }
+            std::vector<std::uint8_t> lz;
+            lzCompress(sec.data(), sec.size(), lz);
+            o.block(joinPayload(sp.v1Len, lz), kMaxChunkV1Bytes,
+                    tag + " " + what);
+        };
+        for (int k = 0; k < 7; ++k) {
+            for (std::int64_t d : {-1, 1}) {
+                std::uint64_t f[7];
+                std::copy(std::begin(fields), std::end(fields), f);
+                f[k] += d;
+                rebuild(f, cols, "field " + std::to_string(k) + " d=" +
+                                     std::to_string(d));
+            }
+        }
+        // Body lengths are single-byte varints at the ends of column 4
+        // in these chunks; editing one keeps every column length.
+        for (std::size_t at : {std::size_t(0), cols[4].size() - 1}) {
+            if (cols[4].empty() || (cols[4][at] & 0x80) ||
+                (at > 0 && (cols[4][at - 1] & 0x80)))
+                continue;
+            for (int d : {-1, 1}) {
+                std::vector<std::uint8_t> c2[6];
+                std::copy(std::begin(cols), std::end(cols), c2);
+                c2[4][at] = static_cast<std::uint8_t>(
+                    (c2[4][at] + d) & 0x7F);
+                rebuild(fields, c2,
+                        "body len " + std::to_string(at) + " d=" +
+                            std::to_string(d));
+            }
+        }
+    }
+    EXPECT_GT(o.checked, 100 * chunks.size());
+}
+
+/** Hand-built LZ stream: rawLen, then tokens as appended. */
+struct LzStream
+{
+    std::vector<std::uint8_t> bytes;
+
+    explicit LzStream(std::uint64_t raw_len) { putVarint(bytes, raw_len); }
+
+    LzStream &
+    lit(std::size_t n, std::uint8_t seed = 1)
+    {
+        putVarint(bytes, n);
+        for (std::size_t i = 0; i < n; ++i)
+            bytes.push_back(static_cast<std::uint8_t>(seed + 37 * i));
+        return *this;
+    }
+
+    LzStream &
+    match(std::uint64_t len, std::uint64_t dist)
+    {
+        putVarint(bytes, len - kLzMinMatch);
+        putVarint(bytes, dist);
+        return *this;
+    }
+};
+
+TEST(DecodeKernelOracle, HandBuiltStreamsAgree)
+{
+    DecodeOracle o;
+
+    // Match distances 1-20 against a prefix shorter than, equal to and
+    // longer than the distance, lengths 4-40, with the stream's rawLen
+    // exact, one short (the match overruns) and one long (the stream
+    // ends early), then an optional trailing literal.
+    for (std::uint64_t dist = 1; dist <= 20; ++dist) {
+        for (std::size_t prefix : {dist - 1, dist, dist + 3, std::size_t(20)}) {
+            if (prefix == 0)
+                continue;
+            for (std::uint64_t len = kLzMinMatch; len <= 40; ++len) {
+                for (std::size_t tail : {std::size_t(0), std::size_t(3),
+                                         std::size_t(17)}) {
+                    const std::uint64_t raw = prefix + len + tail;
+                    for (std::int64_t d : {-1, 0, 1}) {
+                        LzStream s(raw + d);
+                        s.lit(prefix, static_cast<std::uint8_t>(dist));
+                        s.match(len, dist);
+                        if (tail)
+                            s.lit(tail, 200);
+                        const std::string what =
+                            "dist " + std::to_string(dist) + " prefix " +
+                            std::to_string(prefix) + " len " +
+                            std::to_string(len) + " tail " +
+                            std::to_string(tail) + " d " +
+                            std::to_string(d);
+                        o.lz(s.bytes, raw + 1, what);
+                        o.lz(s.bytes, raw - 1, what + " ceiling");
+                    }
+                }
+            }
+        }
+    }
+
+    // Tokens ending exactly at rawLen, and one byte either side: a
+    // literal-only stream, and a literal that overruns rawLen while
+    // the input still has its bytes, alone or followed by a match.
+    for (std::size_t raw = 0; raw <= 40; ++raw) {
+        for (std::size_t n : {raw, raw + 1}) {
+            if (n == 0 && raw == 0)
+                continue;
+            LzStream s(raw);
+            s.lit(n);
+            o.lz(s.bytes, 64, "literal " + std::to_string(n) + " of raw " +
+                                  std::to_string(raw));
+            if (n == 0)
+                continue;
+            s.match(kLzMinMatch, 1);
+            o.lz(s.bytes, 64, "literal " + std::to_string(n) + " of raw " +
+                                  std::to_string(raw) + ", then a match");
+        }
+        LzStream empty(raw);
+        o.lz(empty.bytes, 64, "no tokens, raw " + std::to_string(raw));
+    }
+
+    // Literals within 16 bytes of the input end: a final literal of
+    // 0-20 bytes with one byte missing, exact, or followed by 1-17
+    // trailing bytes, after a match that leaves the output mid-stream.
+    for (std::size_t n = 0; n <= 20; ++n) {
+        for (int extra = -1; extra <= 17; ++extra) {
+            const std::uint64_t raw = 8 + 12 + n;
+            LzStream s(raw);
+            s.lit(8, 5).match(12, 3);
+            putVarint(s.bytes, n);
+            const std::size_t have =
+                extra < 0 ? (n == 0 ? 0 : n - 1) : n + extra;
+            for (std::size_t i = 0; i < have; ++i)
+                s.bytes.push_back(static_cast<std::uint8_t>(0xA0 + i));
+            o.lz(s.bytes, 64,
+                 "final literal " + std::to_string(n) + " extra " +
+                     std::to_string(extra));
+        }
+    }
+
+    // Seeded random token streams: literal runs 0-24, matches 4-30 at
+    // distances up to one past the bytes written, rawLen exact or one
+    // off.
+    Rng rng(20);
+    for (int it = 0; it < 4000; ++it) {
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> matches;
+        std::vector<std::size_t> lits;
+        std::uint64_t w = 0;
+        const int tokens = 1 + static_cast<int>(rng.below(12));
+        for (int t = 0; t < tokens; ++t) {
+            lits.push_back(rng.below(25));
+            w += lits.back();
+            const std::uint64_t len = rng.range(kLzMinMatch, 30);
+            const std::uint64_t dist = rng.range(1, w + 1);
+            matches.emplace_back(len, dist);
+            w += len;
+        }
+        const std::uint64_t raw = w + rng.below(3) - 1;
+        LzStream s(raw);
+        for (int t = 0; t < tokens; ++t) {
+            s.lit(lits[t], static_cast<std::uint8_t>(it));
+            s.match(matches[t].first, matches[t].second);
+        }
+        if (rng.chance(0.5))
+            s.lit(rng.below(20), 77);
+        o.lz(s.bytes, raw + 64, "random " + std::to_string(it));
+    }
+    EXPECT_GT(o.accepted, 1000u);
+    EXPECT_LT(o.accepted, o.checked);
+}
+
+TEST(DecodeKernelOracle, HandBuiltBlocksAgree)
+{
+    // One retire op whose d_gseq varint is 1-11 bytes long (10 is the
+    // longest ByteCursor accepts; an unterminated one runs off its
+    // column), and whose body is 0-20 bytes, against v1Len exact and
+    // one off either way.
+    DecodeOracle o;
+    for (std::size_t vlen = 1; vlen <= 11; ++vlen) {
+        for (bool terminated : {true, false}) {
+            std::vector<std::uint8_t> varint(vlen, 0x80);
+            if (terminated)
+                varint.back() = 0x01;
+            for (std::size_t body = 0; body <= 20; ++body) {
+                std::vector<std::uint8_t> cols[6] = {
+                    {0}, varint, {0}, {0}, {}, {}};
+                putVarint(cols[4], body);
+                for (std::size_t i = 0; i < body; ++i)
+                    cols[5].push_back(static_cast<std::uint8_t>(i + 1));
+                std::vector<std::uint8_t> sec;
+                putVarint(sec, 1);
+                for (const auto &c : cols) {
+                    putVarint(sec, c.size());
+                    sec.insert(sec.end(), c.begin(), c.end());
+                }
+                std::vector<std::uint8_t> lz;
+                lzCompress(sec.data(), sec.size(), lz);
+                const std::uint64_t v1_len = 1 + vlen + 2 + body;
+                for (std::uint64_t len : {v1_len - 1, v1_len, v1_len + 1})
+                    o.block(joinPayload(len, lz), kMaxChunkV1Bytes,
+                            "varint " + std::to_string(vlen) +
+                                (terminated ? "" : " unterminated") +
+                                " body " + std::to_string(body) +
+                                " v1Len " + std::to_string(len));
+            }
+        }
+    }
+    EXPECT_GT(o.accepted, 100u);
+    EXPECT_LT(o.accepted, o.checked);
 }
 
 // --------------------------------------- v2 end-to-end record/replay

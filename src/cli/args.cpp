@@ -300,8 +300,7 @@ usageText()
        << "                 live or replay (0/1 = serial engine). N >= 2\n"
        << "                 selects the concurrent engine: analysis\n"
        << "                 fingerprints stay identical to serial,\n"
-       << "                 simulated timing is relaxed. Composes with\n"
-       << "                 --record (the journal replays result-exact)\n"
+       << "                 simulated timing is relaxed\n"
        << "  --migrate=SRC  rewrite the recording at SRC into --out=DST\n"
        << "                 using --trace-format (v1<->v2 both ways);\n"
        << "                 replay results are bit-identical across the\n"
@@ -715,12 +714,14 @@ parseArgs(const std::vector<std::string_view> &args)
     }
 
     // --lg-threads selects the lifeguard cores' host threading, live or
-    // replay; 0/1 is the serial engine everywhere and --record composes
-    // with either (a live-parallel recording carries a header bit and
-    // replays result-exact through the concurrent replay engine). The
-    // only hard conflict is disabling ConflictAlerts: the concurrent
-    // engines rely on their two-sided barriers for cross-stream
+    // replay; 0/1 is the serial engine everywhere. A recording journals
+    // the serial scheduler's lifeguard-step interleaving, which the
+    // concurrent live engine does not have. And the concurrent engines
+    // rely on the two-sided ConflictAlert barriers for cross-stream
     // ordering, with no serial scheduler to fall back on.
+    if (o.lgThreads >= 2 && !o.recordPath.empty())
+        return fail("--record journals the serial engine and cannot be "
+                    "combined with --lg-threads=N (N >= 2)");
     if (o.lgThreadsSet && o.lgThreads >= 2 && o.replayPath.empty() &&
         !o.conflictAlerts)
         return fail("--lg-threads=N (N >= 2) relies on the ConflictAlert "

@@ -73,9 +73,7 @@ struct CliOptions
     /// --lg-threads=N: host threads for the lifeguard cores, live or
     /// replay (0/1 = serial engine; >= 2 = concurrent engine). Which
     /// result columns each engine keeps is ResultTier
-    /// (core/run_stats.hpp). Composed with --record, the journal
-    /// carries a live-parallel header bit and replays through the
-    /// concurrent replay engine.
+    /// (core/run_stats.hpp). N >= 2 cannot be combined with --record.
     std::uint32_t lgThreads = 0;
     bool lgThreadsSet = false; ///< flag given (drives conflict checks)
 

@@ -41,7 +41,8 @@ const char kUsage[] =
     "`paralog --daemon-stats --socket=PATH`.\n"
     "\n"
     "  --socket=PATH          listening socket (required)\n"
-    "  --workers=N            re-monitoring worker threads (default 2)\n"
+    "  --workers=N            re-monitoring worker threads, one job each\n"
+    "                         on the serial replay engine (default 2)\n"
     "  --max-sessions=N       concurrent client cap; excess connections\n"
     "                         are answered 'rejected' (default 64)\n"
     "  --max-queued=N         job-queue cap; completed uploads beyond it\n"
@@ -50,8 +51,6 @@ const char kUsage[] =
     "  --idle-timeout-ms=N    close sessions idle this long (default\n"
     "                         5000; the slow-loris defense)\n"
     "  --heartbeat-ms=N       PLHB cadence to waiting clients (500)\n"
-    "  --lg-threads=N         host lifeguard threads per replay job\n"
-    "                         (0/1 = serial engine)\n"
     "  --spool-dir=PATH       upload spool directory\n"
     "                         (default: <socket>.spool)\n"
     "  --verbose              log connections and drain progress\n"
@@ -135,10 +134,6 @@ main(int argc, char **argv)
         }
         if (parseU64Flag(arg, "--heartbeat-ms", u)) {
             cfg.heartbeatMs = static_cast<int>(u);
-            continue;
-        }
-        if (parseU64Flag(arg, "--lg-threads", u)) {
-            cfg.lgThreads = static_cast<std::uint32_t>(u);
             continue;
         }
         std::fprintf(stderr, "paralogd: unknown flag '%s'\n\n%s",

@@ -30,10 +30,7 @@ ConsumerPool::ConsumerPool(
         captures_[t]->attachRing(&rings_[t]);
     }
 
-    // At least one: live-parallel recordings select concurrent replay
-    // even when no --lg-threads was requested (see ReplayPlatform ctor).
-    nConsumers_ = std::max<std::uint32_t>(
-        1, std::min<std::uint32_t>(engine_.lgThreads, k));
+    nConsumers_ = std::min<std::uint32_t>(engine_.lgThreads, k);
     threads_.reserve(nConsumers_);
     running_.store(nConsumers_, std::memory_order_relaxed);
     try {

@@ -5,7 +5,7 @@
  * An engine keeps only its producer loop — what it publishes and when
  * — and runs it on the calling thread, which then becomes the
  * supervisor. Everything else has one copy here: the per-stream SPSC
- * rings, max(1, min(lgThreads, k)) consumer threads stepping their
+ * rings, min(lgThreads, k) consumer threads stepping their
  * lifeguard cores round-robin, first-error capture, the producer pump
  * and tail flush, the stall watchdogs, the stall signature and the
  * per-stream state dump.

@@ -78,40 +78,11 @@ recordExperiment(const RunSpec &spec)
                    "--record requires parallel monitoring mode");
     PlatformConfig cfg = makeConfig(spec.workload, spec.lifeguard,
                                     spec.mode, spec.cores, spec.opt);
-    // Canonical single-pop delivery: the journal stamps producer ops
-    // with the global lifeguard-step count, so the step-call structure
-    // must be reproducible without the application cores. Batching is
-    // simulated-result-invariant (the host wall-clock knob), but its
-    // batch boundaries depend on the application-side horizon; batch
-    // size 1 removes that dependence. Replay forces the same value.
-    //
-    // Live-parallel recordings carry no lifeguard-step stamps at all
-    // (the consumers run on host threads the journal never sees), so
-    // the pin is meaningless there: replay re-monitors them through
-    // the protocol-enforced engine, result-exact rather than
-    // schedule-exact, and may batch freely.
-    const bool liveParallel = cfg.lgThreads >= 2;
-    if (!liveParallel)
-        cfg.sim.deliverBatchMax = 1;
-
-    trace::TraceConfig tc;
-    tc.workload = spec.workload;
-    tc.lifeguard = spec.lifeguard;
-    tc.mode = spec.mode;
-    tc.memoryModel = cfg.sim.memoryModel;
-    tc.depTracking = cfg.sim.depTracking;
-    tc.conflictAlerts = cfg.sim.conflictAlerts;
-    tc.accelIT = cfg.sim.accel.inheritanceTracking;
-    tc.accelIF = cfg.sim.accel.idempotentFilter;
-    tc.accelMTLB = cfg.sim.accel.metadataTlb;
-    tc.appThreads = spec.cores;
-    tc.scale = spec.opt.scale;
-    tc.seed = cfg.sim.seed;
-    tc.logBufferBytes = cfg.sim.logBufferBytes;
-    tc.liveParallel = liveParallel;
-
-    trace::TraceRecorder recorder(spec.recordPath, tc,
-                                  spec.recordFormat);
+    trace::TraceRecorder recorder(
+        spec.recordPath,
+        trace::TraceConfig::forRun(cfg.sim, cfg.workload, cfg.lifeguard,
+                                   cfg.scale),
+        spec.recordFormat);
     if (!recorder.ok())
         panic("record: %s", recorder.error().c_str());
     cfg.recorder = &recorder;

@@ -92,7 +92,8 @@ struct RunSpec
  */
 RunResult runSpecExperiment(const RunSpec &spec);
 
-/** Record one live run (spec.mode must be kParallel). */
+/** Record one live run (spec.mode must be kParallel, on the serial
+ *  engine: spec.opt.lgThreads 0 or 1). */
 RunResult recordExperiment(const RunSpec &spec);
 
 /** Replay a recording under @p spec.lifeguard (see RunSpec::replayPath);

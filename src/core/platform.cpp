@@ -30,7 +30,51 @@ heapGlobalsFingerprint(const ShadowMemory &shadow)
            shadow.fingerprint(AddressLayout::kGlobalBase, 1 << 16);
 }
 
-Platform::Platform(PlatformConfig cfg) : cfg_(std::move(cfg))
+LifeguardPtr
+configuredLifeguard(const PlatformConfig &cfg)
+{
+    return cfg.customLifeguard
+               ? cfg.customLifeguard(cfg.sim.appThreads)
+               : makeLifeguard(cfg.lifeguard, cfg.sim.appThreads);
+}
+
+std::shared_ptr<Workload>
+configuredWorkload(const PlatformConfig &cfg)
+{
+    return cfg.customWorkload ? cfg.customWorkload
+                              : makeWorkload(cfg.workload);
+}
+
+WorkloadEnv
+workloadEnv(const PlatformConfig &cfg)
+{
+    WorkloadEnv env;
+    env.heapBase = AddressLayout::kHeapBase;
+    env.heapBytes = AddressLayout::kHeapBytes;
+    env.globalBase = AddressLayout::kGlobalBase;
+    env.lockBase = AddressLayout::kLockBase;
+    env.barrierBase = AddressLayout::kBarrierBase;
+    env.numThreads = cfg.sim.appThreads;
+    env.scale = cfg.scale;
+    env.seed = cfg.sim.seed;
+    return env;
+}
+
+EventFilter
+policyFilter(const LifeguardPolicy &policy)
+{
+    EventFilter filter;
+    filter.regOps = policy.wantsRegOps;
+    filter.jumps = policy.wantsJumps;
+    filter.heapOnly = policy.heapOnly;
+    filter.heapArena =
+        AddrRange{AddressLayout::kHeapBase,
+                  AddressLayout::kHeapBase + AddressLayout::kHeapBytes};
+    return filter;
+}
+
+Platform::Platform(PlatformConfig cfg)
+    : cfg_(std::move(cfg)), env_(workloadEnv(cfg_))
 {
     PARALOG_ASSERT(cfg_.sim.mode != MonitorMode::kTimesliced,
                    "use Timesliced for the timesliced baseline");
@@ -38,24 +82,32 @@ Platform::Platform(PlatformConfig cfg) : cfg_(std::move(cfg))
     const std::uint32_t k = cfg_.sim.appThreads;
     const std::uint32_t cores = cfg_.sim.totalCores();
 
+    if (cfg_.recorder) {
+        PARALOG_ASSERT(monitoring,
+                       "trace recording requires parallel monitoring");
+        // The journal stamps producer ops with the global lifeguard-step
+        // count, which only the serial scheduler defines.
+        PARALOG_ASSERT(!concurrentLive(),
+                       "trace recording requires the serial engine "
+                       "(lgThreads 0 or 1)");
+        // Canonical single-pop delivery: the step-call structure must
+        // be reproducible without the application cores. Batching is
+        // simulated-result-invariant (the host wall-clock knob), but its
+        // batch boundaries depend on the application-side horizon;
+        // batch size 1 removes that dependence. Replay forces the same
+        // value.
+        cfg_.sim.deliverBatchMax = 1;
+    }
+
     mem_ = std::make_unique<MemorySystem>(cfg_.sim, cores);
     heap_ = std::make_unique<Heap>(AddressLayout::kHeapBase,
                                    AddressLayout::kHeapBytes, k);
 
-    env_.heapBase = AddressLayout::kHeapBase;
-    env_.heapBytes = AddressLayout::kHeapBytes;
-    env_.globalBase = AddressLayout::kGlobalBase;
-    env_.lockBase = AddressLayout::kLockBase;
-    env_.barrierBase = AddressLayout::kBarrierBase;
-    env_.numThreads = k;
-    env_.scale = cfg_.scale;
-    env_.seed = cfg_.sim.seed;
-
+    EventFilter filter;
     if (monitoring) {
-        lifeguard_ = cfg_.customLifeguard
-                         ? cfg_.customLifeguard(k)
-                         : makeLifeguard(cfg_.lifeguard, k);
+        lifeguard_ = configuredLifeguard(cfg_);
         policy_ = lifeguard_->policy();
+        filter = policyFilter(policy_);
         if (concurrentLive()) {
             // The host-parallel live engine relies on the CA barriers
             // to order cross-stream delivery (it cannot fall back to
@@ -84,23 +136,9 @@ Platform::Platform(PlatformConfig cfg) : cfg_(std::move(cfg))
     progress_ = std::make_unique<ProgressTable>(k);
     caMgr_ = std::make_unique<CaManager>(k);
 
-    std::shared_ptr<Workload> workload = cfg_.customWorkload;
-    if (!workload)
-        workload = makeWorkload(cfg_.workload);
-
-    EventFilter filter;
-    if (monitoring) {
-        filter.regOps = policy_.wantsRegOps;
-        filter.jumps = policy_.wantsJumps;
-        filter.heapOnly = policy_.heapOnly;
-        filter.heapArena = heap_->arena();
-    }
-
-    if (cfg_.recorder) {
-        PARALOG_ASSERT(monitoring,
-                       "trace recording requires parallel monitoring");
+    std::shared_ptr<Workload> workload = configuredWorkload(cfg_);
+    if (cfg_.recorder)
         cfg_.recorder->setFilterBits(packFilterBits(filter));
-    }
 
     for (ThreadId t = 0; t < k; ++t) {
         if (monitoring) {
@@ -140,11 +178,7 @@ Platform::Platform(PlatformConfig cfg) : cfg_(std::move(cfg))
                 k + t, t, cfg_.sim, *captures_[t], *progress_, *caMgr_,
                 *lifeguard_, concurrentLive() ? nullptr : mem_.get(),
                 versions_, 1));
-            if (trace::TraceRecorder *rec = cfg_.recorder;
-                rec && !concurrentLive()) {
-                // The latency sideband describes the serial schedule's
-                // metadata access sequence; live-parallel recordings
-                // carry none (replay re-monitors them result-only).
+            if (trace::TraceRecorder *rec = cfg_.recorder) {
                 lgCores_.back()->ctx().setMetaLatencyTee(
                     [rec, t](Cycle latency) {
                         rec->onMetaLatency(t, latency);
@@ -191,15 +225,11 @@ Platform::caBroadcast(ThreadId tid, RecordId rid, HighLevelKind kind,
     if (EventRecord *rec = captures_[tid]->buffer().findByRid(rid))
         rec->caSeq = seq;
     // Journal the barrier bookkeeping (the arrival records themselves
-    // were journalled by the appendCa calls above). Copy-out lookup:
-    // in concurrent live mode consumer threads retire barrier entries
-    // (noteWaiterPassed/noteIssuerDelivered) concurrently with this
-    // producer-side hook, so a find() pointer could be invalidated
-    // mid-read.
+    // were journalled by the appendCa calls above).
     if (cfg_.recorder) {
         CaBroadcast b;
-        // Always live here: the CA records that let consumers retire
-        // the entry are still unpublished in the issuing step.
+        // Always live here: the CA records that let the lifeguards
+        // retire the entry are still undelivered in the issuing step.
         PARALOG_ASSERT(caMgr_->lookup(seq, b),
                        "CA broadcast %llu retired before journaling",
                        static_cast<unsigned long long>(seq));

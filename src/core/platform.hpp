@@ -63,9 +63,9 @@ struct PlatformConfig
     /// happens-before validation (SC runs).
     bool traceCapture = false;
     /// Record the run as a `paralog-trace-v1` journal for offline
-    /// replay (core/replay.hpp). Parallel monitoring mode only; the
-    /// recorder outlives the platform (the caller finalizes it with
-    /// the run's results and shadow fingerprint).
+    /// replay (core/replay.hpp). Parallel monitoring mode on the serial
+    /// engine only; the recorder outlives the platform (the caller
+    /// finalizes it with the run's results and shadow fingerprint).
     trace::TraceRecorder *recorder = nullptr;
     /**
      * Host lifeguard threads for *live* runs. 0 and 1 select the serial
@@ -76,7 +76,7 @@ struct PlatformConfig
      * lifeguard cores round-robin behind lock-free SPSC rings, gated by
      * the online publication seal (CaptureUnit::publishSealed).
      * Results match serial at ResultTier::kAnalysis. Requires parallel
-     * monitoring mode with ConflictAlerts enabled.
+     * monitoring mode with ConflictAlerts enabled, and no recorder.
      */
     std::uint32_t lgThreads = 0;
 };
@@ -98,6 +98,24 @@ struct AddressLayout
  * all compare this value.
  */
 std::uint64_t heapGlobalsFingerprint(const ShadowMemory &shadow);
+
+// Construction pieces shared by the live, timesliced and replay engines.
+
+/** The lifeguard a run of @p cfg monitors with: cfg.customLifeguard
+ *  when set, else the built-in cfg.lifeguard. */
+LifeguardPtr configuredLifeguard(const PlatformConfig &cfg);
+
+/** The application a run of @p cfg executes: cfg.customWorkload when
+ *  set, else the built-in cfg.workload. */
+std::shared_ptr<Workload> configuredWorkload(const PlatformConfig &cfg);
+
+/** What the application threads of @p cfg see: the AddressLayout
+ *  regions, the thread count, the scale and the seed. */
+WorkloadEnv workloadEnv(const PlatformConfig &cfg);
+
+/** The capture filter for the event classes @p policy registers for,
+ *  over the AddressLayout heap arena. */
+EventFilter policyFilter(const LifeguardPolicy &policy);
 
 class Platform : public PlatformHooks, public TsoHooks
 {

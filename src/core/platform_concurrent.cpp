@@ -47,7 +47,6 @@
 #include <algorithm>
 
 #include "core/consumer_pool.hpp"
-#include "trace/recorder.hpp"
 
 namespace paralog {
 
@@ -121,8 +120,6 @@ Platform::runConcurrentLive()
             break; // every buffer empty
         if (next_ready > now)
             now = next_ready;
-        if (cfg_.recorder)
-            cfg_.recorder->setNow(now);
         for (CoreId core = 0; core < k; ++core)
             tsoPath_->pump(core, now);
         publishAll();

@@ -109,19 +109,9 @@ ReplayPlatform::ReplayPlatform(ReplayConfig cfg)
     if (!cfg_.lifeguardOverride)
         lifeguardKind_ = tc.lifeguard;
     sameLifeguard_ = (lifeguardKind_ == tc.lifeguard);
-    liveParallelRec_ = tc.liveParallel;
-    // Live-parallel recordings carry no lifeguard-step stamps (the
-    // consumers ran on host threads the journal never saw), so the
-    // serial scheduler has no recorded interleaving to reproduce:
-    // same-lifeguard replays of them always go through the
-    // protocol-enforced concurrent engine (possibly with a single
-    // consumer thread). Cross-lifeguard replays of any recording stay
-    // on the serial engine (approximate, unverified).
-    concurrent_ = cfg_.lgThreads >= 2 ||
-                  (liveParallelRec_ && sameLifeguard_);
-    // Recordings use canonical single-pop delivery (see
-    // recordExperiment): the journal's lifeguard-step stamps only line
-    // up when replay steps the same way. The concurrent engine ignores
+    // Recordings use canonical single-pop delivery (see the Platform
+    // ctor): the journal's lifeguard-step stamps only line up when
+    // replay steps the same way. The concurrent engine ignores
     // the step stamps entirely (delivery order is protocol-enforced,
     // not schedule-reproduced), so it may batch freely.
     sim_.deliverBatchMax = concurrent() ? 16 : 1;
@@ -165,16 +155,7 @@ ReplayPlatform::ReplayPlatform(ReplayConfig cfg)
                  "are approximate",
                  toString(tc.lifeguard), toString(lifeguardKind_));
         }
-    }
-
-    if (!sameLifeguard_) {
-        const LifeguardPolicy policy = lifeguard_->policy();
-        filter_.regOps = policy.wantsRegOps;
-        filter_.jumps = policy.wantsJumps;
-        filter_.heapOnly = policy.heapOnly;
-        filter_.heapArena =
-            AddrRange{AddressLayout::kHeapBase,
-                      AddressLayout::kHeapBase + AddressLayout::kHeapBytes};
+        filter_ = policyFilter(policy);
     }
 
     captures_.reserve(k_);

@@ -131,18 +131,8 @@ class ReplayPlatform
     bool replaysRecordedLifeguard() const { return sameLifeguard_; }
     Lifeguard &lifeguard() { return *lifeguard_; }
 
-    /** True when run() will use the host-parallel engine. Besides the
-     *  explicit --lg-threads opt-in, recordings made by the live
-     *  host-parallel engine select it implicitly (same-lifeguard
-     *  replays only): their journals carry no lifeguard-step stamps,
-     *  so the serial scheduler has no interleaving to reproduce — the
-     *  protocol-enforced engine re-monitors them at
-     *  ResultTier::kResults. */
-    bool concurrent() const { return concurrent_; }
-
-    /** The recording was made by the live host-parallel engine
-     *  (trace::kCfgLiveParallel). */
-    bool recordedLiveParallel() const { return liveParallelRec_; }
+    /** True when run() will use the host-parallel engine. */
+    bool concurrent() const { return cfg_.lgThreads >= 2; }
 
   private:
     /// Implemented in replay_concurrent.cpp.
@@ -186,8 +176,6 @@ class ReplayPlatform
     std::uint32_t k_ = 0;
     LifeguardKind lifeguardKind_;
     bool sameLifeguard_ = true;
-    bool liveParallelRec_ = false; ///< header kCfgLiveParallel bit
-    bool concurrent_ = false;      ///< resolved engine choice (ctor)
 
     std::unique_ptr<Lifeguard> lifeguard_;
     std::unique_ptr<ProgressTable> progress_;

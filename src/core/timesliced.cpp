@@ -6,7 +6,8 @@
 
 namespace paralog {
 
-Timesliced::Timesliced(PlatformConfig cfg) : cfg_(std::move(cfg))
+Timesliced::Timesliced(PlatformConfig cfg)
+    : cfg_(std::move(cfg)), env_(workloadEnv(cfg_))
 {
     cfg_.sim.mode = MonitorMode::kTimesliced;
     // A sequential lifeguard consumes a totally ordered stream: it needs
@@ -20,17 +21,7 @@ Timesliced::Timesliced(PlatformConfig cfg) : cfg_(std::move(cfg))
     heap_ = std::make_unique<Heap>(AddressLayout::kHeapBase,
                                    AddressLayout::kHeapBytes, k);
 
-    env_.heapBase = AddressLayout::kHeapBase;
-    env_.heapBytes = AddressLayout::kHeapBytes;
-    env_.globalBase = AddressLayout::kGlobalBase;
-    env_.lockBase = AddressLayout::kLockBase;
-    env_.barrierBase = AddressLayout::kBarrierBase;
-    env_.numThreads = k;
-    env_.scale = cfg_.scale;
-    env_.seed = cfg_.sim.seed;
-
-    lifeguard_ = makeLifeguard(cfg_.lifeguard, k);
-    LifeguardPolicy policy = lifeguard_->policy();
+    lifeguard_ = configuredLifeguard(cfg_);
 
     // Arc capture off: the merged stream is already ordered.
     dataPath_ = std::make_unique<ScDataPath>(*mem_, false);
@@ -41,16 +32,10 @@ Timesliced::Timesliced(PlatformConfig cfg) : cfg_(std::move(cfg))
     progress_ = std::make_unique<ProgressTable>(k);
     caMgr_ = std::make_unique<CaManager>(k);
 
-    EventFilter filter;
-    filter.regOps = policy.wantsRegOps;
-    filter.jumps = policy.wantsJumps;
-    filter.heapOnly = policy.heapOnly;
-    filter.heapArena = heap_->arena();
-    capture_ = std::make_unique<CaptureUnit>(0, cfg_.sim, filter);
+    capture_ = std::make_unique<CaptureUnit>(
+        0, cfg_.sim, policyFilter(lifeguard_->policy()));
 
-    std::shared_ptr<Workload> workload = cfg_.customWorkload;
-    if (!workload)
-        workload = makeWorkload(cfg_.workload);
+    std::shared_ptr<Workload> workload = configuredWorkload(cfg_);
     for (ThreadId t = 0; t < k; ++t) {
         tcs_.push_back(std::make_unique<ThreadContext>(
             t, workload->makeThread(t, env_)));

@@ -275,7 +275,6 @@ Daemon::runJob(const Job &job)
         spec.lifeguard = kind;
         spec.mode = MonitorMode::kParallel;
         spec.cores = job.appThreads;
-        spec.opt.lgThreads = cfg_.lgThreads;
         spec.replayPath = job.spoolPath;
         specs.push_back(spec);
     }

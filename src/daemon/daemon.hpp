@@ -73,8 +73,6 @@ struct DaemonConfig
     int idleTimeoutMs = 5000;
     /// Heartbeat cadence towards queued/running sessions.
     int heartbeatMs = 500;
-    /// Host lifeguard threads per replay job (ReplayConfig::lgThreads).
-    std::uint32_t lgThreads = 0;
     /// Directory for spooled uploads (default: "<socketPath>.spool").
     std::string spoolDir;
     /// Suppress per-connection logging to stderr.

@@ -97,11 +97,11 @@ inline constexpr std::uint8_t kCfgConflictAlerts = 1 << 0;
 inline constexpr std::uint8_t kCfgAccelIT = 1 << 1;
 inline constexpr std::uint8_t kCfgAccelIF = 1 << 2;
 inline constexpr std::uint8_t kCfgAccelMTLB = 1 << 3;
-/// Recorded by the host-parallel *live* engine (--lg-threads without
-/// --replay): journal ops carry no lifeguard-step stamps (lgStep is 0
-/// throughout) and there is no metadata-latency sideband, so replay
-/// re-monitors the streams result-exact rather than schedule-exact
-/// (core/replay.cpp relaxes timing columns against the footer).
+/// Retired: set by recordings of the host-parallel *live* engine, whose
+/// journal ops carry no lifeguard-step stamps and no metadata-latency
+/// sideband. Writers never set it; parseTraceHeader refuses a header
+/// that has it, since the serial replay engine has no recorded
+/// interleaving to reproduce for such a journal.
 inline constexpr std::uint8_t kCfgLiveParallel = 1 << 4;
 
 /** Event-filter bits (header offset 30): which event classes the
@@ -125,13 +125,36 @@ struct TraceConfig
     bool accelIT = true;
     bool accelIF = true;
     bool accelMTLB = true;
-    /// Recorded by the live host-parallel engine (kCfgLiveParallel).
-    bool liveParallel = false;
     std::uint8_t filterBits = 0;
     std::uint32_t appThreads = 1;
     std::uint64_t scale = 0;
     std::uint64_t seed = 1;
     std::uint64_t logBufferBytes = 64 * 1024;
+
+    /** The header of a recording of a run of @p workload under
+     *  @p lifeguard at @p scale on @p sim; toSimConfig inverts it. The
+     *  event-filter bits are the recorder's to set (the Platform knows
+     *  the filter). */
+    static TraceConfig
+    forRun(const SimConfig &sim, WorkloadKind workload,
+           LifeguardKind lifeguard, std::uint64_t scale)
+    {
+        TraceConfig tc;
+        tc.workload = workload;
+        tc.lifeguard = lifeguard;
+        tc.mode = sim.mode;
+        tc.memoryModel = sim.memoryModel;
+        tc.depTracking = sim.depTracking;
+        tc.conflictAlerts = sim.conflictAlerts;
+        tc.accelIT = sim.accel.inheritanceTracking;
+        tc.accelIF = sim.accel.idempotentFilter;
+        tc.accelMTLB = sim.accel.metadataTlb;
+        tc.appThreads = sim.appThreads;
+        tc.scale = scale;
+        tc.seed = sim.seed;
+        tc.logBufferBytes = sim.logBufferBytes;
+        return tc;
+    }
 
     /** Rebuild the SimConfig the recorded Platform ran with. */
     SimConfig
@@ -305,6 +328,10 @@ parseTraceHeader(const std::uint8_t *h, ParsedHeader &out)
     out.configFingerprint = get64le(h + 16);
     if (out.configFingerprint != fnv1a(h + 24, 40))
         return "config fingerprint mismatch (corrupt header)";
+    if (h[29] & kCfgLiveParallel)
+        return "recorded by the retired live host-parallel engine "
+               "(config flag bit 4): its journal has no lifeguard-step "
+               "stamps to replay";
     out.cfg.workload = static_cast<WorkloadKind>(h[24]);
     out.cfg.lifeguard = static_cast<LifeguardKind>(h[25]);
     out.cfg.mode = static_cast<MonitorMode>(h[26]);
@@ -314,7 +341,6 @@ parseTraceHeader(const std::uint8_t *h, ParsedHeader &out)
     out.cfg.accelIT = h[29] & kCfgAccelIT;
     out.cfg.accelIF = h[29] & kCfgAccelIF;
     out.cfg.accelMTLB = h[29] & kCfgAccelMTLB;
-    out.cfg.liveParallel = h[29] & kCfgLiveParallel;
     out.cfg.filterBits = h[30];
     out.cfg.appThreads = get32le(h + 32);
     // h + 36 is the reserved word (see the file comment): ignored.

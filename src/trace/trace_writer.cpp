@@ -70,8 +70,7 @@ TraceWriter::writeHeader()
     h[29] = (cfg_.conflictAlerts ? kCfgConflictAlerts : 0) |
             (cfg_.accelIT ? kCfgAccelIT : 0) |
             (cfg_.accelIF ? kCfgAccelIF : 0) |
-            (cfg_.accelMTLB ? kCfgAccelMTLB : 0) |
-            (cfg_.liveParallel ? kCfgLiveParallel : 0);
+            (cfg_.accelMTLB ? kCfgAccelMTLB : 0);
     h[30] = cfg_.filterBits;
     put32le(h + 32, cfg_.appThreads);
     // h + 36 stays 0: the reserved word (format.hpp).

@@ -5,8 +5,9 @@
  * replay watchdog and the journal reader must turn into fast, named
  * failures (offline and inside paralogd). Also committed recordings
  * whose header is rewritten with a consistent config fingerprint (the
- * inputs replay must accept unchanged), and recordings copied behind an
- * edited footer (the inputs the footer self-check must refuse).
+ * inputs replay must accept unchanged, or refuse by name), and
+ * recordings copied behind an edited footer (the inputs the footer
+ * self-check must refuse).
  */
 
 #ifndef PARALOG_TESTS_HARNESS_TAMPERED_JOURNALS_HPP
@@ -43,19 +44,10 @@ recordLuJournal(const std::string &path, MemoryModel mm,
     PlatformConfig cfg =
         makeConfig(WorkloadKind::kLu, LifeguardKind::kTaintCheck,
                    MonitorMode::kParallel, 2, o);
-    cfg.sim.deliverBatchMax = 1; // canonical single-pop, as recorded
-
-    trace::TraceConfig tc;
-    tc.workload = WorkloadKind::kLu;
-    tc.lifeguard = LifeguardKind::kTaintCheck;
-    tc.memoryModel = mm;
-    tc.depTracking = cfg.sim.depTracking;
-    tc.appThreads = 2;
-    tc.scale = 300;
-    tc.seed = cfg.sim.seed;
-    tc.logBufferBytes = cfg.sim.logBufferBytes;
-
-    Recorder recorder(path, tc, format);
+    Recorder recorder(path,
+                      trace::TraceConfig::forRun(cfg.sim, cfg.workload,
+                                                 cfg.lifeguard, cfg.scale),
+                      format);
     ASSERT_TRUE(recorder.ok()) << recorder.error();
     cfg.recorder = &recorder;
     Platform p(cfg);
@@ -127,21 +119,22 @@ corpusTrace(const std::string &stem)
 }
 
 /**
- * Copy the recording at @p src to @p dst with the header's reserved
- * u32 at offset 36 set to @p value, and the config fingerprint at
- * offset 16 (FNV-1a over bytes 24..63) recomputed so the header still
- * validates: what a recording from before the word was reserved holds.
+ * Copy the recording at @p src to @p dst after passing its 96-byte
+ * header to @p edit (a callable taking std::uint8_t *), with the config
+ * fingerprint at offset 16 (FNV-1a over bytes 24..63) recomputed so the
+ * edited header still validates as a header: what another writer of
+ * the format may have stored there.
  */
-inline void
-copyWithReservedWord(const std::string &src, const std::string &dst,
-                     std::uint32_t value)
+template <typename Edit>
+void
+copyWithHeader(const std::string &src, const std::string &dst, Edit edit)
 {
     std::ifstream in(src, std::ios::binary);
     ASSERT_TRUE(in) << src;
     std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
                                     std::istreambuf_iterator<char>()};
     ASSERT_GE(bytes.size(), trace::kHeaderBytes) << src;
-    trace::put32le(bytes.data() + 36, value);
+    edit(bytes.data());
     trace::put64le(bytes.data() + 16, trace::fnv1a(bytes.data() + 24, 40));
     std::ofstream out(dst, std::ios::binary);
     out.write(reinterpret_cast<const char *>(bytes.data()),

@@ -309,13 +309,14 @@ TEST(CliParse, LgThreadsAppliesLiveAndReplay)
     ASSERT_EQ(live.options.runSpecs().size(), 1u);
     EXPECT_EQ(live.options.runSpecs()[0].opt.lgThreads, 2u);
 
-    // --record composes: the journal carries the live-parallel header
-    // bit and replays result-exact through the concurrent engine.
+    // A recording journals the serial engine: --record refuses N >= 2.
     ParseResult rec =
         parse({"--record=/tmp/x.trace", "--lg-threads=2"});
-    ASSERT_EQ(rec.status, ParseStatus::kOk);
-    EXPECT_EQ(rec.options.runSpecs()[0].opt.lgThreads, 2u);
+    EXPECT_EQ(rec.status, ParseStatus::kError);
+    EXPECT_NE(rec.error.find("--record"), std::string::npos) << rec.error;
     EXPECT_EQ(parse({"--record=/tmp/x", "--lg-threads=0"}).status,
+              ParseStatus::kOk);
+    EXPECT_EQ(parse({"--record=/tmp/x", "--lg-threads=1"}).status,
               ParseStatus::kOk);
 
     // The one hard conflict: the concurrent engines rely on the
@@ -675,26 +676,29 @@ TEST_F(CliEndToEnd, InvalidComboExitsNonZeroWithUsage)
     EXPECT_NE(out.find("incompatible"), std::string::npos) << out;
 }
 
-TEST_F(CliEndToEnd, LiveLgThreadsRunsAndComposesWithRecord)
+TEST_F(CliEndToEnd, LiveLgThreadsRunsAndRefusesRecord)
 {
-    // The lifted flag contract, end to end: --lg-threads now drives the
-    // live host-parallel engine, and composes with --record — the
-    // recording replays result-exact (footer self-check, so a zero
-    // replay exit is the equivalence proof at this level).
-    std::string trace_path = ::testing::TempDir() +
-                             "paralog_cli_liverec_" +
-                             std::to_string(::getpid()) + ".trace";
+    // --lg-threads drives the live host-parallel engine end to end, and
+    // --record refuses it: a journal needs the serial engine's
+    // lifeguard-step interleaving. The refusal is a usage error that
+    // writes no file.
+    const std::string scenario = "--workload=lu --lifeguard=taintcheck "
+                                 "--mode=parallel --cores=4 --scale=400 "
+                                 "--lg-threads=2";
     std::string out;
-    int rc = runCli("--workload=lu --lifeguard=taintcheck "
-                    "--mode=parallel --cores=4 --scale=400 "
-                    "--lg-threads=2 --record=" +
-                        trace_path,
-                    out);
+    int rc = runCli(scenario, out);
     EXPECT_EQ(rc, 0) << out;
     EXPECT_NE(out.find("total cycles"), std::string::npos) << out;
 
-    rc = runCli("--replay=" + trace_path, out);
-    EXPECT_EQ(rc, 0) << out;
+    std::string trace_path = ::testing::TempDir() +
+                             "paralog_cli_liverec_" +
+                             std::to_string(::getpid()) + ".trace";
+    rc = runCli(scenario + " --record=" + trace_path, out);
+    EXPECT_EQ(rc, 2) << out;
+    EXPECT_NE(out.find("cannot be combined with --lg-threads"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(::access(trace_path.c_str(), F_OK), 0) << trace_path;
     std::remove(trace_path.c_str());
 
     // The one remaining hard conflict: the concurrent engines need the

@@ -9,10 +9,9 @@
  * because live the two engines execute legitimately different
  * interleavings of the same program.
  *
- * Also covers: --record composing with the live engine (the journal
- * replays result-exact through the concurrent replay engine, selected
- * implicitly by the kCfgLiveParallel header bit), delivery batch-size
- * invariance under ring-mode consumers, the seal-protocol stall
+ * Also covers: the refusal to record a live-parallel run (a journal
+ * needs the serial scheduler's lifeguard-step interleaving), delivery
+ * batch-size invariance under ring-mode consumers, the seal-protocol stall
  * watchdog (fault point "seal.stall"), and failure containment for
  * producer-side panics and consumer-thread panics (fault point
  * "lg.fail"), standalone and through runMatrix.
@@ -32,7 +31,6 @@
 #include <gtest/gtest.h>
 
 #include "common/fault_injection.hpp"
-#include "core/replay.hpp"
 #include "harness/paralog_test.hpp"
 
 namespace paralog {
@@ -201,90 +199,39 @@ TEST_F(LiveConcurrentModes, DeliveryBatchSizeInvariance)
     }
 }
 
-// ------------------------------------ record / replay composition ----
+// ------------------------------------------------------ recording ----
 
-class LiveRecordReplay : public QuietTest
+class LiveRecording : public QuietTest
 {
 };
 
-TEST_F(LiveRecordReplay, LiveParallelRecordingReplaysResultExact)
+TEST_F(LiveRecording, RecordingWithLgThreadsPanics)
 {
-    // --record composed with --lg-threads: the journal carries the
-    // kCfgLiveParallel header bit, and a same-lifeguard replay selects
-    // the concurrent replay engine implicitly (the journal has no
-    // lifeguard-step stamps for the serial scheduler to reproduce).
-    // The replay self-checks its results against the recorded footer
-    // and panics on divergence, so a clean run() *is* the proof.
+    // A journal stamps producer ops with the serial scheduler's
+    // lifeguard-step count, which the live host-parallel engine does
+    // not have: the Platform refuses a recorder when lgThreads >= 2
+    // (the CLI refuses --record with --lg-threads=N before that).
     TempTrace tmp("rec");
     RunSpec rec;
     rec.workload = WorkloadKind::kLu;
     rec.lifeguard = LifeguardKind::kTaintCheck;
     rec.mode = MonitorMode::kParallel;
-    rec.cores = 4;
-    rec.opt = test::makeOptions(400);
-    rec.opt.memoryModel = MemoryModel::kTSO;
-    rec.opt.lgThreads = 2;
-    rec.recordPath = tmp.path();
-    RunResult live = recordExperiment(rec);
-    ASSERT_NE(live.shadowFingerprint, 0u);
-
-    // Implicit engine selection: no --lg-threads on the replay side.
-    {
-        ReplayConfig cfg;
-        cfg.path = tmp.path();
-        ReplayPlatform rp(std::move(cfg));
-        EXPECT_TRUE(rp.recordedLiveParallel());
-        EXPECT_TRUE(rp.recordedConfig().liveParallel);
-        EXPECT_TRUE(rp.concurrent());
-        RunResult result = rp.run();
-        EXPECT_EQ(resultMismatch(ResultTier::kResults, result, live), "");
-    }
-    // Explicit thread counts compose with the implicit selection.
-    {
-        ReplayConfig cfg;
-        cfg.path = tmp.path();
-        cfg.lgThreads = 4;
-        ReplayPlatform rp(std::move(cfg));
-        EXPECT_TRUE(rp.concurrent());
-        RunResult result = rp.run();
-        EXPECT_EQ(resultMismatch(ResultTier::kResults, result, live), "");
-    }
-    // Cross-lifeguard re-monitoring of a live-parallel journal keeps
-    // the serial engine (approximate, no footer check): the implicit
-    // selection is a same-lifeguard exactness contract only.
-    {
-        ReplayConfig cfg;
-        cfg.path = tmp.path();
-        cfg.lifeguardOverride = true;
-        cfg.lifeguard = LifeguardKind::kAddrCheck;
-        ReplayPlatform rp(std::move(cfg));
-        EXPECT_TRUE(rp.recordedLiveParallel());
-        EXPECT_FALSE(rp.concurrent());
-        RunResult result = rp.run();
-        EXPECT_GT(result.totalCycles, 0u);
-    }
-}
-
-TEST_F(LiveRecordReplay, SerialRecordingsKeepTheHeaderBitClear)
-{
-    // Serial recordings must not grow the header bit (replay keeps its
-    // bit-identical serial self-check, and the committed trace corpus
-    // stays valid).
-    TempTrace tmp("serial");
-    RunSpec rec;
-    rec.workload = WorkloadKind::kLu;
-    rec.lifeguard = LifeguardKind::kAddrCheck;
-    rec.mode = MonitorMode::kParallel;
     rec.cores = 2;
     rec.opt = test::makeOptions(300);
+    rec.opt.lgThreads = 2;
     rec.recordPath = tmp.path();
-    recordExperiment(rec);
 
-    ReplayConfig cfg;
-    cfg.path = tmp.path();
-    ReplayPlatform rp(std::move(cfg));
-    EXPECT_FALSE(rp.recordedLiveParallel());
-    EXPECT_FALSE(rp.concurrent());
+    bool prev = setPanicThrows(true);
+    std::string message;
+    try {
+        recordExperiment(rec);
+    } catch (const SimPanicError &e) {
+        message = e.what();
+    }
+    setPanicThrows(prev);
+    EXPECT_NE(message.find("trace recording requires the serial engine"),
+              std::string::npos)
+        << message;
 }
 
 // ----------------------------- watchdog + failure containment ----

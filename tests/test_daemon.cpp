@@ -613,7 +613,8 @@ TEST_F(DaemonTest, ReservedHeaderWordGetsAnOkVerdict)
 
     std::string path = ::testing::TempDir() + "pld_reserved_" +
                        std::to_string(::getpid()) + ".trace";
-    test::copyWithReservedWord(src, path, 3);
+    test::copyWithHeader(src, path,
+                         [](std::uint8_t *h) { trace::put32le(h + 36, 3); });
     SubmitResult r = submitTrace(path, h.submitOpts());
     std::remove(path.c_str());
     ASSERT_TRUE(r.ok) << r.error;
@@ -625,6 +626,37 @@ TEST_F(DaemonTest, ReservedHeaderWordGetsAnOkVerdict)
                   original.footer().result.shadowFingerprint)),
               std::string::npos)
         << r.responseJson;
+    EXPECT_EQ(h.stop(), 0);
+}
+
+TEST_F(DaemonTest, RetiredLiveParallelBitFailsAtIngest)
+{
+    // An upload whose header sets config flag bit 4 (journals of the
+    // retired live host-parallel engine, which no engine can replay) is
+    // refused while the header streams in: a `failed` verdict naming
+    // the bad header, and no job is queued.
+    const std::string src = test::corpusTrace("taintcheck_tso_v2");
+    if (src.empty())
+        GTEST_SKIP() << "PARALOG_CORPUS not set (run under CTest)";
+    DaemonHarness h("liveparallel");
+    ASSERT_TRUE(h.started());
+
+    std::string path = ::testing::TempDir() + "pld_liveparallel_" +
+                       std::to_string(::getpid()) + ".trace";
+    test::copyWithHeader(src, path, [](std::uint8_t *h) {
+        h[29] |= trace::kCfgLiveParallel;
+    });
+    SubmitResult r = submitTrace(path, h.submitOpts());
+    std::remove(path.c_str());
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.status(), "failed") << r.responseJson;
+    EXPECT_NE(r.responseJson.find(
+                  "bad-header: recorded by the retired live host-parallel "
+                  "engine"),
+              std::string::npos)
+        << r.responseJson;
+    EXPECT_EQ(h.stats().get("ingest.failed.bad-header"), 1u);
+    EXPECT_EQ(h.stats().get("jobs.accepted"), 0u);
     EXPECT_EQ(h.stop(), 0);
 }
 

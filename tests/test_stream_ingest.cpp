@@ -19,12 +19,30 @@
 #include <gtest/gtest.h>
 
 #include "harness/paralog_test.hpp"
+#include "harness/tampered_journals.hpp"
 #include "trace/format.hpp"
 #include "trace/stream_ingest.hpp"
 #include "trace/trace_writer.hpp"
 
 namespace paralog::trace {
 namespace {
+
+/** The bytes of the file at @p path. */
+std::vector<std::uint8_t>
+readFile(const std::string &path)
+{
+    std::vector<std::uint8_t> bytes;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr) << path;
+    if (!f)
+        return bytes;
+    std::uint8_t buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        bytes.insert(bytes.end(), buf, buf + n);
+    std::fclose(f);
+    return bytes;
+}
 
 /**
  * Build a small, fully valid trace in memory via the real writer: a
@@ -55,14 +73,7 @@ makeTraceBytes(std::size_t ops_per_thread = 600)
         footer.result.totalCycles = 1234;
         EXPECT_TRUE(w.finalize(footer)) << w.error();
     }
-    std::vector<std::uint8_t> bytes;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr);
-    std::uint8_t buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.insert(bytes.end(), buf, buf + n);
-    std::fclose(f);
+    std::vector<std::uint8_t> bytes = readFile(path);
     std::remove(path.c_str());
     EXPECT_GT(bytes.size(), kHeaderBytes + 16u);
     return bytes;
@@ -170,6 +181,33 @@ TEST(StreamIngest, RejectsCorruptHeader)
     StreamIngest in;
     EXPECT_FALSE(in.feed(bytes.data(), bytes.size()));
     EXPECT_EQ(in.errorCode(), IngestError::kBadHeader);
+}
+
+TEST(StreamIngest, RejectsRetiredLiveParallelBit)
+{
+    // Config flag bit 4 marked journals of the retired live
+    // host-parallel engine. The header still validates as bytes (the
+    // fingerprint is recomputed), but the shared header parser refuses
+    // it by name, so an upload fails before any chunk is spooled.
+    const std::string src = test::corpusTrace("taintcheck_tso_v2");
+    if (src.empty())
+        GTEST_SKIP() << "PARALOG_CORPUS not set (run under CTest)";
+    std::string path = ::testing::TempDir() + "paralog_ingest_lp_" +
+                       std::to_string(::getpid()) + ".trace";
+    test::copyWithHeader(src, path, [](std::uint8_t *h) {
+        h[29] |= kCfgLiveParallel;
+    });
+    std::vector<std::uint8_t> bytes = readFile(path);
+    std::remove(path.c_str());
+    ASSERT_GE(bytes.size(), kHeaderBytes);
+
+    StreamIngest in;
+    EXPECT_FALSE(in.feed(bytes.data(), kHeaderBytes));
+    EXPECT_EQ(in.errorCode(), IngestError::kBadHeader);
+    EXPECT_NE(in.error().find("retired live host-parallel engine"),
+              std::string::npos)
+        << in.error();
+    EXPECT_FALSE(in.complete());
 }
 
 TEST(StreamIngest, RejectsCorruptChunkCrcMidStream)

@@ -112,5 +112,31 @@ TEST_F(TimeslicedTest, Deterministic)
     EXPECT_EQ(resultMismatch(ResultTier::kExact, b, a), "");
 }
 
+TEST_F(TimeslicedTest, CustomLifeguardOverridesTheKind)
+{
+    // PlatformConfig::customLifeguard overrides `lifeguard` in every
+    // engine: the timesliced baseline monitors with the factory's
+    // lifeguard, filters for its policy, and so reproduces a run of
+    // the built-in kind the factory returns.
+    PlatformConfig cfg =
+        test::makeScaledConfig(WorkloadKind::kSwaptions,
+                               LifeguardKind::kTaintCheck,
+                               MonitorMode::kTimesliced, 2);
+    int calls = 0;
+    cfg.customLifeguard = [&calls](std::uint32_t threads) {
+        ++calls;
+        return makeLifeguard(LifeguardKind::kAddrCheck, threads);
+    };
+    Timesliced ts(cfg);
+    EXPECT_EQ(calls, 1);
+    EXPECT_STREQ(ts.lifeguard().name(), "AddrCheck");
+    RunResult custom = ts.run();
+
+    RunResult builtin = runExperiment(
+        WorkloadKind::kSwaptions, LifeguardKind::kAddrCheck,
+        MonitorMode::kTimesliced, 2, test::makeOptions(cfg.scale));
+    EXPECT_EQ(resultMismatch(ResultTier::kExact, custom, builtin), "");
+}
+
 } // namespace
 } // namespace paralog

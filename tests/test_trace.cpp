@@ -21,6 +21,7 @@
 #include "core/replay.hpp"
 #include "harness/paralog_test.hpp"
 #include "harness/tampered_journals.hpp"
+#include "trace/migrate.hpp"
 #include "trace/recorder.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
@@ -687,7 +688,8 @@ TEST_F(ReplayModes, ReservedHeaderWordIsIgnored)
     if (src.empty())
         GTEST_SKIP() << "PARALOG_CORPUS not set (run under CTest)";
     TempTrace tmp("reserved");
-    test::copyWithReservedWord(src, tmp.path(), 3);
+    test::copyWithHeader(src, tmp.path(),
+                         [](std::uint8_t *h) { trace::put32le(h + 36, 3); });
 
     trace::TraceReader tampered(tmp.path());
     ASSERT_TRUE(tampered.ok()) << tampered.error();
@@ -705,6 +707,46 @@ TEST_F(ReplayModes, ReservedHeaderWordIsIgnored)
                              original.footer().result),
               "");
     EXPECT_EQ(resultMismatch(ResultTier::kExact, got, want), "");
+}
+
+TEST_F(ReplayModes, RetiredLiveParallelBitIsRefused)
+{
+    // Config flag bit 4 marked journals of the retired live
+    // host-parallel engine: they hold no lifeguard-step stamps, so no
+    // engine can replay them. The reader refuses such a header by name
+    // (for replay, --migrate and paralog-dump alike), even though its
+    // fingerprint is consistent.
+    const std::string src = test::corpusTrace("taintcheck_tso_v2");
+    if (src.empty())
+        GTEST_SKIP() << "PARALOG_CORPUS not set (run under CTest)";
+    TempTrace tmp("liveparallel");
+    test::copyWithHeader(src, tmp.path(), [](std::uint8_t *h) {
+        h[29] |= trace::kCfgLiveParallel;
+    });
+    const std::string why = "retired live host-parallel engine";
+
+    trace::TraceReader reader(tmp.path());
+    EXPECT_FALSE(reader.ok());
+    EXPECT_NE(reader.error().find(why), std::string::npos)
+        << reader.error();
+
+    TempTrace out("liveparallel_out");
+    trace::MigrateResult m =
+        trace::migrateTrace(tmp.path(), out.path(), trace::kFormatVersion);
+    EXPECT_FALSE(m.ok);
+    EXPECT_NE(m.error.find(why), std::string::npos) << m.error;
+
+    bool prev = setPanicThrows(true);
+    std::string message;
+    try {
+        ReplayConfig cfg;
+        cfg.path = tmp.path();
+        ReplayPlatform rp(std::move(cfg));
+    } catch (const SimPanicError &e) {
+        message = e.what();
+    }
+    setPanicThrows(prev);
+    EXPECT_NE(message.find(why), std::string::npos) << message;
 }
 
 } // namespace

@@ -6,9 +6,10 @@
  * throughput in records/s and MB/s of payload, plus end-to-end replay
  * records/s (the lifeguard hot path with no application simulation —
  * the number the record-once/replay-many workflow buys), serial
- * same-lifeguard and TaintCheck->AddrCheck re-monitoring, and the v2
+ * same-lifeguard and TaintCheck->AddrCheck re-monitoring, the v2
  * journal scan split into its layers (CRC, LZ, block rebuild, op
- * parse) in ns per op.
+ * parse) and the v2 chunk encode split into its layers (column build,
+ * LZ, CRC), in ns per op.
  *
  * Scale with PARALOG_SCALE (records in the codec loops; default
  * 2000000), or pass --smoke for the seconds-long CTest tier2 run.
@@ -322,6 +323,110 @@ benchV2DecodeSplit(const std::string &path)
                 parse_s * per_op, chunks.size());
 }
 
+/**
+ * Split the v2 ops-chunk encode of the journal at @p path into its
+ * layers, in ns per op: column build (OpColumns filled op by op, as the
+ * recorder fills them, plus the column-section layout), the LZ stage and
+ * the chunk CRC. The ops come from the file's own chunks, pre-split
+ * into opcode, deltas and body, so only the encoder is timed; the
+ * re-encoded payloads must equal the file's. Best of 3 each.
+ */
+void
+benchV2EncodeSplit(const std::string &path)
+{
+    struct Op
+    {
+        std::uint8_t opcode;
+        std::uint64_t dGseq, dCycle, dLgStep;
+        const std::uint8_t *body;
+        std::size_t bodyLen;
+    };
+    std::ifstream in(path, std::ios::binary);
+    std::vector<std::uint8_t> file{std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>()};
+    std::vector<std::vector<std::uint8_t>> payloads, v1s;
+    for (std::size_t off = trace::kHeaderBytes; off + 16 <= file.size();) {
+        const std::uint32_t bytes = trace::get32le(&file[off + 8]);
+        if (trace::get32le(&file[off]) == trace::kChunkOps)
+            payloads.emplace_back(&file[off + 16], &file[off + 16] + bytes);
+        off += 16 + std::size_t{bytes};
+    }
+    v1s.resize(payloads.size());
+    std::vector<std::vector<Op>> chunks(payloads.size());
+    std::uint64_t ops = 0;
+    bool ok = !payloads.empty();
+    for (std::size_t i = 0; ok && i < payloads.size(); ++i) {
+        ok = trace::decodeOpsBlock(payloads[i].data(), payloads[i].size(),
+                                   v1s[i], 16u << 20);
+        const std::uint8_t *p = v1s[i].data();
+        const std::uint8_t *end = p + v1s[i].size();
+        while (ok && p < end) {
+            const std::uint8_t *start = p;
+            std::size_t prelude = 0;
+            if (!(ok = trace::scanOneOp(p, end, prelude)))
+                break;
+            ByteCursor c(start + 1, prelude - 1);
+            Op op{start[0], 0, 0, 0, start + prelude,
+                  static_cast<std::size_t>(p - start) - prelude};
+            ok = ok && c.getVarint(op.dGseq) && c.getVarint(op.dCycle) &&
+                 c.getVarint(op.dLgStep);
+            chunks[i].push_back(op);
+        }
+        ops += chunks[i].size();
+    }
+
+    std::vector<trace::OpColumns> cols(chunks.size());
+    const double fill_s = bestOf3([&] {
+        for (std::size_t i = 0; i < chunks.size(); ++i) {
+            trace::OpColumns &c = cols[i];
+            c.clear();
+            for (const Op &op : chunks[i]) {
+                auto &body =
+                    c.beginOp(op.opcode, op.dGseq, op.dCycle, op.dLgStep);
+                body.insert(body.end(), op.body, op.body + op.bodyLen);
+                c.endOp();
+            }
+        }
+    });
+    std::vector<std::vector<std::uint8_t>> sections(chunks.size());
+    std::vector<std::uint8_t> out;
+    const double encode_s = bestOf3([&] {
+        for (std::size_t i = 0; i < cols.size(); ++i) {
+            trace::encodeV2Payload(cols[i], out);
+            ok = ok && out == payloads[i];
+        }
+    });
+    for (std::size_t i = 0; ok && i < payloads.size(); ++i) {
+        ByteCursor c(payloads[i].data(), payloads[i].size());
+        std::uint64_t v1_len = 0;
+        ok = c.getVarint(v1_len) &&
+             lzDecompress(c.pos, c.remaining(), sections[i],
+                          2 * static_cast<std::size_t>(v1_len) + 1024);
+    }
+    const double lz_s = bestOf3([&] {
+        for (const auto &sec : sections) {
+            out.clear();
+            lzCompress(sec.data(), sec.size(), out);
+            gSink += out.size();
+        }
+    });
+    const double crc_s = bestOf3([&] {
+        for (const auto &pl : payloads)
+            gSink += trace::crc32(pl.data(), pl.size());
+    });
+    if (!ok) {
+        std::fprintf(stderr, "v2 encode split: re-encoded chunks differ "
+                             "from the recording\n");
+        std::exit(1);
+    }
+    const double per_op = ops > 0 ? 1e9 / static_cast<double>(ops) : 0.0;
+    const double build_s = fill_s + std::max(0.0, encode_s - lz_s);
+    std::printf("v2 encode split:     columns %.1f  lz %.1f  crc %.1f "
+                "ns/op  (%zu chunks)\n",
+                build_s * per_op, lz_s * per_op, crc_s * per_op,
+                payloads.size());
+}
+
 /** v1-vs-v2 container comparison: file size, chunk decode throughput
  *  (serial and parallel), and mmap replay vs re-running the simulation.
  *  The replays are fingerprint-checked against each other and against
@@ -389,6 +494,7 @@ benchTraceV2(std::uint64_t scale)
                 scan_s > 0 && live_s / scan_s >= 5.0 ? "[>=5x: ok]"
                                                      : "[>=5x: MISS]");
     benchV2DecodeSplit(v2_path);
+    benchV2EncodeSplit(v2_path);
 
     // Replay from the mapped v2 container vs re-running the simulation,
     // with the v1 replay alongside; all three must agree bit-for-bit.

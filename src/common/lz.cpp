@@ -1,7 +1,10 @@
 #include "common/lz.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
+#include "common/logging.hpp"
 #include "common/varint.hpp"
 
 namespace paralog {
@@ -13,7 +16,9 @@ namespace {
 // pointed at are dominated by short repeating patterns, where the most
 // recent occurrence is also the one giving self-overlapping run
 // matches, so a single-entry table performs within a few percent of a
-// chain while keeping compression O(n).
+// chain while keeping compression O(n). Entries hold position + 1 in
+// 32 bits (0 = empty); the table lives per thread, allocated once and
+// zeroed per call.
 inline constexpr std::size_t kHashBits = 15;
 
 /** Output slack lzDecompress() allocates past rawLen, and the fixed
@@ -28,6 +33,27 @@ hash4(const std::uint8_t *p)
     return (v * 2654435761u) >> (32 - kHashBits);
 }
 
+/** Length of the common prefix of @p a and @p b, where @p b is
+ *  followed by @p avail readable bytes and @p a < @p b: compared eight
+ *  bytes at a time, the rest byte by byte. */
+inline std::size_t
+matchLength(const std::uint8_t *a, const std::uint8_t *b, std::size_t avail)
+{
+    static_assert(std::endian::native == std::endian::little,
+                  "the first differing byte is the lowest set one");
+    std::size_t len = 0;
+    for (; len + 8 <= avail; len += 8) {
+        std::uint64_t x, y;
+        std::memcpy(&x, a + len, 8);
+        std::memcpy(&y, b + len, 8);
+        if (x != y)
+            return len + static_cast<std::size_t>(std::countr_zero(x ^ y)) / 8;
+    }
+    while (len < avail && a[len] == b[len])
+        ++len;
+    return len;
+}
+
 } // namespace
 
 void
@@ -37,9 +63,11 @@ lzCompress(const std::uint8_t *data, std::size_t n,
     putVarint(out, n);
     if (n == 0)
         return;
+    PARALOG_ASSERT(n < UINT32_MAX, "lzCompress input over 4 GiB");
 
-    std::vector<std::size_t> table(std::size_t(1) << kHashBits,
-                                   SIZE_MAX);
+    thread_local std::vector<std::uint32_t> table(std::size_t(1)
+                                                  << kHashBits);
+    std::fill(table.begin(), table.end(), 0);
     std::size_t pos = 0;
     std::size_t lit_start = 0;
 
@@ -50,20 +78,21 @@ lzCompress(const std::uint8_t *data, std::size_t n,
 
     while (pos + kLzMinMatch <= n) {
         std::uint32_t h = hash4(data + pos);
-        std::size_t cand = table[h];
-        table[h] = pos;
+        const std::uint32_t cand1 = table[h]; // candidate + 1
+        table[h] = static_cast<std::uint32_t>(pos + 1);
 
         std::size_t len = 0;
-        if (cand != SIZE_MAX &&
-            std::memcmp(data + cand, data + pos, kLzMinMatch) == 0) {
-            len = kLzMinMatch;
-            while (pos + len < n && data[cand + len] == data[pos + len])
-                ++len;
-        }
+        if (cand1 != 0 &&
+            std::memcmp(data + cand1 - 1, data + pos, kLzMinMatch) == 0)
+            len = kLzMinMatch +
+                  matchLength(data + cand1 - 1 + kLzMinMatch,
+                              data + pos + kLzMinMatch,
+                              n - pos - kLzMinMatch);
         if (len < kLzMinMatch) {
             ++pos;
             continue;
         }
+        const std::size_t cand = cand1 - 1;
         flush(pos);
         putVarint(out, len - kLzMinMatch);
         putVarint(out, pos - cand);
@@ -72,7 +101,7 @@ lzCompress(const std::uint8_t *data, std::size_t n,
         // cheap to skip over.
         std::size_t stop = pos + len;
         for (pos += 1; pos + kLzMinMatch <= stop; pos += 2)
-            table[hash4(data + pos)] = pos;
+            table[hash4(data + pos)] = static_cast<std::uint32_t>(pos + 1);
         pos = stop;
         lit_start = pos;
     }

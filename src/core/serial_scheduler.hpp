@@ -31,6 +31,7 @@
 #include "core/lifeguard_core.hpp"
 #include "deliver/progress_table.hpp"
 #include "lifeguard/version_store.hpp"
+#include "trace/format.hpp"
 
 namespace paralog {
 
@@ -69,8 +70,8 @@ class ProgressWatchdog
  *  terms in opposite directions, which a plain sum would cancel. */
 struct SignatureFold
 {
-    std::uint64_t sig = 1469598103934665603ULL;
-    void operator()(std::uint64_t v) { sig = (sig ^ v) * 1099511628211ULL; }
+    std::uint64_t sig = trace::kFnvBasis;
+    void operator()(std::uint64_t v) { sig = (sig ^ v) * trace::kFnvPrime; }
 };
 
 /**

@@ -75,7 +75,8 @@ inline constexpr std::uint32_t kChunkFooter = 2;      ///< run results
 /** tid field of thread-less chunks (the footer). */
 inline constexpr std::uint32_t kNoThread = 0xFFFFFFFF;
 
-/** Target payload size at which the writer flushes a chunk. */
+/** Target payload size at which the writer flushes a chunk; an ops
+ *  chunk counts its ops as v1 bytes in either container. */
 inline constexpr std::uint32_t kChunkTargetBytes = 56 * 1024;
 
 /** Journal op codes (see recorder.cpp for the encodings). */
@@ -189,73 +190,6 @@ struct TraceFooter
     bool hasViolationFingerprint = false;
 };
 
-namespace detail {
-
-inline const std::array<std::uint32_t, 256> &
-crc32Table()
-{
-    static const auto table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    return table;
-}
-
-} // namespace detail
-
-/** FNV-1a over a byte span (the header's config fingerprint). */
-inline std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t n)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-/** CRC-32 (IEEE 802.3, reflected) over @p data. */
-inline std::uint32_t
-crc32(const std::uint8_t *data, std::size_t n,
-      std::uint32_t seed = 0xFFFFFFFFu)
-{
-    const auto &table = detail::crc32Table();
-    std::uint32_t crc = seed;
-    for (std::size_t i = 0; i < n; ++i)
-        crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
-    return crc ^ 0xFFFFFFFFu;
-}
-
-/**
- * Incremental CRC-32 over a byte stream fed in arbitrary pieces —
- * value() after any update sequence equals crc32() over the
- * concatenation. The streaming-ingest path checks chunk payloads as
- * bytes arrive, without buffering the whole payload first.
- */
-class Crc32
-{
-  public:
-    void
-    update(const std::uint8_t *data, std::size_t n)
-    {
-        const auto &table = detail::crc32Table();
-        for (std::size_t i = 0; i < n; ++i)
-            state_ = table[(state_ ^ data[i]) & 0xFF] ^ (state_ >> 8);
-    }
-    std::uint32_t value() const { return state_ ^ 0xFFFFFFFFu; }
-    void reset() { state_ = 0xFFFFFFFFu; }
-
-  private:
-    std::uint32_t state_ = 0xFFFFFFFFu;
-};
-
 // Little-endian integer accessors shared by the writer, the reader and
 // the streaming-ingest validator.
 inline std::uint32_t
@@ -289,6 +223,91 @@ put64le(std::uint8_t *p, std::uint64_t v)
     put32le(p, static_cast<std::uint32_t>(v));
     put32le(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
+
+/** The format's own FNV basis, where the header's config fingerprint
+ *  starts: the FNV-1a 64-bit offset basis 14695981039346656037 with
+ *  its last digit dropped. Every recording depends on it, so another
+ *  writer of the format must use it, not the textbook basis. */
+inline constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
+inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+/** FNV-1a from kFnvBasis over a byte span (the header's config
+ *  fingerprint). */
+inline std::uint64_t
+fnv1a(const std::uint8_t *data, std::size_t n)
+{
+    std::uint64_t h = kFnvBasis;
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= data[i];
+        h *= kFnvPrime;
+    }
+    return h;
+}
+
+namespace detail {
+
+/** Slice-by-8 tables of the reflected IEEE 802.3 polynomial: [0] is
+ *  the bytewise table, [k][i] the CRC of byte i followed by k zeros. */
+inline constexpr auto kCrc32Tables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    return t;
+}();
+
+/** The one CRC-32 kernel: advance the raw (pre-inversion) register
+ *  @p crc over @p n bytes, eight at a time, then byte by byte. */
+inline std::uint32_t
+crc32Update(std::uint32_t crc, const std::uint8_t *p, std::size_t n)
+{
+    const auto &t = kCrc32Tables;
+    for (; n >= 8; p += 8, n -= 8) {
+        const std::uint32_t lo = crc ^ get32le(p);
+        crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+              t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+              t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+    }
+    for (; n > 0; ++p, --n)
+        crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
+    return crc;
+}
+
+} // namespace detail
+
+/** CRC-32 (IEEE 802.3, reflected) over @p data. */
+inline std::uint32_t
+crc32(const std::uint8_t *data, std::size_t n)
+{
+    return detail::crc32Update(0xFFFFFFFFu, data, n) ^ 0xFFFFFFFFu;
+}
+
+/**
+ * Incremental CRC-32 over a byte stream fed in arbitrary pieces —
+ * value() after any update sequence equals crc32() over the
+ * concatenation. The streaming-ingest path checks chunk payloads as
+ * bytes arrive, without buffering the whole payload first.
+ */
+class Crc32
+{
+  public:
+    void
+    update(const std::uint8_t *data, std::size_t n)
+    {
+        state_ = detail::crc32Update(state_, data, n);
+    }
+    std::uint32_t value() const { return state_ ^ 0xFFFFFFFFu; }
+    void reset() { state_ = 0xFFFFFFFFu; }
+
+  private:
+    std::uint32_t state_ = 0xFFFFFFFFu;
+};
 
 /** The fixed header fields, decoded. */
 struct ParsedHeader

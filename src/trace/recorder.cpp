@@ -11,36 +11,40 @@ TraceRecorder::TraceRecorder(const std::string &path,
 {
 }
 
-void
+std::vector<std::uint8_t> &
 TraceRecorder::beginOp(OpCode op, ThreadId tid)
 {
     PerThread &t = threads_[tid];
     ++gseq_;
-    scratch_.clear();
-    scratch_.push_back(static_cast<std::uint8_t>(op));
-    putVarint(scratch_, gseq_ - t.lastGseq);
-    putVarint(scratch_, now_ - t.lastCycle);
-    putVarint(scratch_, lgSteps_ - t.lastLgStep);
+    std::vector<std::uint8_t> &body = writer_.ops(tid).beginOp(
+        static_cast<std::uint8_t>(op), gseq_ - t.lastGseq,
+        now_ - t.lastCycle, lgSteps_ - t.lastLgStep);
     t.lastGseq = gseq_;
     t.lastCycle = now_;
     t.lastLgStep = lgSteps_;
-}
-
-void
-TraceRecorder::commitOp(ThreadId tid, bool is_record)
-{
-    writer_.appendOpBytes(tid, scratch_);
-    writer_.noteOp(tid, is_record);
+    return body;
 }
 
 void
 TraceRecorder::onRetire(ThreadId tid, RecordId retired)
 {
-    beginOp(OpCode::kRetire, tid);
+    std::vector<std::uint8_t> &b = beginOp(OpCode::kRetire, tid);
     PerThread &t = threads_[tid];
-    putVarint(scratch_, retired - t.lastRetired);
+    putVarint(b, retired - t.lastRetired);
     t.lastRetired = retired;
-    commitOp(tid);
+    writer_.endOp(tid, false);
+}
+
+void
+TraceRecorder::appendRecord(OpCode op, ThreadId tid, const EventRecord &rec,
+                            std::uint32_t charged_bytes,
+                            const std::vector<std::uint8_t> &payload)
+{
+    std::vector<std::uint8_t> &b = beginOp(op, tid);
+    putVarint(b, charged_bytes);
+    encodeSideband(rec, threads_[tid].lastRid, b);
+    b.insert(b.end(), payload.begin(), payload.end());
+    writer_.endOp(tid, true);
 }
 
 void
@@ -48,11 +52,7 @@ TraceRecorder::onAppend(ThreadId tid, const EventRecord &rec,
                         std::uint32_t charged_bytes,
                         const std::vector<std::uint8_t> &payload)
 {
-    beginOp(OpCode::kAppend, tid);
-    putVarint(scratch_, charged_bytes);
-    encodeSideband(rec, threads_[tid].lastRid, scratch_);
-    scratch_.insert(scratch_.end(), payload.begin(), payload.end());
-    commitOp(tid, true);
+    appendRecord(OpCode::kAppend, tid, rec, charged_bytes, payload);
 }
 
 void
@@ -60,36 +60,32 @@ TraceRecorder::onAppendCa(ThreadId tid, const EventRecord &rec,
                           std::uint32_t charged_bytes,
                           const std::vector<std::uint8_t> &payload)
 {
-    beginOp(OpCode::kAppendCa, tid);
-    putVarint(scratch_, charged_bytes);
-    encodeSideband(rec, threads_[tid].lastRid, scratch_);
-    scratch_.insert(scratch_.end(), payload.begin(), payload.end());
-    commitOp(tid, true);
+    appendRecord(OpCode::kAppendCa, tid, rec, charged_bytes, payload);
 }
 
 void
 TraceRecorder::onAttachArcs(ThreadId tid, RecordId rid,
                             const std::vector<DepArc> &kept)
 {
-    beginOp(OpCode::kAttachArcs, tid);
-    putVarint(scratch_, rid);
-    putVarint(scratch_, kept.size());
+    std::vector<std::uint8_t> &b = beginOp(OpCode::kAttachArcs, tid);
+    putVarint(b, rid);
+    putVarint(b, kept.size());
     for (const DepArc &a : kept) {
-        scratch_.push_back(static_cast<std::uint8_t>(a.tid));
-        putVarint(scratch_, a.rid);
+        b.push_back(static_cast<std::uint8_t>(a.tid));
+        putVarint(b, a.rid);
     }
-    commitOp(tid);
+    writer_.endOp(tid, false);
 }
 
 void
 TraceRecorder::onAnnotateConsume(ThreadId tid, RecordId rid,
                                  const VersionTag &v)
 {
-    beginOp(OpCode::kAnnotateConsume, tid);
-    putVarint(scratch_, rid);
-    putVarint(scratch_, v.tid);
-    putVarint(scratch_, v.rid);
-    commitOp(tid);
+    std::vector<std::uint8_t> &b = beginOp(OpCode::kAnnotateConsume, tid);
+    putVarint(b, rid);
+    putVarint(b, v.tid);
+    putVarint(b, v.rid);
+    writer_.endOp(tid, false);
 }
 
 void
@@ -97,37 +93,37 @@ TraceRecorder::onInsertProduce(ThreadId tid, RecordId store_rid,
                                const VersionTag &v, Addr addr,
                                std::uint8_t size)
 {
-    beginOp(OpCode::kInsertProduce, tid);
-    putVarint(scratch_, store_rid);
-    putVarint(scratch_, v.tid);
-    putVarint(scratch_, v.rid);
-    putVarint(scratch_, addr);
-    scratch_.push_back(size);
-    commitOp(tid);
+    std::vector<std::uint8_t> &b = beginOp(OpCode::kInsertProduce, tid);
+    putVarint(b, store_rid);
+    putVarint(b, v.tid);
+    putVarint(b, v.rid);
+    putVarint(b, addr);
+    b.push_back(size);
+    writer_.endOp(tid, false);
 }
 
 void
 TraceRecorder::onVisibilityLimit(ThreadId tid, RecordId limit)
 {
-    beginOp(OpCode::kVisLimit, tid);
+    std::vector<std::uint8_t> &b = beginOp(OpCode::kVisLimit, tid);
     // kInvalidRecord ("everything visible") encodes as 0.
-    putVarint(scratch_, limit == kInvalidRecord ? 0 : limit + 1);
-    commitOp(tid);
+    putVarint(b, limit == kInvalidRecord ? 0 : limit + 1);
+    writer_.endOp(tid, false);
 }
 
 void
 TraceRecorder::onCaBroadcast(const CaBroadcast &b)
 {
-    beginOp(OpCode::kCaBroadcast, b.issuer);
-    putVarint(scratch_, b.seq);
-    putVarint(scratch_, b.issuerEventRid);
-    scratch_.push_back(static_cast<std::uint8_t>(b.kind));
-    putVarint(scratch_, b.range.begin);
-    putVarint(scratch_, b.range.size());
-    putVarint(scratch_, b.arrivalRid.size());
+    std::vector<std::uint8_t> &o = beginOp(OpCode::kCaBroadcast, b.issuer);
+    putVarint(o, b.seq);
+    putVarint(o, b.issuerEventRid);
+    o.push_back(static_cast<std::uint8_t>(b.kind));
+    putVarint(o, b.range.begin);
+    putVarint(o, b.range.size());
+    putVarint(o, b.arrivalRid.size());
     for (RecordId r : b.arrivalRid)
-        putVarint(scratch_, r == kInvalidRecord ? 0 : r + 1);
-    commitOp(b.issuer);
+        putVarint(o, r == kInvalidRecord ? 0 : r + 1);
+    writer_.endOp(b.issuer, false);
 }
 
 bool

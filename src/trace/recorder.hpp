@@ -3,13 +3,14 @@
  * TraceRecorder: the live half of record/replay. Attached to a
  * Platform run (PlatformConfig::recorder), it implements the capture
  * journal — stamping every producer-side stream mutation with its
- * simulated cycle and the global lifeguard-step count, encoding it as a
- * `paralog-trace-v1` op and streaming it through the TraceWriter — and
- * additionally captures the platform-level ConflictAlert broadcast
- * bookkeeping plus the per-lifeguard-core metadata-access latency
- * sideband (the one consumer-side quantity that depends on application
- * cache interference, which replay has no application cores to
- * regenerate).
+ * simulated cycle and the global lifeguard-step count, and writing its
+ * fields straight into the TraceWriter's per-thread v2 columns
+ * (OpColumns, v2_block.hpp), from which a chunk flush produces either
+ * container's payload — and additionally captures the platform-level
+ * ConflictAlert broadcast bookkeeping plus the per-lifeguard-core
+ * metadata-access latency sideband (the one consumer-side quantity
+ * that depends on application cache interference, which replay has no
+ * application cores to regenerate).
  */
 
 #ifndef PARALOG_TRACE_RECORDER_HPP
@@ -30,8 +31,8 @@ class TraceRecorder : public CaptureJournal
 {
   public:
     /** @p format selects the container: kFormatVersion (v1, default)
-     *  or kFormatVersionV2. The journal encoding is identical; only
-     *  the on-disk ops-chunk layout differs. */
+     *  or kFormatVersionV2. The journal ops are identical; only the
+     *  on-disk ops-chunk layout differs. */
     TraceRecorder(const std::string &path, const TraceConfig &cfg,
                   std::uint32_t format = kFormatVersion);
 
@@ -78,10 +79,13 @@ class TraceRecorder : public CaptureJournal
     bool finalize(const RunResult &result);
 
   private:
-    /** Start an op in the scratch buffer: opcode + (gseq, cycle,
-     *  lifeguard-step) deltas against thread @p tid's previous op. */
-    void beginOp(OpCode op, ThreadId tid);
-    void commitOp(ThreadId tid, bool is_record = false);
+    /** Start an op on thread @p tid's columns: opcode + (gseq, cycle,
+     *  lifeguard-step) deltas against its previous op. Returns the body
+     *  column; the op ends with writer_.endOp. */
+    std::vector<std::uint8_t> &beginOp(OpCode op, ThreadId tid);
+    void appendRecord(OpCode op, ThreadId tid, const EventRecord &rec,
+                      std::uint32_t charged_bytes,
+                      const std::vector<std::uint8_t> &payload);
 
     struct PerThread
     {
@@ -94,7 +98,6 @@ class TraceRecorder : public CaptureJournal
 
     TraceWriter writer_;
     std::vector<PerThread> threads_;
-    std::vector<std::uint8_t> scratch_;
     Cycle now_ = 0;
     std::uint64_t lgSteps_ = 0;
     std::uint64_t gseq_ = 0;

@@ -6,14 +6,13 @@
 #include <cstring>
 
 #include "common/varint.hpp"
-#include "trace/v2_block.hpp"
 
 namespace paralog::trace {
 
 TraceWriter::TraceWriter(const std::string &path, const TraceConfig &cfg,
                          std::uint32_t format)
     : cfg_(cfg), format_(format), path_(path), tmpPath_(path + ".tmp"),
-      opBuf_(cfg.appThreads), latBuf_(cfg.appThreads),
+      ops_(cfg.appThreads), latBuf_(cfg.appThreads),
       latRun_(cfg.appThreads), opCount(cfg.appThreads, 0),
       recordCount(cfg.appThreads, 0)
 {
@@ -87,25 +86,11 @@ TraceWriter::writeHeader()
 }
 
 void
-TraceWriter::flushChunk(std::uint32_t kind, std::uint32_t tid,
-                        std::vector<std::uint8_t> &payload)
+TraceWriter::writeChunk(std::uint32_t kind, std::uint32_t tid,
+                        const std::vector<std::uint8_t> &payload)
 {
     if (!ok_ || payload.empty())
         return;
-    if (kind == kChunkOps && format_ == kFormatVersionV2) {
-        // v2: the chunk payload is the columnar re-blocking of the
-        // buffered v1 op bytes. The buffer always holds whole ops
-        // (appendOpBytes is called with one complete op at a time and
-        // only flushes between calls), so the scan cannot legitimately
-        // fail — a failure here means the recorder emitted bytes the
-        // format grammar does not describe.
-        std::vector<std::uint8_t> block;
-        if (!encodeOpsBlock(payload.data(), payload.size(), block)) {
-            fail("op stream does not scan as v1 ops (recorder bug)");
-            return;
-        }
-        payload.swap(block);
-    }
     std::uint8_t h[16];
     put32le(h, kind);
     put32le(h + 4, tid);
@@ -115,54 +100,73 @@ TraceWriter::flushChunk(std::uint32_t kind, std::uint32_t tid,
         std::fwrite(payload.data(), 1, payload.size(), file_) !=
             payload.size())
         fail("short write (chunk)");
-    payload.clear();
 }
 
 void
-TraceWriter::noteOp(ThreadId tid, bool is_record)
+TraceWriter::flushOps(ThreadId tid)
 {
+    OpColumns &c = ops_[tid];
+    if (ok_ && c.ops != 0) {
+        if (format_ == kFormatVersionV2)
+            encodeV2Payload(c, payload_);
+        else if (!encodeV1Payload(c, payload_))
+            fail("op columns do not interleave into their v1 size "
+                 "(recorder bug)");
+        writeChunk(kChunkOps, tid, payload_);
+    }
+    c.clear();
+}
+
+void
+TraceWriter::flushLatency(ThreadId tid)
+{
+    writeChunk(kChunkMetaLatency, tid, latBuf_[tid]);
+    latBuf_[tid].clear();
+}
+
+void
+TraceWriter::endOp(ThreadId tid, bool is_record)
+{
+    OpColumns &c = ops_[tid];
+    c.endOp();
     ++opCount[tid];
     ++totalOps_;
     if (is_record) {
         ++recordCount[tid];
         ++totalRecords_;
     }
-}
-
-void
-TraceWriter::appendOpBytes(ThreadId tid,
-                           const std::vector<std::uint8_t> &op)
-{
-    if (!ok_)
-        return;
-    auto &buf = opBuf_[tid];
-    buf.insert(buf.end(), op.begin(), op.end());
-    if (buf.size() >= kChunkTargetBytes)
-        flushChunk(kChunkOps, tid, buf);
+    if (c.v1Bytes >= kChunkTargetBytes)
+        flushOps(tid);
 }
 
 void
 TraceWriter::writeOpsChunk(ThreadId tid,
                            const std::vector<std::uint8_t> &v1_ops)
 {
-    if (!ok_)
+    if (!ok_ || v1_ops.empty())
         return;
-    if (!opBuf_[tid].empty()) {
+    if (ops_[tid].ops != 0) {
         fail("writeOpsChunk with buffered ops pending");
         return;
     }
-    std::vector<std::uint8_t> payload = v1_ops;
-    flushChunk(kChunkOps, tid, payload);
+    if (format_ == kFormatVersion) {
+        writeChunk(kChunkOps, tid, v1_ops);
+        return;
+    }
+    // The scanner splits the ops into columns; a source chunk that does
+    // not scan as whole ops is malformed.
+    if (!encodeOpsBlock(v1_ops.data(), v1_ops.size(), payload_)) {
+        fail("op stream does not scan as v1 ops");
+        return;
+    }
+    writeChunk(kChunkOps, tid, payload_);
 }
 
 void
 TraceWriter::writeLatencyChunk(ThreadId tid,
                                const std::vector<std::uint8_t> &payload)
 {
-    if (!ok_)
-        return;
-    std::vector<std::uint8_t> copy = payload;
-    flushChunk(kChunkMetaLatency, tid, copy);
+    writeChunk(kChunkMetaLatency, tid, payload);
 }
 
 void
@@ -175,7 +179,7 @@ TraceWriter::flushLatencyRun(ThreadId tid)
     putVarint(latBuf_[tid], run.count);
     run.count = 0;
     if (latBuf_[tid].size() >= kChunkTargetBytes)
-        flushChunk(kChunkMetaLatency, tid, latBuf_[tid]);
+        flushLatency(tid);
 }
 
 void
@@ -198,11 +202,11 @@ TraceWriter::finalize(const TraceFooter &footer)
 {
     if (!ok_ || finalized_)
         return ok_;
-    for (ThreadId t = 0; t < opBuf_.size(); ++t)
-        flushChunk(kChunkOps, t, opBuf_[t]);
+    for (ThreadId t = 0; t < ops_.size(); ++t)
+        flushOps(t);
     for (ThreadId t = 0; t < latBuf_.size(); ++t) {
         flushLatencyRun(t);
-        flushChunk(kChunkMetaLatency, t, latBuf_[t]);
+        flushLatency(t);
     }
 
     finalized_ = true; // writeHeader() now records the footer offset
@@ -248,7 +252,7 @@ TraceWriter::finalize(const TraceFooter &footer)
         putVarint(f, r.violationFingerprint);
 
     long footer_at = ok_ ? std::ftell(file_) : -1;
-    flushChunk(kChunkFooter, kNoThread, f);
+    writeChunk(kChunkFooter, kNoThread, f);
 
     if (ok_) {
         // Rewrite the header with the final totals and footer offset.

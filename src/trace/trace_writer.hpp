@@ -1,17 +1,18 @@
 /**
  * @file
  * Streaming writer for `paralog-trace-v1` and `paralog-trace-v2` files
- * (format.hpp). Journal op bytes are buffered per thread and flushed as
- * CRC-protected chunks once they reach the target chunk size, so memory
- * stays bounded while recording arbitrarily long runs; finalize()
- * flushes the tails, writes the footer chunk and rewrites the header
- * with the final counts and config fingerprint. A file without a footer
- * (crashed recording) is rejected by the reader.
+ * (format.hpp). Journal ops are buffered per thread, already split into
+ * the v2 columns (OpColumns, v2_block.hpp), and flushed as CRC-protected
+ * chunks once they reach the target chunk size counted as v1 bytes, so
+ * memory stays bounded while recording arbitrarily long runs;
+ * finalize() flushes the tails, writes the footer chunk and rewrites
+ * the header with the final counts and config fingerprint. A file
+ * without a footer (crashed recording) is rejected by the reader.
  *
- * The two formats differ only in the ops-chunk payload: in v2 mode the
- * buffered v1 op bytes are re-blocked and compressed (v2_block.hpp) at
- * flush time — chunk boundaries, latency and footer encodings are
- * shared, so a v1 and a v2 recording of the same run have identical
+ * The two formats differ only in the ops-chunk payload: a flush lays
+ * the columns out and compresses them (v2), or interleaves them back
+ * into v1 op bytes (v1). Chunk boundaries, latency and footer encodings
+ * are shared, so a v1 and a v2 recording of the same run have identical
  * chunk sequences.
  */
 
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "trace/format.hpp"
+#include "trace/v2_block.hpp"
 
 namespace paralog::trace {
 
@@ -45,8 +47,13 @@ class TraceWriter
      *  fields it only learns after construction (the event filter). */
     TraceConfig &config() { return cfg_; }
 
-    /** Append raw op bytes to thread @p tid's journal stream. */
-    void appendOpBytes(ThreadId tid, const std::vector<std::uint8_t> &op);
+    /** Thread @p tid's ops chunk in the making: the recorder adds an op
+     *  with OpColumns::beginOp and its body bytes, then calls endOp. */
+    OpColumns &ops(ThreadId tid) { return ops_[tid]; }
+
+    /** Close the op begun on ops(@p tid): count it, and flush the chunk
+     *  once its ops reach kChunkTargetBytes as v1 bytes. */
+    void endOp(ThreadId tid, bool is_record);
 
     /** Append one metadata-access latency for lifeguard thread @p tid
      *  (run-length encoded). */
@@ -56,7 +63,7 @@ class TraceWriter
     // an existing recording while preserving its chunk boundaries. ----
 
     /** Emit @p v1_ops (whole v1 op bytes) as exactly one ops chunk,
-     *  bypassing the per-thread buffer (which must be empty). */
+     *  bypassing the per-thread columns (which must be empty). */
     void writeOpsChunk(ThreadId tid,
                        const std::vector<std::uint8_t> &v1_ops);
 
@@ -65,7 +72,7 @@ class TraceWriter
                            const std::vector<std::uint8_t> &payload);
 
     /** Override the header totals (migration copies them from the
-     *  source header instead of counting ops via noteOp). */
+     *  source header instead of counting ops via endOp). */
     void
     setTotals(std::uint64_t total_ops, std::uint64_t total_records)
     {
@@ -82,8 +89,10 @@ class TraceWriter
   private:
     void fail(const std::string &why);
     void writeHeader();
-    void flushChunk(std::uint32_t kind, std::uint32_t tid,
-                    std::vector<std::uint8_t> &payload);
+    void writeChunk(std::uint32_t kind, std::uint32_t tid,
+                    const std::vector<std::uint8_t> &payload);
+    void flushOps(ThreadId tid);
+    void flushLatency(ThreadId tid);
     void flushLatencyRun(ThreadId tid);
 
     struct LatencyRun
@@ -100,8 +109,9 @@ class TraceWriter
     bool ok_ = true;
     bool finalized_ = false;
     std::string error_;
-    std::vector<std::vector<std::uint8_t>> opBuf_;   ///< per app thread
+    std::vector<OpColumns> ops_;                     ///< per app thread
     std::vector<std::vector<std::uint8_t>> latBuf_;  ///< per lg thread
+    std::vector<std::uint8_t> payload_; ///< an encoded ops chunk
     std::vector<LatencyRun> latRun_;
     std::uint64_t totalOps_ = 0;
     std::uint64_t totalRecords_ = 0;
@@ -112,7 +122,6 @@ class TraceWriter
     /// does not duplicate the bookkeeping).
     std::vector<std::uint64_t> opCount;
     std::vector<std::uint64_t> recordCount;
-    void noteOp(ThreadId tid, bool is_record);
 };
 
 } // namespace paralog::trace

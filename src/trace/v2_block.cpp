@@ -1,5 +1,6 @@
 #include "trace/v2_block.hpp"
 
+#include <array>
 #include <cstring>
 
 #include "common/lz.hpp"
@@ -112,7 +113,59 @@ copyVarint(ByteCursor &src, std::vector<std::uint8_t> &dst)
     return true;
 }
 
-inline constexpr std::size_t kColumnCount = 6;
+/**
+ * Re-interleave @p ops ops from the column cursors @p col into exactly
+ * @p v1_bytes of v1 op bytes (replacing @p out's contents). The output
+ * is sized up front and every write is checked against it before it is
+ * made; false on a column over/underrun, an opcode above kMaxOpCode,
+ * leftover column bytes or an output not filled exactly.
+ */
+bool
+interleaveColumns(std::array<ByteCursor, kColumnCount> &col,
+                  std::uint64_t ops, std::size_t v1_bytes,
+                  std::vector<std::uint8_t> &out)
+{
+    out.resize(v1_bytes);
+    std::uint8_t *o = out.data();
+    std::uint8_t *const o_end = o + out.size();
+    // Varints (nearly all one byte) copy byte by byte, within
+    // ByteCursor::getVarint's limits: truncated or over 10 bytes fails.
+    auto copy_varint = [&o, o_end](ByteCursor &src) {
+        for (int i = 0; i < 10; ++i) {
+            if (src.atEnd() || o == o_end)
+                return false;
+            const std::uint8_t b = *src.pos++;
+            *o++ = b;
+            if (!(b & 0x80))
+                return true;
+        }
+        return false; // over-long encoding
+    };
+    for (std::uint64_t i = 0; i < ops; ++i) {
+        std::uint8_t opcode = 0;
+        if (!col[kColOpcode].getByte(opcode) || opcode > kMaxOpCode ||
+            o == o_end)
+            return false;
+        *o++ = opcode;
+        if (!copy_varint(col[kColGseq]) || !copy_varint(col[kColCycle]) ||
+            !copy_varint(col[kColLgStep]))
+            return false;
+        std::uint64_t body_len = 0;
+        ByteCursor &body = col[kColBody];
+        if (!col[kColBodyLen].getVarint(body_len) ||
+            body_len > body.remaining() ||
+            body_len > static_cast<std::uint64_t>(o_end - o))
+            return false;
+        if (body_len != 0)
+            std::memcpy(o, body.pos, static_cast<std::size_t>(body_len));
+        o += body_len;
+        body.pos += body_len;
+    }
+    for (const auto &cc : col)
+        if (!cc.atEnd())
+            return false; // leftover column bytes: corrupt framing
+    return o == o_end;
+}
 
 } // namespace
 
@@ -133,13 +186,36 @@ scanOneOp(const std::uint8_t *&pos, const std::uint8_t *end,
     return true;
 }
 
+void
+encodeV2Payload(const OpColumns &c, std::vector<std::uint8_t> &out)
+{
+    std::vector<std::uint8_t> section;
+    section.reserve(c.v1Bytes + c.ops + 64);
+    putVarint(section, c.ops);
+    for (const auto &col : c.col) {
+        putVarint(section, col.size());
+        section.insert(section.end(), col.begin(), col.end());
+    }
+    out.clear();
+    putVarint(out, c.v1Bytes);
+    lzCompress(section.data(), section.size(), out);
+}
+
+bool
+encodeV1Payload(const OpColumns &c, std::vector<std::uint8_t> &out)
+{
+    std::array<ByteCursor, kColumnCount> col;
+    for (std::size_t i = 0; i < kColumnCount; ++i)
+        col[i] = ByteCursor(c.col[i].data(), c.col[i].size());
+    return interleaveColumns(col, c.ops, c.v1Bytes, out);
+}
+
 bool
 encodeOpsBlock(const std::uint8_t *v1, std::size_t n,
                std::vector<std::uint8_t> &out)
 {
-    std::vector<std::uint8_t> cols[kColumnCount];
-    std::uint64_t op_count = 0;
-
+    out.clear();
+    OpColumns c;
     const std::uint8_t *p = v1;
     const std::uint8_t *end = v1 + n;
     while (p < end) {
@@ -147,28 +223,22 @@ encodeOpsBlock(const std::uint8_t *v1, std::size_t n,
         std::size_t prelude_end = 0;
         if (!scanOneOp(p, end, prelude_end))
             return false;
-        ++op_count;
+        ++c.ops;
 
-        cols[0].push_back(op_start[0]);
+        c.col[kColOpcode].push_back(op_start[0]);
         ByteCursor pre(op_start + 1, prelude_end - 1);
-        if (!copyVarint(pre, cols[1]) || !copyVarint(pre, cols[2]) ||
-            !copyVarint(pre, cols[3]))
+        if (!copyVarint(pre, c.col[kColGseq]) ||
+            !copyVarint(pre, c.col[kColCycle]) ||
+            !copyVarint(pre, c.col[kColLgStep]))
             return false;
         std::size_t body_len =
             static_cast<std::size_t>(p - op_start) - prelude_end;
-        putVarint(cols[4], body_len);
-        cols[5].insert(cols[5].end(), op_start + prelude_end, p);
+        putVarint(c.col[kColBodyLen], body_len);
+        c.col[kColBody].insert(c.col[kColBody].end(), op_start + prelude_end,
+                               p);
     }
-
-    std::vector<std::uint8_t> section;
-    section.reserve(n + op_count + 64);
-    putVarint(section, op_count);
-    for (const auto &col : cols) {
-        putVarint(section, col.size());
-        section.insert(section.end(), col.begin(), col.end());
-    }
-    putVarint(out, n);
-    lzCompress(section.data(), section.size(), out);
+    c.v1Bytes = n;
+    encodeV2Payload(c, out);
     return true;
 }
 
@@ -194,7 +264,7 @@ decodeOpsBlock(const std::uint8_t *v2, std::size_t n,
     std::uint64_t op_count = 0;
     if (!s.getVarint(op_count) || op_count > v1_len)
         return false;
-    ByteCursor col[kColumnCount];
+    std::array<ByteCursor, kColumnCount> col;
     for (auto &cc : col) {
         std::uint64_t len = 0;
         if (!s.getVarint(len) || len > s.remaining())
@@ -204,47 +274,8 @@ decodeOpsBlock(const std::uint8_t *v2, std::size_t n,
     }
     if (!s.atEnd())
         return false;
-
-    // Re-interleave the columns straight into the pre-sized v1 buffer;
-    // every write is checked against v1Len before it is made.
-    out.resize(static_cast<std::size_t>(v1_len));
-    std::uint8_t *o = out.data();
-    std::uint8_t *const o_end = o + out.size();
-    // Varints (nearly all one byte) copy byte by byte, within
-    // ByteCursor::getVarint's limits: truncated or over 10 bytes fails.
-    auto copy_varint = [&o, o_end](ByteCursor &src) {
-        for (int i = 0; i < 10; ++i) {
-            if (src.atEnd() || o == o_end)
-                return false;
-            const std::uint8_t b = *src.pos++;
-            *o++ = b;
-            if (!(b & 0x80))
-                return true;
-        }
-        return false; // over-long encoding
-    };
-    for (std::uint64_t i = 0; i < op_count; ++i) {
-        std::uint8_t opcode = 0;
-        if (!col[0].getByte(opcode) || opcode > kMaxOpCode || o == o_end)
-            return false;
-        *o++ = opcode;
-        if (!copy_varint(col[1]) || !copy_varint(col[2]) ||
-            !copy_varint(col[3]))
-            return false;
-        std::uint64_t body_len = 0;
-        if (!col[4].getVarint(body_len) ||
-            body_len > col[5].remaining() ||
-            body_len > static_cast<std::uint64_t>(o_end - o))
-            return false;
-        if (body_len != 0)
-            std::memcpy(o, col[5].pos, static_cast<std::size_t>(body_len));
-        o += body_len;
-        col[5].pos += body_len;
-    }
-    for (const auto &cc : col)
-        if (!cc.atEnd())
-            return false; // leftover column bytes: corrupt framing
-    return o == o_end;
+    return interleaveColumns(col, op_count, static_cast<std::size_t>(v1_len),
+                             out);
 }
 
 } // namespace paralog::trace

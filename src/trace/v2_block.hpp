@@ -21,24 +21,89 @@
  *            4 body length varints   (1 per op)
  *            5 body bytes            (concatenated verbatim)
  *
- * Varint spans are copied, never re-coded: decoding re-interleaves the
- * columns and reproduces the original v1 bytes *exactly* (enforced
- * against v1Len), which is what keeps every higher layer — op cursor,
- * record codec, replay, fingerprints — format-agnostic, and makes
- * v1→v2→v1 migration byte-identical.
+ * Varint spans are never re-coded: decoding re-interleaves the
+ * columns and reproduces the v1 bytes *exactly* (enforced against
+ * v1Len), which is what keeps every higher layer — op cursor, record
+ * codec, replay, fingerprints — format-agnostic, and makes v1→v2→v1
+ * migration byte-identical.
  *
- * Splitting needs op boundaries, so the encoder embeds a structural
- * scanner for the v1 op grammar (recorder.cpp is the source of truth;
- * the scanner only walks field sizes, it decodes nothing).
+ * The recorder writes each op straight into these columns (OpColumns);
+ * a chunk flush then either lays them out as the column section (v2)
+ * or interleaves them back into v1 op bytes (v1), with the same loop
+ * the decoder uses. Only migration starts from v1 bytes: it splits them
+ * into columns with a structural scanner for the v1 op grammar
+ * (recorder.cpp is the source of truth; the scanner only walks field
+ * sizes, it decodes nothing) and calls the same encoder.
  */
 
 #ifndef PARALOG_TRACE_V2_BLOCK_HPP
 #define PARALOG_TRACE_V2_BLOCK_HPP
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
+#include "common/varint.hpp"
+
 namespace paralog::trace {
+
+/** The column streams, in section order. */
+enum OpColumn : std::size_t
+{
+    kColOpcode, kColGseq, kColCycle, kColLgStep, kColBodyLen, kColBody,
+    kColumnCount
+};
+
+/**
+ * One ops chunk in the making, split into the six columns. An op is
+ * added with beginOp(), body bytes appended to the column it returns,
+ * and endOp(). v1Bytes is the size the same ops take as v1 bytes
+ * (every column but the body lengths): the writer's chunk-size rule
+ * counts it, so v1 and v2 recordings of a run split into the same
+ * chunks.
+ */
+struct OpColumns
+{
+    std::array<std::vector<std::uint8_t>, kColumnCount> col;
+    std::uint64_t ops = 0;
+    std::size_t v1Bytes = 0;
+
+    /** Start an op: its opcode and (gseq, cycle, lifeguard-step)
+     *  deltas. Returns the body column for the op's body bytes. */
+    std::vector<std::uint8_t> &
+    beginOp(std::uint8_t opcode, std::uint64_t d_gseq, std::uint64_t d_cycle,
+            std::uint64_t d_lg_step)
+    {
+        col[kColOpcode].push_back(opcode);
+        v1Bytes += 1 + putVarint(col[kColGseq], d_gseq) +
+                   putVarint(col[kColCycle], d_cycle) +
+                   putVarint(col[kColLgStep], d_lg_step);
+        bodyStart_ = col[kColBody].size();
+        return col[kColBody];
+    }
+
+    /** Close the op begun last: record its body length. */
+    void
+    endOp()
+    {
+        const std::size_t body = col[kColBody].size() - bodyStart_;
+        putVarint(col[kColBodyLen], body);
+        v1Bytes += body;
+        ++ops;
+    }
+
+    void
+    clear()
+    {
+        for (auto &c : col)
+            c.clear();
+        ops = 0;
+        v1Bytes = 0;
+    }
+
+  private:
+    std::size_t bodyStart_ = 0;
+};
 
 /**
  * Structurally scan one whole v1 op at @p c (see recorder.cpp for the
@@ -50,10 +115,19 @@ namespace paralog::trace {
 bool scanOneOp(const std::uint8_t *&pos, const std::uint8_t *end,
                std::size_t &prelude_end);
 
+/** The v2 ops-chunk payload of @p c (replacing @p out's contents). */
+void encodeV2Payload(const OpColumns &c, std::vector<std::uint8_t> &out);
+
+/** The v1 op bytes of @p c (replacing @p out's contents). Returns
+ *  false if the columns do not interleave into exactly v1Bytes. */
+bool encodeV1Payload(const OpColumns &c, std::vector<std::uint8_t> &out);
+
 /**
  * Encode @p n bytes of whole v1 ops at @p v1 into a v2 ops-chunk
- * payload, appended to @p out. Returns false if the input does not
- * scan as a sequence of complete v1 ops (nothing is appended then).
+ * payload (replacing @p out's contents): the scanner splits them into
+ * OpColumns, copying every field's bytes verbatim, and encodeV2Payload
+ * lays them out. Returns false if the input does not scan as a
+ * sequence of complete v1 ops (@p out is left empty then).
  */
 bool encodeOpsBlock(const std::uint8_t *v1, std::size_t n,
                     std::vector<std::uint8_t> &out);

@@ -59,11 +59,12 @@ makeTraceBytes(std::size_t ops_per_thread = 600)
     {
         TraceWriter w(path, cfg);
         EXPECT_TRUE(w.ok()) << w.error();
-        std::vector<std::uint8_t> op = {1, 2, 3, 4, 5, 6, 7};
         for (std::size_t i = 0; i < ops_per_thread; ++i) {
             for (ThreadId t = 0; t < cfg.appThreads; ++t) {
-                w.appendOpBytes(t, op);
-                w.noteOp(t, i % 3 == 0);
+                // The v1 op bytes {1, 2, 3, 4, 5, 6, 7}.
+                auto &body = w.ops(t).beginOp(1, 2, 3, 4);
+                body.insert(body.end(), {5, 6, 7});
+                w.endOp(t, i % 3 == 0);
             }
             w.appendMetaLatency(0, 4 + (i % 5));
         }

@@ -155,10 +155,10 @@ TEST_F(TraceFormatTest, RecordingIsCrashSafe)
         trace::TraceConfig cfg;
         cfg.appThreads = 1;
         trace::TraceWriter w(tmp.path(), cfg);
-        std::vector<std::uint8_t> op(64, 0xAB);
         for (int i = 0; i < 4000; ++i) {
-            w.appendOpBytes(0, op);
-            w.noteOp(0, false);
+            auto &body = w.ops(0).beginOp(0, 0, 0, 0);
+            body.insert(body.end(), 60, 0xAB); // a 64-byte op
+            w.endOp(0, false);
         }
         ::_exit(0); // dies mid-recording
     }
@@ -178,8 +178,8 @@ TEST_F(TraceFormatTest, RecordingIsCrashSafe)
         trace::TraceConfig cfg;
         cfg.appThreads = 1;
         trace::TraceWriter w(tmp.path(), cfg);
-        w.appendOpBytes(0, {1, 2, 3});
-        w.noteOp(0, true);
+        w.ops(0).beginOp(1, 2, 3, 0);
+        w.endOp(0, true);
     }
     EXPECT_TRUE(slurp(tmp.path()).empty());
     EXPECT_TRUE(slurp(side).empty());
@@ -346,6 +346,33 @@ TEST_F(TraceFormatTest, RejectsParallelFooterWithoutLifeguardStats)
     EXPECT_NE(check.error().find("lifeguard stats for 0 cores"),
               std::string::npos)
         << check.error();
+}
+
+TEST_F(TraceFormatTest, ConfigFingerprintStartsFromTheFormatsFnvBasis)
+{
+    // The config fingerprint (header bytes 16..23) is FNV-1a over bytes
+    // 24..63 started from the format's own basis, the textbook FNV-1a
+    // 64-bit offset basis with its last digit dropped. A committed
+    // recording pins it: another writer must use kFnvBasis.
+    const std::string src = test::corpusTrace("taintcheck_tso_v1");
+    if (src.empty())
+        GTEST_SKIP() << "PARALOG_CORPUS not set (run under CTest)";
+    const std::vector<std::uint8_t> file = slurp(src);
+    ASSERT_GE(file.size(), trace::kHeaderBytes);
+    auto fnv = [&file](std::uint64_t basis) {
+        std::uint64_t h = basis;
+        for (std::size_t i = 24; i < 64; ++i) {
+            h ^= file[i];
+            h *= trace::kFnvPrime;
+        }
+        return h;
+    };
+    constexpr std::uint64_t kTextbookBasis = 14695981039346656037ULL;
+    const std::uint64_t stored = trace::get64le(file.data() + 16);
+    EXPECT_EQ(fnv(trace::kFnvBasis), stored);
+    EXPECT_EQ(trace::fnv1a(file.data() + 24, 40), stored);
+    EXPECT_NE(fnv(kTextbookBasis), stored);
+    EXPECT_EQ(trace::kFnvBasis, kTextbookBasis / 10);
 }
 
 // -------------------------------------------- replay determinism ----

@@ -3,7 +3,9 @@
  * Tests for the `paralog-trace-v2` container: the LZ entropy stage, the
  * columnar ops-block codec (both decode kernels checked against their
  * byte-wise oracle on the committed corpus, its corruptions and
- * hand-built token streams), end-to-end record/replay equivalence with
+ * hand-built token streams; LZ compress and CRC-32 against theirs), the
+ * recorder's column emitter against the migration scanner and the
+ * chunk-size rule, end-to-end record/replay equivalence with
  * v1 (bit-identical fingerprints, serial and concurrent), v1<->v2
  * migration round trips, and the corruption/truncation surface — every
  * structural boundary ±1, CRC-valid-but-garbage compressed payloads,
@@ -16,6 +18,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +37,7 @@
 #include "trace/migrate.hpp"
 #include "trace/stream_ingest.hpp"
 #include "trace/trace_reader.hpp"
+#include "trace/trace_writer.hpp"
 #include "trace/v2_block.hpp"
 
 namespace paralog {
@@ -260,12 +264,86 @@ TEST_F(V2Block, RejectsNonOpBytesAndCorruptBlocks)
 
 /**
  * The byte-wise LZ and block decoders that the bounded-copy kernels
- * replaced, kept verbatim as the differential oracle (as
- * test_shadow_fastpath keeps its per-byte fingerprint loop). Every
- * input must get the same accept/reject answer from both, and, when
- * accepted, the same output bytes.
+ * replaced, and the byte-wise LZ compressor and CRC-32 that the
+ * word-at-a-time kernels replaced, kept verbatim as differential
+ * oracles (as test_shadow_fastpath keeps its per-byte fingerprint
+ * loop). Every input must get the same accept/reject answer from a
+ * decoder and its oracle and, when accepted, the same output bytes;
+ * the encoders must agree byte for byte on every input.
  */
 namespace oracle {
+
+void
+lzCompress(const std::uint8_t *data, std::size_t n,
+           std::vector<std::uint8_t> &out)
+{
+    constexpr std::size_t kHashBits = 15;
+    auto hash4 = [](const std::uint8_t *p) {
+        std::uint32_t v;
+        std::memcpy(&v, p, 4);
+        return (v * 2654435761u) >> (32 - kHashBits);
+    };
+    putVarint(out, n);
+    if (n == 0)
+        return;
+
+    std::vector<std::size_t> table(std::size_t(1) << kHashBits,
+                                   SIZE_MAX);
+    std::size_t pos = 0;
+    std::size_t lit_start = 0;
+
+    auto flush = [&](std::size_t lit_end) {
+        putVarint(out, lit_end - lit_start);
+        out.insert(out.end(), data + lit_start, data + lit_end);
+    };
+
+    while (pos + kLzMinMatch <= n) {
+        std::uint32_t h = hash4(data + pos);
+        std::size_t cand = table[h];
+        table[h] = pos;
+
+        std::size_t len = 0;
+        if (cand != SIZE_MAX &&
+            std::memcmp(data + cand, data + pos, kLzMinMatch) == 0) {
+            len = kLzMinMatch;
+            while (pos + len < n && data[cand + len] == data[pos + len])
+                ++len;
+        }
+        if (len < kLzMinMatch) {
+            ++pos;
+            continue;
+        }
+        flush(pos);
+        putVarint(out, len - kLzMinMatch);
+        putVarint(out, pos - cand);
+        std::size_t stop = pos + len;
+        for (pos += 1; pos + kLzMinMatch <= stop; pos += 2)
+            table[hash4(data + pos)] = pos;
+        pos = stop;
+        lit_start = pos;
+    }
+    if (lit_start < n)
+        flush(n);
+}
+
+std::uint32_t
+crc32(const std::uint8_t *data, std::size_t n)
+{
+    static const auto table = [] {
+        std::array<std::uint32_t, 256> t{};
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            std::uint32_t c = i;
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+            t[i] = c;
+        }
+        return t;
+    }();
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i)
+        crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+    return crc ^ 0xFFFFFFFFu;
+}
 
 bool
 lzDecompress(const std::uint8_t *data, std::size_t n,
@@ -371,15 +449,14 @@ decodeOpsBlock(const std::uint8_t *v2, std::size_t n,
 inline constexpr std::size_t kMaxChunkV1Bytes = 16u << 20;
 
 /**
- * Runs each input through a kernel and its oracle and compares. Inputs
- * are copied so they end exactly at a PROT_NONE page: a decoder that
+ * Places inputs so they end exactly at a PROT_NONE page: a kernel that
  * reads even one byte past its input faults instead of reading heap
  * slack.
  */
-class DecodeOracle
+class GuardedArena
 {
   public:
-    DecodeOracle()
+    GuardedArena()
     {
         const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
         len_ = kArenaBytes + page;
@@ -391,37 +468,9 @@ class DecodeOracle
         if (::mprotect(guard_, page, PROT_NONE) != 0)
             std::abort();
     }
-    ~DecodeOracle() { ::munmap(map_, len_); }
-    DecodeOracle(const DecodeOracle &) = delete;
-    DecodeOracle &operator=(const DecodeOracle &) = delete;
-
-    void
-    lz(const std::vector<std::uint8_t> &enc, std::size_t max_out,
-       const std::string &what)
-    {
-        const std::uint8_t *p = place(enc);
-        std::vector<std::uint8_t> want, got;
-        bool w = oracle::lzDecompress(p, enc.size(), want, max_out);
-        bool g = lzDecompress(p, enc.size(), got, max_out);
-        tally(w, g, want, got, "lz " + what);
-    }
-
-    void
-    block(const std::vector<std::uint8_t> &v2, std::size_t max_v1,
-          const std::string &what)
-    {
-        const std::uint8_t *p = place(v2);
-        std::vector<std::uint8_t> want, got;
-        bool w = oracle::decodeOpsBlock(p, v2.size(), want, max_v1);
-        bool g = trace::decodeOpsBlock(p, v2.size(), got, max_v1);
-        tally(w, g, want, got, "block " + what);
-    }
-
-    std::size_t checked = 0;
-    std::size_t accepted = 0;
-
-  private:
-    static constexpr std::size_t kArenaBytes = 1u << 20;
+    ~GuardedArena() { ::munmap(map_, len_); }
+    GuardedArena(const GuardedArena &) = delete;
+    GuardedArena &operator=(const GuardedArena &) = delete;
 
     const std::uint8_t *
     place(const std::vector<std::uint8_t> &bytes)
@@ -434,6 +483,45 @@ class DecodeOracle
         return p;
     }
 
+  private:
+    static constexpr std::size_t kArenaBytes = 1u << 20;
+
+    std::size_t len_ = 0;
+    void *map_ = nullptr;
+    std::uint8_t *guard_ = nullptr;
+};
+
+/** Runs each input, placed in a GuardedArena, through a decode kernel
+ *  and its oracle and compares. */
+class DecodeOracle
+{
+  public:
+    void
+    lz(const std::vector<std::uint8_t> &enc, std::size_t max_out,
+       const std::string &what)
+    {
+        const std::uint8_t *p = arena_.place(enc);
+        std::vector<std::uint8_t> want, got;
+        bool w = oracle::lzDecompress(p, enc.size(), want, max_out);
+        bool g = lzDecompress(p, enc.size(), got, max_out);
+        tally(w, g, want, got, "lz " + what);
+    }
+
+    void
+    block(const std::vector<std::uint8_t> &v2, std::size_t max_v1,
+          const std::string &what)
+    {
+        const std::uint8_t *p = arena_.place(v2);
+        std::vector<std::uint8_t> want, got;
+        bool w = oracle::decodeOpsBlock(p, v2.size(), want, max_v1);
+        bool g = trace::decodeOpsBlock(p, v2.size(), got, max_v1);
+        tally(w, g, want, got, "block " + what);
+    }
+
+    std::size_t checked = 0;
+    std::size_t accepted = 0;
+
+  private:
     void
     tally(bool w, bool g, const std::vector<std::uint8_t> &want,
           const std::vector<std::uint8_t> &got, const std::string &what)
@@ -446,9 +534,7 @@ class DecodeOracle
         }
     }
 
-    std::size_t len_ = 0;
-    void *map_ = nullptr;
-    std::uint8_t *guard_ = nullptr;
+    GuardedArena arena_;
 };
 
 /** Every v2 ops-chunk payload of the committed corpus; empty when
@@ -836,6 +922,182 @@ TEST(DecodeKernelOracle, HandBuiltBlocksAgree)
     EXPECT_LT(o.accepted, o.checked);
 }
 
+// ------------------------------- encode kernels vs byte-wise oracle
+
+/** LZ-compress @p in, placed in @p arena, with the kernel and with the
+ *  oracle: the two streams must be equal and decode back to @p in. */
+void
+expectSameLz(GuardedArena &arena, const std::vector<std::uint8_t> &in,
+             const std::string &what)
+{
+    const std::uint8_t *p = arena.place(in);
+    std::vector<std::uint8_t> want, got, back;
+    oracle::lzCompress(p, in.size(), want);
+    lzCompress(p, in.size(), got);
+    ASSERT_EQ(got, want) << what;
+    ASSERT_TRUE(lzDecompress(got.data(), got.size(), back, in.size()))
+        << what;
+    EXPECT_EQ(back, in) << what;
+}
+
+std::vector<std::uint8_t>
+randomBytes(Rng &rng, std::size_t n, std::uint64_t alphabet = 256)
+{
+    std::vector<std::uint8_t> v(n);
+    for (auto &b : v)
+        b = static_cast<std::uint8_t>(rng.below(alphabet));
+    return v;
+}
+
+TEST(EncodeKernelOracle, LzCorpusSectionsCompressIdentically)
+{
+    const auto chunks = corpusV2OpsChunks();
+    if (chunks.empty())
+        GTEST_SKIP() << "PARALOG_CORPUS not set (run under CTest)";
+    GuardedArena arena;
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+        const SplitPayload sp = splitPayload(chunks[i]);
+        std::vector<std::uint8_t> section, again;
+        ASSERT_TRUE(lzDecompress(sp.lz.data(), sp.lz.size(), section,
+                                 lzCeiling(sp.v1Len)));
+        expectSameLz(arena, section, "chunk " + std::to_string(i));
+        lzCompress(section.data(), section.size(), again);
+        EXPECT_EQ(again, sp.lz) << "chunk " << i << " re-compresses "
+                                << "to other bytes than committed";
+    }
+}
+
+TEST(EncodeKernelOracle, LzSeededRandomInputsCompressIdentically)
+{
+    Rng rng(21);
+    GuardedArena arena;
+    for (int i = 0; i < 300; ++i) {
+        // Small alphabets and copied spans give matches of every
+        // length; a full alphabet gives literal runs.
+        const std::uint64_t alphabet = i % 3 == 0 ? 256 : 1 + rng.below(6);
+        std::vector<std::uint8_t> in =
+            randomBytes(rng, rng.below(3000), alphabet);
+        for (int k = 0; k < 8 && in.size() > 8; ++k) {
+            const std::size_t from = rng.below(in.size() - 4);
+            const std::size_t len =
+                1 + rng.below(std::min<std::size_t>(300, in.size() - from));
+            in.insert(in.end(), in.begin() + from, in.begin() + from + len);
+            in.push_back(static_cast<std::uint8_t>(rng.next()));
+        }
+        expectSameLz(arena, in, "random input " + std::to_string(i));
+    }
+}
+
+TEST(EncodeKernelOracle, LzLongConstantRunsCompressIdentically)
+{
+    GuardedArena arena;
+    for (std::size_t n : {std::size_t{4096}, std::size_t{65543},
+                          std::size_t{300001}}) {
+        for (std::uint8_t b : {std::uint8_t{0}, std::uint8_t{0xFF}}) {
+            std::vector<std::uint8_t> in(n, b);
+            expectSameLz(arena, in, "run of " + std::to_string(n));
+            in[n / 2] ^= 1; // a run broken in the middle
+            in[n - 1] ^= 1; // and at its last byte
+            expectSameLz(arena, in, "broken run of " + std::to_string(n));
+        }
+    }
+}
+
+TEST(EncodeKernelOracle, LzEveryLengthUpTo64CompressesIdentically)
+{
+    Rng rng(64);
+    GuardedArena arena;
+    for (std::size_t n = 0; n <= 64; ++n) {
+        const std::string what = "length " + std::to_string(n);
+        expectSameLz(arena, std::vector<std::uint8_t>(n, 0x2A), what);
+        for (std::size_t period = 2; period <= 9; ++period) {
+            std::vector<std::uint8_t> in(n);
+            for (std::size_t i = 0; i < n; ++i)
+                in[i] = static_cast<std::uint8_t>(i % period);
+            expectSameLz(arena, in, what);
+        }
+        for (std::uint64_t alphabet : {2, 4, 256})
+            expectSameLz(arena, randomBytes(rng, n, alphabet), what);
+    }
+}
+
+TEST(EncodeKernelOracle, LzMatchesEndingAtEachOfTheLast16Bytes)
+{
+    // x + noise + x[0, len) + tail: the repeat of x is a match of len
+    // bytes ending tail.size() bytes before the end of the input (the
+    // tail's first byte differs from x[len]).
+    Rng rng(16);
+    GuardedArena arena;
+    const std::vector<std::uint8_t> x = randomBytes(rng, 48);
+    for (std::size_t tail = 0; tail < 16; ++tail) {
+        for (std::size_t len = kLzMinMatch; len <= 40; ++len) {
+            std::vector<std::uint8_t> in = x;
+            for (int k = 0; k < 16; ++k)
+                in.push_back(static_cast<std::uint8_t>(0xA0 + k));
+            in.insert(in.end(), x.begin(), x.begin() + len);
+            for (std::size_t k = 0; k < tail; ++k)
+                in.push_back(static_cast<std::uint8_t>(x[len] ^ (0x5A + k)));
+            expectSameLz(arena, in,
+                         "match of " + std::to_string(len) + " ending " +
+                             std::to_string(tail) + " bytes before the end");
+        }
+    }
+}
+
+TEST(EncodeKernelOracle, CrcCheckValue)
+{
+    const std::string s = "123456789";
+    const auto *p = reinterpret_cast<const std::uint8_t *>(s.data());
+    EXPECT_EQ(trace::crc32(p, s.size()), 0xCBF43926u);
+    EXPECT_EQ(oracle::crc32(p, s.size()), 0xCBF43926u);
+    trace::Crc32 c;
+    c.update(p, s.size());
+    EXPECT_EQ(c.value(), 0xCBF43926u);
+}
+
+TEST(EncodeKernelOracle, CrcEveryLengthAtEveryAlignment)
+{
+    Rng rng(32);
+    GuardedArena arena;
+    for (std::size_t n = 0; n <= 64; ++n) {
+        for (std::size_t align = 0; align < 8; ++align) {
+            // Exactly sized heap buffer: the input ends where the
+            // allocation does.
+            std::vector<std::uint8_t> buf = randomBytes(rng, align + n);
+            const std::uint8_t *p = buf.data() + align;
+            const std::uint32_t want = oracle::crc32(p, n);
+            EXPECT_EQ(trace::crc32(p, n), want) << n << " at +" << align;
+            trace::Crc32 c;
+            c.update(p, n);
+            EXPECT_EQ(c.value(), want) << n << " at +" << align;
+        }
+        const std::vector<std::uint8_t> in = randomBytes(rng, n);
+        EXPECT_EQ(trace::crc32(arena.place(in), n),
+                  oracle::crc32(in.data(), n))
+            << n << " bytes ending at a guard page";
+    }
+}
+
+TEST(EncodeKernelOracle, Crc32FedAtEverySplitPoint)
+{
+    Rng rng(8);
+    const std::vector<std::uint8_t> in = randomBytes(rng, 200);
+    const std::uint32_t want = oracle::crc32(in.data(), in.size());
+    for (std::size_t i = 0; i <= in.size(); ++i) {
+        for (std::size_t j = i; j <= in.size(); j += 7) {
+            trace::Crc32 c;
+            c.update(in.data(), i);
+            c.update(in.data() + i, j - i);
+            c.update(in.data() + j, in.size() - j);
+            EXPECT_EQ(c.value(), want) << "split at " << i << ", " << j;
+        }
+    }
+    trace::Crc32 bytewise;
+    for (std::uint8_t b : in)
+        bytewise.update(&b, 1);
+    EXPECT_EQ(bytewise.value(), want);
+}
+
 // --------------------------------------- v2 end-to-end record/replay
 
 class TraceV2Format : public QuietTest
@@ -1034,6 +1296,179 @@ TEST_F(TraceMigrate, RejectsBadInputs)
     res = trace::migrateTrace(good.path(), out.path(), 3);
     EXPECT_FALSE(res.ok);
     EXPECT_NE(res.error.find("format"), std::string::npos) << res.error;
+}
+
+// -------------------------------------- column encoder vs the scanner
+
+/**
+ * The recorder writes each op straight into the v2 columns; migration
+ * splits v1 bytes into the same columns with the structural scanner.
+ * The two must agree byte for byte, and both containers must cut their
+ * chunks where a chunk's ops reach kChunkTargetBytes as v1 bytes.
+ */
+class ColumnEncoder : public QuietTest
+{
+  protected:
+    /** Every ops-chunk payload of @p path as v1 bytes, per thread. */
+    static std::vector<std::vector<std::vector<std::uint8_t>>>
+    opsChunksByThread(const std::string &path)
+    {
+        trace::TraceReader reader(path);
+        EXPECT_TRUE(reader.ok()) << reader.error();
+        std::vector<std::vector<std::vector<std::uint8_t>>> chunks(
+            reader.config().appThreads);
+        std::vector<std::uint8_t> payload;
+        for (std::size_t i = 0; i < reader.chunkCount(); ++i) {
+            if (reader.chunkKind(i) != trace::kChunkOps)
+                continue;
+            EXPECT_TRUE(reader.chunkPayload(i, payload)) << reader.error();
+            chunks[reader.chunkTid(i)].push_back(payload);
+        }
+        return chunks;
+    }
+
+    /** Size of the last v1 op in @p v1 (walked with the scanner). */
+    static std::size_t
+    lastOpBytes(const std::vector<std::uint8_t> &v1)
+    {
+        const std::uint8_t *p = v1.data();
+        const std::uint8_t *end = p + v1.size();
+        std::size_t last = 0, prelude = 0;
+        while (p < end) {
+            const std::uint8_t *op = p;
+            if (!trace::scanOneOp(p, end, prelude))
+                return 0;
+            last = static_cast<std::size_t>(p - op);
+        }
+        return last;
+    }
+};
+
+TEST_F(ColumnEncoder, DirectRecordingsEqualMigrationAndCoverEveryOpKind)
+{
+    struct Cell
+    {
+        WorkloadKind workload;
+        LifeguardKind lifeguard;
+        std::uint32_t cores;
+        MemoryModel mm;
+        std::uint64_t scale;
+    };
+    // lu/TSO alone emits all eight op kinds, in 3 ops chunks per thread.
+    const Cell cells[] = {
+        {WorkloadKind::kLu, LifeguardKind::kTaintCheck, 2, MemoryModel::kTSO,
+         2000},
+        {WorkloadKind::kFmm, LifeguardKind::kAddrCheck, 4, MemoryModel::kSC,
+         2000},
+        {WorkloadKind::kFmm, LifeguardKind::kTaintCheck, 4,
+         MemoryModel::kTSO, 1000},
+    };
+    std::array<std::uint64_t, trace::kMaxOpCode + 1> kinds{};
+    for (const Cell &c : cells) {
+        const std::string what = std::string(toString(c.workload)) + "/" +
+                                 toString(c.lifeguard);
+        TempTrace v1("col_v1"), v2("col_v2"), up("col_up"), down("col_down");
+        recordExperiment(makeSpec(c.workload, c.lifeguard, c.cores, c.mm,
+                                  c.scale, v1.path(), 1));
+        recordExperiment(makeSpec(c.workload, c.lifeguard, c.cores, c.mm,
+                                  c.scale, v2.path(), 2));
+
+        // v1 -> v2 goes through the scanner; v2 -> v1 writes the
+        // decoded bytes, against which the recorder's v1 flush is
+        // checked.
+        ASSERT_TRUE(trace::migrateTrace(v1.path(), up.path(), 2).ok) << what;
+        ASSERT_TRUE(trace::migrateTrace(v2.path(), down.path(), 1).ok)
+            << what;
+        EXPECT_EQ(slurp(up.path()), slurp(v2.path())) << what;
+        EXPECT_EQ(slurp(down.path()), slurp(v1.path())) << what;
+
+        // The chunk rule: every chunk but a thread's last reaches the
+        // target with its last op and not before.
+        const auto chunks = opsChunksByThread(v1.path());
+        EXPECT_EQ(chunks, opsChunksByThread(v2.path())) << what;
+        for (std::size_t t = 0; t < chunks.size(); ++t) {
+            for (std::size_t i = 0; i < chunks[t].size(); ++i) {
+                const std::size_t bytes = chunks[t][i].size();
+                const std::size_t last = lastOpBytes(chunks[t][i]);
+                ASSERT_GT(last, 0u) << what << " t" << t << " chunk " << i;
+                EXPECT_LT(bytes - last, trace::kChunkTargetBytes)
+                    << what << " t" << t << " chunk " << i;
+                if (i + 1 < chunks[t].size()) {
+                    EXPECT_GE(bytes, trace::kChunkTargetBytes)
+                        << what << " t" << t << " chunk " << i;
+                }
+            }
+            if (&c == &cells[0]) {
+                EXPECT_GE(chunks[t].size(), 3u) << what << " t" << t;
+            }
+        }
+
+        trace::TraceReader reader(v2.path());
+        ASSERT_TRUE(reader.ok()) << reader.error();
+        trace::TraceOp op;
+        for (ThreadId t = 0; t < reader.config().appThreads; ++t) {
+            auto stream = reader.opStream(t);
+            while (stream.next(op))
+                ++kinds[static_cast<std::size_t>(op.op)];
+        }
+        ASSERT_TRUE(reader.ok()) << reader.error();
+    }
+    for (std::size_t k = 0; k < kinds.size(); ++k)
+        EXPECT_GT(kinds[k], 0u) << "op kind " << k << " never recorded";
+}
+
+TEST_F(ColumnEncoder, ChunkFlushesWhenItsV1BytesReachTheTarget)
+{
+    // Ops of a 4-byte prelude (opcode, three 1-byte deltas) and a body
+    // of arbitrary bytes: the writer checks the layout, not the grammar.
+    for (std::uint32_t format : {1u, 2u}) {
+        TempTrace tmp("flush_v" + std::to_string(format));
+        trace::TraceConfig cfg;
+        cfg.appThreads = 1;
+        {
+            trace::TraceWriter w(tmp.path(), cfg, format);
+            auto add = [&w](std::size_t body) {
+                auto &b = w.ops(0).beginOp(0, 1, 2, 3);
+                b.insert(b.end(), body, 0x7E);
+                w.endOp(0, false);
+            };
+            add(trace::kChunkTargetBytes - 1 - 4); // target - 1: no flush
+            add(0);                                // target + 3: flush
+            add(trace::kChunkTargetBytes - 4);     // exactly the target
+            add(0);                                // the tail at finalize
+            trace::TraceFooter footer;
+            footer.result.app.resize(1);
+            footer.result.lifeguard.resize(1);
+            ASSERT_TRUE(w.finalize(footer)) << w.error();
+        }
+        const auto chunks = opsChunksByThread(tmp.path());
+        ASSERT_EQ(chunks.size(), 1u);
+        std::vector<std::size_t> sizes;
+        for (const auto &c : chunks[0])
+            sizes.push_back(c.size());
+        EXPECT_EQ(sizes, (std::vector<std::size_t>{
+                             trace::kChunkTargetBytes + 3,
+                             trace::kChunkTargetBytes, 4}))
+            << "v" << format;
+    }
+}
+
+TEST_F(ColumnEncoder, CorpusPairsMigrateIntoEachOther)
+{
+    for (const char *lg : {"addrcheck", "lockset", "memcheck", "taintcheck"}) {
+        for (const char *mm : {"sc", "tso"}) {
+            const std::string stem = std::string(lg) + "_" + mm;
+            const std::string v1 = test::corpusTrace(stem + "_v1");
+            const std::string v2 = test::corpusTrace(stem + "_v2");
+            if (v1.empty())
+                GTEST_SKIP() << "PARALOG_CORPUS not set (run under CTest)";
+            TempTrace up("corpus_up"), down("corpus_down");
+            ASSERT_TRUE(trace::migrateTrace(v1, up.path(), 2).ok) << stem;
+            ASSERT_TRUE(trace::migrateTrace(v2, down.path(), 1).ok) << stem;
+            EXPECT_EQ(slurp(up.path()), slurp(v2)) << stem;
+            EXPECT_EQ(slurp(down.path()), slurp(v1)) << stem;
+        }
+    }
 }
 
 // ------------------------------------------- corruption / truncation

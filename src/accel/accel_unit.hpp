@@ -59,9 +59,6 @@ class AccelUnit
     ItTable &it() { return it_; }
     IdempotentFilter &ifilter() { return if_; }
 
-    bool itEnabled() const { return itEnabled_; }
-    bool ifEnabled() const { return ifEnabled_; }
-
     /** Thread whose registers the IT table currently describes (differs
      *  from the record tid only around timesliced thread switches). */
     ThreadId regOwner() const { return regOwner_; }

@@ -62,7 +62,7 @@ IdempotentFilter::checkAndInsert(Addr addr, unsigned size, bool is_write,
             std::uint16_t n = static_cast<std::uint16_t>(i);
             unlink(n);
             linkFront(n);
-            stats.counter("hits").inc();
+            hitsCtr_.inc();
             return true;
         }
     }
@@ -71,7 +71,7 @@ IdempotentFilter::checkAndInsert(Addr addr, unsigned size, bool is_write,
         std::uint16_t victim = tail_;
         unlink(victim);
         release(victim);
-        stats.counter("evictions").inc();
+        evictionsCtr_.inc();
     }
     std::uint16_t i = free_;
     free_ = next_[i];
@@ -80,7 +80,7 @@ IdempotentFilter::checkAndInsert(Addr addr, unsigned size, bool is_write,
     rids_[i] = rid;
     ++used_;
     linkFront(i);
-    stats.counter("misses").inc();
+    missesCtr_.inc();
     return false;
 }
 
@@ -94,7 +94,7 @@ IdempotentFilter::invalidateAll()
     free_ = 0;
     head_ = tail_ = kNil;
     used_ = 0;
-    stats.counter("full_invalidations").inc();
+    fullInvalidationsCtr_.inc();
 }
 
 void
@@ -106,24 +106,16 @@ IdempotentFilter::invalidateOverlapping(Addr addr, unsigned size)
         if (addrs_[i] < addr + size && addr < addrs_[i] + esize) {
             unlink(i);
             release(i);
-            stats.counter("entry_invalidations").inc();
+            entryInvalidationsCtr_.inc();
         }
         i = nxt;
     }
 }
 
 void
-IdempotentFilter::invalidateRange(const AddrRange &range)
-{
-    if (!range.empty())
-        invalidateOverlapping(range.begin,
-                              static_cast<unsigned>(range.size()));
-}
-
-void
 IdempotentFilter::invalidateVersioned(Addr addr, unsigned size)
 {
-    stats.counter("version_invalidations").inc();
+    versionInvalidationsCtr_.inc();
     invalidateOverlapping(addr, size);
 }
 

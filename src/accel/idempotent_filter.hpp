@@ -42,7 +42,6 @@ class IdempotentFilter
 
     void invalidateAll();
     void invalidateOverlapping(Addr addr, unsigned size);
-    void invalidateRange(const AddrRange &range);
 
     /**
      * Invalidate checks made stale by a TSO versioned access: the
@@ -89,6 +88,13 @@ class IdempotentFilter
     std::uint16_t tail_ = kNil; ///< least recently used
     std::uint16_t free_ = kNil; ///< free list through next_
     std::size_t used_ = 0;
+
+    Counter &hitsCtr_{stats.counter("hits")};
+    Counter &missesCtr_{stats.counter("misses")};
+    Counter &evictionsCtr_{stats.counter("evictions")};
+    Counter &fullInvalidationsCtr_{stats.counter("full_invalidations")};
+    Counter &entryInvalidationsCtr_{stats.counter("entry_invalidations")};
+    Counter &versionInvalidationsCtr_{stats.counter("version_invalidations")};
 };
 
 } // namespace paralog

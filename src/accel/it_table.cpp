@@ -65,7 +65,7 @@ ItTable::flushRow(RegId reg, std::vector<LgEvent> &out)
         return;
     out.push_back(inheritEvent(reg, row));
     row = Row{};
-    stats.counter("row_flushes").inc();
+    rowFlushesCtr_.inc();
 }
 
 void
@@ -73,7 +73,7 @@ ItTable::flushAll(std::vector<LgEvent> &out)
 {
     for (RegId r = 0; r < kNumRegs; ++r)
         flushRow(r, out);
-    stats.counter("full_flushes").inc();
+    fullFlushesCtr_.inc();
 }
 
 void
@@ -84,7 +84,7 @@ ItTable::flushOlderThan(RecordId min_rid, std::vector<LgEvent> &out)
         for (unsigned i = 0; i < row.nsrc; ++i) {
             if (row.src[i].rid <= min_rid) {
                 flushRow(r, out);
-                stats.counter("threshold_flushes").inc();
+                thresholdFlushesCtr_.inc();
                 break;
             }
         }
@@ -113,7 +113,7 @@ ItTable::flushOverlapping(Addr addr, unsigned size,
         Row &row = rows_[r];
         if (row.state == RowState::kAddr && row.overlaps(addr, size)) {
             flushRow(r, out);
-            stats.counter("local_conflicts").inc();
+            localConflictsCtr_.inc();
         }
     }
 }
@@ -161,7 +161,7 @@ ItTable::process(const EventRecord &rec, std::vector<LgEvent> &out)
         row.nsrc = 1;
         row.src[0] = Source{rec.addr, rec.size, rec.rid};
         rows_[rec.dst] = row;
-        stats.counter("absorbed_loads").inc();
+        absorbedLoadsCtr_.inc();
         return true;
       }
 
@@ -170,7 +170,7 @@ ItTable::process(const EventRecord &rec, std::vector<LgEvent> &out)
         Row row;
         row.state = RowState::kConst;
         rows_[rec.dst] = row;
-        stats.counter("absorbed_movs").inc();
+        absorbedMovsCtr_.inc();
         return true;
       }
 
@@ -185,7 +185,7 @@ ItTable::process(const EventRecord &rec, std::vector<LgEvent> &out)
         if (rec.dst != rec.src)
             retireRow(rec.dst, out);
         rows_[rec.dst] = rows_[rec.src];
-        stats.counter("absorbed_movs").inc();
+        absorbedMovsCtr_.inc();
         return true;
 
       case EventType::kAlu: {
@@ -200,25 +200,25 @@ ItTable::process(const EventRecord &rec, std::vector<LgEvent> &out)
         }
         if (s.state == RowState::kConst) {
             // Metadata unchanged by a constant operand.
-            stats.counter("absorbed_alu").inc();
+            absorbedAluCtr_.inc();
             return true;
         }
         if (d.state == RowState::kConst) {
             d = s;
-            stats.counter("absorbed_alu").inc();
+            absorbedAluCtr_.inc();
             return true;
         }
         // Both inherit from memory: merge the source sets (<= 2 total).
         Row merged = d;
         if (mergeSources(merged, s)) {
             d = merged;
-            stats.counter("absorbed_alu").inc();
+            absorbedAluCtr_.inc();
             return true;
         }
         // More than two distinct sources: give up on tracking dst.
         flushRow(rec.src, out);
         flushRow(rec.dst, out);
-        stats.counter("alu_overflows").inc();
+        aluOverflowsCtr_.inc();
         return false;
       }
 
@@ -245,12 +245,12 @@ ItTable::process(const EventRecord &rec, std::vector<LgEvent> &out)
             ev.type = LgEventType::kMemToMem;
             copySources(ev, s);
             out.push_back(ev);
-            stats.counter("mem_to_mem").inc();
+            memToMemCtr_.inc();
             return true;
           case RowState::kConst:
             ev.type = LgEventType::kMemSetConst;
             out.push_back(ev);
-            stats.counter("set_const").inc();
+            setConstCtr_.inc();
             return true;
           case RowState::kInvalid:
             return false; // deliver the raw store
@@ -262,7 +262,7 @@ ItTable::process(const EventRecord &rec, std::vector<LgEvent> &out)
         const Row &s = rows_[rec.src];
         if (s.state == RowState::kConst) {
             // Provably constant: the check passes without delivery.
-            stats.counter("absorbed_jumps").inc();
+            absorbedJumpsCtr_.inc();
             return true;
         }
         if (s.state == RowState::kAddr) {

@@ -122,6 +122,18 @@ class ItTable
     std::array<Row, kNumRegs> rows_{};
     bool exemptSelfRmw_ = true;
     bool flushOnOverwrite_ = false;
+
+    Counter &absorbedLoadsCtr_{stats.counter("absorbed_loads")};
+    Counter &absorbedMovsCtr_{stats.counter("absorbed_movs")};
+    Counter &absorbedAluCtr_{stats.counter("absorbed_alu")};
+    Counter &absorbedJumpsCtr_{stats.counter("absorbed_jumps")};
+    Counter &aluOverflowsCtr_{stats.counter("alu_overflows")};
+    Counter &memToMemCtr_{stats.counter("mem_to_mem")};
+    Counter &setConstCtr_{stats.counter("set_const")};
+    Counter &rowFlushesCtr_{stats.counter("row_flushes")};
+    Counter &fullFlushesCtr_{stats.counter("full_flushes")};
+    Counter &thresholdFlushesCtr_{stats.counter("threshold_flushes")};
+    Counter &localConflictsCtr_{stats.counter("local_conflicts")};
 };
 
 } // namespace paralog

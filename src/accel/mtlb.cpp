@@ -62,7 +62,7 @@ MetadataTlb::lookupCost(Addr app_addr)
         if (nodes_[i].page == page) {
             unlink(i);
             linkFront(i);
-            stats.counter("hits").inc();
+            hitsCtr_.inc();
             return kHitCost;
         }
     }
@@ -77,7 +77,7 @@ MetadataTlb::lookupCost(Addr app_addr)
     nodes_[i].used = true;
     ++used_;
     linkFront(i);
-    stats.counter("misses").inc();
+    missesCtr_.inc();
     return kMissCost;
 }
 
@@ -91,7 +91,7 @@ MetadataTlb::flushAll()
     free_ = 0;
     head_ = tail_ = kNil;
     used_ = 0;
-    stats.counter("flushes").inc();
+    flushesCtr_.inc();
 }
 
 void

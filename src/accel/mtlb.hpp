@@ -75,6 +75,10 @@ class MetadataTlb
     std::uint16_t tail_ = kNil;
     std::uint16_t free_ = kNil;
     std::size_t used_ = 0;
+
+    Counter &hitsCtr_{stats.counter("hits")};
+    Counter &missesCtr_{stats.counter("misses")};
+    Counter &flushesCtr_{stats.counter("flushes")};
 };
 
 } // namespace paralog

@@ -110,12 +110,6 @@ struct EventRecord
         return type == EventType::kLoad || type == EventType::kStore;
     }
 
-    bool isHighLevel() const
-    {
-        return type >= EventType::kMallocEnd &&
-               type <= EventType::kThreadSwitch;
-    }
-
     /** Modelled compressed size in the log buffer (~1 B per record). */
     std::uint32_t compressedBytes() const;
 

@@ -63,14 +63,14 @@ Heap::allocate(std::uint64_t bytes, ThreadId tid)
         std::uint32_t a = (home + i) % arenas_.size();
         Addr pay = allocateFrom(arenas_[a], bytes);
         if (pay != 0) {
-            stats.counter("allocs").inc();
-            stats.histogram("alloc_bytes").sample(bytes);
+            allocsCtr_.inc();
+            allocBytesHist_.sample(bytes);
             if (i != 0)
-                stats.counter("arena_fallbacks").inc();
+                arenaFallbacksCtr_.inc();
             return pay;
         }
     }
-    stats.counter("alloc_failures").inc();
+    allocFailuresCtr_.inc();
     return 0;
 }
 
@@ -83,7 +83,7 @@ Heap::release(Addr payload)
                    static_cast<unsigned long long>(payload));
     std::uint64_t total = it->second + kHeaderBytes;
     allocated_.erase(it);
-    stats.counter("frees").inc();
+    freesCtr_.inc();
     Arena &arena = arenas_[arenaOf(payload)];
     coalesce(arena, headerAddr(payload), total);
 }
@@ -111,15 +111,6 @@ Heap::blockSize(Addr payload) const
 {
     auto it = allocated_.find(payload);
     return it == allocated_.end() ? 0 : it->second;
-}
-
-std::uint64_t
-Heap::liveBytes() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &kv : allocated_)
-        sum += kv.second;
-    return sum;
 }
 
 } // namespace paralog

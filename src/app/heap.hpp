@@ -53,7 +53,6 @@ class Heap
     AddrRange arena() const { return AddrRange{base_, base_ + bytes_}; }
 
     std::uint64_t liveBlocks() const { return allocated_.size(); }
-    std::uint64_t liveBytes() const;
 
     std::uint32_t arenaCount() const
     {
@@ -86,6 +85,11 @@ class Heap
     std::uint64_t bytes_;
     std::vector<Arena> arenas_;
     std::map<Addr, std::uint64_t> allocated_; ///< payload -> payload size
+    Counter &allocsCtr_{stats.counter("allocs")};
+    Counter &freesCtr_{stats.counter("frees")};
+    Counter &allocFailuresCtr_{stats.counter("alloc_failures")};
+    Counter &arenaFallbacksCtr_{stats.counter("arena_fallbacks")};
+    Histogram &allocBytesHist_{stats.histogram("alloc_bytes")};
 };
 
 } // namespace paralog

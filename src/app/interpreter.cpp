@@ -141,7 +141,7 @@ Interpreter::expandFree(ThreadContext &tc, const Inst &inst)
     // CA-Begin semantics: the alert precedes the metadata mutation so
     // remote accelerator state is flushed before blocks are recycled.
     // The freed block's owning arena is locked (usually the caller's).
-    Addr payload = (inst.src == 0xff) ? inst.addr : tc.regs[inst.src];
+    Addr payload = tc.regs[inst.src];
     Addr lock = heap_.lockAddr(heap_.arenaOf(payload));
     Inst core_op = inst;
     core_op.op = Op::kFreeCore;
@@ -285,7 +285,7 @@ Interpreter::execute(ThreadContext &tc, CoreId core, Cycle now,
         if (!locks_.tryAcquire(inst.addr, tc.tid())) {
             blocked(tc, inst, BlockReason::kLock, out);
             out.latency += drain;
-            stats.counter("lock_spins").inc();
+            lockSpinsCtr_.inc();
             return;
         }
         auto ar = dp_.store(core, inst.addr, 8, tc.tid() + 1, tag);
@@ -293,7 +293,7 @@ Interpreter::execute(ThreadContext &tc, CoreId core, Cycle now,
         out.event.arcs = std::move(ar.arcs);
         rec.type = EventType::kLockAcquire;
         rec.addr = inst.addr;
-        stats.counter("lock_acquires").inc();
+        lockAcquiresCtr_.inc();
         break;
       }
 
@@ -325,7 +325,7 @@ Interpreter::execute(ThreadContext &tc, CoreId core, Cycle now,
             Inst wait = inst;
             wait.imm |= 1ULL << 32;
             tc.pushMicroOp(wait);
-            stats.counter("barrier_arrivals").inc();
+            barrierArrivalsCtr_.inc();
         } else {
             if (!barriers_.isReleased(inst.addr, tc.tid()))
                 return blocked(tc, inst, BlockReason::kBarrier, out);
@@ -367,8 +367,7 @@ Interpreter::execute(ThreadContext &tc, CoreId core, Cycle now,
       }
 
       case Op::kFreeCore: {
-        Addr payload =
-            (inst.src == 0xff) ? inst.addr : tc.regs[inst.src];
+        Addr payload = tc.regs[inst.src];
         std::uint64_t size = heap_.blockSize(payload);
         if (size == 0) {
             warn("application double-free/invalid free of %#llx",
@@ -446,7 +445,7 @@ Interpreter::execute(ThreadContext &tc, CoreId core, Cycle now,
 
       case Op::kDrainWait:
         if (!hooks_.lifeguardDrained(tc.tid())) {
-            stats.counter("drain_stalls").inc();
+            drainStallsCtr_.inc();
             return blocked(tc, inst, BlockReason::kDrain, out);
         }
         break;

@@ -93,6 +93,10 @@ class Interpreter
     /// event reset entirely.
     bool emitRecords_;
     Counter &retiredCtr_{stats.counter("retired")};
+    Counter &lockSpinsCtr_{stats.counter("lock_spins")};
+    Counter &lockAcquiresCtr_{stats.counter("lock_acquires")};
+    Counter &barrierArrivalsCtr_{stats.counter("barrier_arrivals")};
+    Counter &drainStallsCtr_{stats.counter("drain_stalls")};
     DataPath &dp_;
     MemorySystem &mem_;
     Heap &heap_;

@@ -24,12 +24,6 @@ LockManager::release(Addr addr, ThreadId tid)
     owners_.erase(it);
 }
 
-bool
-LockManager::isHeld(Addr addr) const
-{
-    return owners_.count(addr) > 0;
-}
-
 ThreadId
 LockManager::owner(Addr addr) const
 {

@@ -26,7 +26,6 @@ class LockManager
     /** Release; panics if @p tid is not the owner. */
     void release(Addr addr, ThreadId tid);
 
-    bool isHeld(Addr addr) const;
     ThreadId owner(Addr addr) const;
 
   private:

@@ -91,7 +91,7 @@ CaptureUnit::appendCa(EventRecord rec)
     // next retired micro-op will share it, which is harmless: progress
     // semantics only require monotonicity).
     rec.rid = retired_;
-    stats.counter("ca_records").inc();
+    caRecordsCtr_.inc();
     std::vector<std::uint8_t> *payload = nullptr;
     if (journal_) {
         codecScratch_.clear();
@@ -143,12 +143,12 @@ CaptureUnit::annotateConsume(RecordId rid, const VersionTag &v)
         // A line-crossing store racing a line-crossing load raises one
         // version request per cache line with the identical tag; a
         // second produce record for it would double-produce the entry.
-        stats.counter("consume_duplicates").inc();
+        consumeDuplicatesCtr_.inc();
         return false;
     }
     rec->consumesVersion = true;
     rec->version = v;
-    stats.counter("consume_versions").inc();
+    consumeVersionsCtr_.inc();
     return true;
 }
 
@@ -183,7 +183,7 @@ CaptureUnit::insertProduceBefore(RecordId store_rid, const VersionTag &v,
         store->arcs.clear();
     }
     buf_.insertBefore(store_rid, std::move(rec));
-    stats.counter("produce_versions").inc();
+    produceVersionsCtr_.inc();
 }
 
 RecordId

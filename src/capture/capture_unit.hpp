@@ -47,10 +47,7 @@ class CaptureUnit
 {
   public:
     CaptureUnit(ThreadId tid, const SimConfig &cfg, EventFilter filter)
-        : tid_(tid), filter_(filter), buf_(cfg.logBufferBytes),
-          filteredCtr_(stats.counter("filtered")),
-          recordsCtr_(stats.counter("records")),
-          recordsWithArcsCtr_(stats.counter("records_with_arcs"))
+        : tid_(tid), filter_(filter), buf_(cfg.logBufferBytes)
     {
     }
 
@@ -265,7 +262,7 @@ class CaptureUnit
                  bool is_ca = false)
     {
         if (is_ca) {
-            stats.counter("ca_records").inc();
+            caRecordsCtr_.inc();
         } else {
             recordsCtr_.inc();
             if (!rec.arcs.empty())
@@ -315,11 +312,13 @@ class CaptureUnit
     /// re-attached to the next captured record (conservative ordering).
     std::vector<DepArc> pendingArcsCarry_;
 
-    // Cached references into `stats` for the once-per-retired-event
-    // sites (string-keyed map lookups are too slow there).
-    Counter &filteredCtr_;
-    Counter &recordsCtr_;
-    Counter &recordsWithArcsCtr_;
+    Counter &filteredCtr_{stats.counter("filtered")};
+    Counter &recordsCtr_{stats.counter("records")};
+    Counter &recordsWithArcsCtr_{stats.counter("records_with_arcs")};
+    Counter &caRecordsCtr_{stats.counter("ca_records")};
+    Counter &produceVersionsCtr_{stats.counter("produce_versions")};
+    Counter &consumeVersionsCtr_{stats.counter("consume_versions")};
+    Counter &consumeDuplicatesCtr_{stats.counter("consume_duplicates")};
 };
 
 } // namespace paralog

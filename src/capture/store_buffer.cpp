@@ -25,7 +25,7 @@ TsoDataPath::load(CoreId core, Addr addr, unsigned size,
             r.value = (e.value >> (8 * (addr - e.addr))) &
                       ((size >= 8) ? ~0ULL : ((1ULL << (8 * size)) - 1));
             r.access.latency = 1;
-            stats.counter("forwards").inc();
+            forwardsCtr_.inc();
             return r;
         }
         if (addr < e_end && e.addr < addr + size) {
@@ -50,7 +50,7 @@ TsoDataPath::store(CoreId core, Addr addr, unsigned size,
     Entry e{addr, size, value, tag, tag.retireCycle + cfg_.storeDrainDelay};
     buf.push_back(e);
     updateVisibility(core);
-    stats.counter("buffered_stores").inc();
+    bufferedStoresCtr_.inc();
     // The store itself retires immediately under TSO; coherence cost is
     // paid in the background at drain time.
     AccessResult r;
@@ -96,11 +96,11 @@ TsoDataPath::drainOne(CoreId core)
     if (!ar.arcs.empty())
         hooks_.attachArcsToPending(e.tag.tid, e.tag.rid, ar.arcs);
     for (const VersionRequest &req : ar.versionRequests) {
-        stats.counter("version_requests").inc();
+        versionRequestsCtr_.inc();
         hooks_.onScViolation(e.tag.tid, e.tag.rid, e.addr,
                              static_cast<std::uint8_t>(e.size), req);
     }
-    stats.counter("drains").inc();
+    drainsCtr_.inc();
     updateVisibility(core);
 }
 

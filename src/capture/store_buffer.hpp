@@ -123,6 +123,10 @@ class TsoDataPath : public DataPath
     TsoHooks &hooks_;
     std::vector<std::deque<Entry>> buffers_;
     std::vector<ThreadId> lastTid_; ///< owning thread per core (visibility)
+    Counter &bufferedStoresCtr_{stats.counter("buffered_stores")};
+    Counter &forwardsCtr_{stats.counter("forwards")};
+    Counter &drainsCtr_{stats.counter("drains")};
+    Counter &versionRequestsCtr_{stats.counter("version_requests")};
 };
 
 } // namespace paralog

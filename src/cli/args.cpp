@@ -277,7 +277,8 @@ usageText()
        << "  --accel=on|off          hardware accelerators (IT/IF/M-TLB)\n"
        << "  --dep-tracking=per-block|per-core\n"
        << "  --memory-model=sc|tso   (tso is incompatible with "
-       << "--mode=timesliced)\n"
+       << "--mode=timesliced\n"
+       << "                          and --dep-tracking=per-core)\n"
        << "  --conflict-alerts=on|off\n"
        << "  --scale=N               per-thread work units (default 20000)\n"
        << "  --log-buffer=BYTES      log buffer capacity (default 65536)\n"
@@ -692,6 +693,14 @@ parseArgs(const std::vector<std::string_view> &args)
         return fail("--mode=timesliced is incompatible with "
                     "--memory-model=tso (the timesliced baseline is "
                     "sequentially consistent by construction)");
+    // Per-core dependence tracking keeps one timestamp per core, too
+    // coarse for the TSO versioning protocol's arcs: such runs
+    // deadlock (lu on 2 cores already at --scale=500).
+    if (o.depTracking == DepTracking::kPerCore &&
+        o.memoryModel == MemoryModel::kTSO)
+        return fail("--dep-tracking=per-core is incompatible with "
+                    "--memory-model=tso (per-core TSO runs deadlock in "
+                    "the versioning protocol)");
 
     if (o.csv && o.json)
         return fail("--csv and --json are mutually exclusive (pick one "

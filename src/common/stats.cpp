@@ -58,56 +58,10 @@ Histogram::reset()
     max_ = 0;
 }
 
-Counter &
-StatSet::counterSlow(const char *name)
-{
-    std::lock_guard<std::mutex> lock(initMutex_);
-    // Re-scan under the lock: another thread may have published this
-    // name between our lock-free miss and acquiring initMutex_.
-    std::size_t i = 0;
-    for (; i < counterMemo_.size(); ++i) {
-        const char *n = counterMemo_[i].name.load(std::memory_order_relaxed);
-        if (n == nullptr)
-            break;
-        if (n == name)
-            return *counterMemo_[i].value;
-    }
-    Counter &c = counters_[name];
-    if (i < counterMemo_.size()) {
-        // Publish value first, then the name with release: a reader
-        // that acquires the name sees a complete slot. Overflow just
-        // skips memoization — lookups fall through to this slow path.
-        counterMemo_[i].value = &c;
-        counterMemo_[i].name.store(name, std::memory_order_release);
-    }
-    return c;
-}
-
-Histogram &
-StatSet::histogramSlow(const char *name)
-{
-    std::lock_guard<std::mutex> lock(initMutex_);
-    std::size_t i = 0;
-    for (; i < histogramMemo_.size(); ++i) {
-        const char *n =
-            histogramMemo_[i].name.load(std::memory_order_relaxed);
-        if (n == nullptr)
-            break;
-        if (n == name)
-            return *histogramMemo_[i].value;
-    }
-    Histogram &h = histograms_[name];
-    if (i < histogramMemo_.size()) {
-        histogramMemo_[i].value = &h;
-        histogramMemo_[i].name.store(name, std::memory_order_release);
-    }
-    return h;
-}
-
 std::uint64_t
 StatSet::get(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(initMutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second.value();
 }
@@ -115,6 +69,7 @@ StatSet::get(const std::string &name) const
 void
 StatSet::reset()
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     for (auto &kv : counters_)
         kv.second.reset();
     for (auto &kv : histograms_)
@@ -125,7 +80,7 @@ void
 StatSet::render(std::ostream &os, std::initializer_list<Gauge> gauges) const
 {
     const std::string prefix = name_.empty() ? "" : name_ + ".";
-    std::lock_guard<std::mutex> lock(initMutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     for (const auto &[name, c] : counters_)
         os << "counter " << prefix << name << ' ' << c.value() << '\n';
     for (const auto &[name, v] : gauges)

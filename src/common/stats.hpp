@@ -3,13 +3,17 @@
  * Lightweight named statistics: scalar counters and histograms, grouped
  * into a StatSet that tests inspect and long-running services render
  * as text (StatSet::render, the `paralogd` PLSTATS1 wire format).
+ *
+ * One idiom: a simulation component binds each of its counters once,
+ * as a `Counter &` member initialized from its own StatSet, and bumps
+ * the reference on the hot path. Name lookup (a mutex and a map walk)
+ * is for services, tests and post-run readers.
  */
 
 #ifndef PARALOG_COMMON_STATS_HPP
 #define PARALOG_COMMON_STATS_HPP
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -93,19 +97,6 @@ using WallClockSummary = SampleSummaryT<double>;
 class Counter
 {
   public:
-    Counter() = default;
-    Counter(const Counter &o)
-        : value_(o.value_.load(std::memory_order_relaxed))
-    {
-    }
-    Counter &
-    operator=(const Counter &o)
-    {
-        value_.store(o.value_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-        return *this;
-    }
-
     void
     inc(std::uint64_t n = 1)
     {
@@ -160,7 +151,8 @@ class Histogram
 
 /**
  * A named group of counters and histograms. Lookup lazily creates the
- * entry so instrumentation sites stay one-liners.
+ * entry; map nodes never move, so a returned reference stays valid for
+ * the set's lifetime and is safe to bind once.
  */
 class StatSet
 {
@@ -170,56 +162,14 @@ class StatSet
     Counter &
     counter(const std::string &name)
     {
-        std::lock_guard<std::mutex> lock(initMutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         return counters_[name];
     }
     Histogram &
     histogram(const std::string &name)
     {
-        std::lock_guard<std::mutex> lock(initMutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         return histograms_[name];
-    }
-
-    /**
-     * Fast-path overloads for string literals (every instrumentation
-     * site): the literal's address is memoized, so the steady-state
-     * cost is a short pointer scan instead of a std::string
-     * construction plus a map walk — the difference matters at
-     * once-per-simulated-event call sites.
-     *
-     * The memo is safe to use from several host threads (a shared
-     * component's counters may be first-touched by any worker, and the
-     * concurrent-mode watchdog samples them from the supervisor): slots
-     * are fixed storage, each published exactly once with a release
-     * store of its name after the entry is complete, and scanned with
-     * acquire loads — first-use takes initMutex_, the steady state
-     * stays lock-free. Counter increments were already relaxed
-     * atomics; Histograms remain single-writer (see class comment).
-     */
-    Counter &
-    counter(const char *name)
-    {
-        for (const MemoSlot<Counter> &e : counterMemo_) {
-            const char *n = e.name.load(std::memory_order_acquire);
-            if (n == nullptr)
-                break;
-            if (n == name)
-                return *e.value;
-        }
-        return counterSlow(name);
-    }
-
-    Histogram &
-    histogram(const char *name)
-    {
-        for (const MemoSlot<Histogram> &e : histogramMemo_) {
-            const char *n = e.name.load(std::memory_order_acquire);
-            if (n == nullptr)
-                break;
-            if (n == name)
-                return *e.value;
-        }
-        return histogramSlow(name);
     }
 
     /** Counter value, 0 when never touched. Safe while other threads
@@ -253,29 +203,11 @@ class StatSet
         const;
 
   private:
-    /// One memo entry: the literal's address doubles as the published
-    /// flag (null = end of the populated prefix). Map node references
-    /// are stable, so the cached pointers never dangle.
-    template <typename T>
-    struct MemoSlot
-    {
-        std::atomic<const char *> name{nullptr};
-        T *value = nullptr;
-    };
-
-    static constexpr std::size_t kMemoSlots = 64;
-
-    Counter &counterSlow(const char *name);
-    Histogram &histogramSlow(const char *name);
-
     std::string name_;
     std::map<std::string, Counter> counters_;
     std::map<std::string, Histogram> histograms_;
-    std::array<MemoSlot<Counter>, kMemoSlots> counterMemo_;
-    std::array<MemoSlot<Histogram>, kMemoSlots> histogramMemo_;
-    /// Guards the maps (first-use insertion, get(), render()) and memo
-    /// publication; never taken on a memo hit.
-    mutable std::mutex initMutex_;
+    /// Guards the maps: insertion, get(), reset() and render().
+    mutable std::mutex mutex_;
 };
 
 } // namespace paralog

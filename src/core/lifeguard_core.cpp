@@ -133,10 +133,9 @@ LifeguardCore::enforceVersionProtocol(const EventRecord &rec)
         if (!vs.available(rec.version)) {
             std::uint64_t bits =
                 lifeguard_.shadow().readPacked(rec.addr, rec.size);
-            if (vs.produce(rec.version,
-                           VersionStore::Versioned{bits, rec.addr,
-                                                   rec.size, false}))
-                vs.stats.counter("produced_backstop").inc();
+            vs.produceBackstop(rec.version,
+                               VersionStore::Versioned{bits, rec.addr,
+                                                       rec.size, false});
         }
         // Opportunistic prune: entries whose version was already
         // consumed can never be marked (the consumer ran first).
@@ -299,8 +298,8 @@ collectLifeguardResult(
         result.versionStallRetries +=
             c->enforcer().stats.get("version_stalls");
     }
-    result.versionsProduced = versions.stats.counter("produced").value();
-    result.versionsConsumed = versions.stats.counter("consumed").value();
+    result.versionsProduced = versions.stats.get("produced");
+    result.versionsConsumed = versions.stats.get("consumed");
     result.violationCount = lifeguard.violations.count();
     result.violationFingerprint = lifeguard.violations.setFingerprint();
 }

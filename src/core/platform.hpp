@@ -152,7 +152,6 @@ class Platform : public PlatformHooks, public TsoHooks
     VersionStore &versions() { return versions_; }
     CaptureUnit &capture(ThreadId tid) { return *captures_[tid]; }
     LifeguardCore &lifeguardCore(ThreadId tid) { return *lgCores_[tid]; }
-    AppCore &appCore(ThreadId tid) { return *appCores_[tid]; }
     TraceSink &trace() { return trace_; }
     const WorkloadEnv &env() const { return env_; }
     const PlatformConfig &config() const { return cfg_; }

@@ -123,11 +123,6 @@ class ReplayPlatform
     RunResult run();
 
     const trace::TraceReader &reader() const { return reader_; }
-    const trace::TraceConfig &recordedConfig() const
-    {
-        return reader_.config();
-    }
-    LifeguardKind lifeguardKind() const { return lifeguardKind_; }
     bool replaysRecordedLifeguard() const { return sameLifeguard_; }
     Lifeguard &lifeguard() { return *lifeguard_; }
 

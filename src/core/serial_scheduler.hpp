@@ -27,11 +27,11 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/logging.hpp"
 #include "core/lifeguard_core.hpp"
 #include "deliver/progress_table.hpp"
 #include "lifeguard/version_store.hpp"
-#include "trace/format.hpp"
 
 namespace paralog {
 
@@ -70,8 +70,8 @@ class ProgressWatchdog
  *  terms in opposite directions, which a plain sum would cancel. */
 struct SignatureFold
 {
-    std::uint64_t sig = trace::kFnvBasis;
-    void operator()(std::uint64_t v) { sig = (sig ^ v) * trace::kFnvPrime; }
+    std::uint64_t sig = kFnvBasis;
+    void operator()(std::uint64_t v) { sig = (sig ^ v) * kFnvPrime; }
 };
 
 /**

@@ -38,7 +38,7 @@ CaManager::broadcast(ThreadId issuer, RecordId issuer_event_rid,
         std::lock_guard<std::mutex> lock(mutex_);
         live_.emplace(b.seq, std::move(b));
     }
-    stats.counter("broadcasts").inc();
+    broadcastsCtr_.inc();
 
     // The issuing thread serializes: it waits for an acknowledgement
     // from the order-capturing component of every other core. Model a
@@ -51,7 +51,7 @@ CaManager::injectBroadcast(CaBroadcast b)
 {
     if (b.seq >= nextSeq_)
         nextSeq_ = b.seq + 1;
-    stats.counter("broadcasts").inc();
+    broadcastsCtr_.inc();
     std::lock_guard<std::mutex> lock(mutex_);
     live_.emplace(b.seq, std::move(b));
 }

@@ -110,6 +110,7 @@ class CaManager
     /// arrive from every lifeguard consumer thread in concurrent mode.
     mutable std::mutex mutex_;
     std::unordered_map<std::uint64_t, CaBroadcast> live_;
+    Counter &broadcastsCtr_{stats.counter("broadcasts")};
 };
 
 } // namespace paralog

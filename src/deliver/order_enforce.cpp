@@ -21,14 +21,7 @@ OrderEnforcer::OrderEnforcer(ThreadId tid, CaptureUnit &unit,
                              ProgressTable &progress, CaManager &ca,
                              VersionAvailable version_available)
     : tid_(tid), unit_(unit), progress_(progress), ca_(ca),
-      versionAvailable_(std::move(version_available)),
-      deliveredCtr_(stats.counter("delivered")),
-      depStallsCtr_(stats.counter("dep_stalls")),
-      caWaitCtr_(stats.counter("ca_wait_cycles")),
-      caIssuerCtr_(stats.counter("ca_issuer_stalls")),
-      versionStallsCtr_(stats.counter("version_stalls")),
-      syscallRacesCtr_(stats.counter("syscall_races")),
-      stallGapHist_(stats.histogram("stall_gap"))
+      versionAvailable_(std::move(version_available))
 {
 }
 

@@ -80,9 +80,6 @@ class OrderEnforcer
     /** Drop the record last delivered by tryDeliverBatch. */
     void commitDelivered();
 
-    /** The thread's hardware range table (remote in-flight syscalls). */
-    RangeTable &rangeTable() { return ranges_; }
-
     // Wait-state diagnostics for the platform's progress watchdog: the
     // last authoritative (non-continuation) delivery status, and how
     // many consecutive retries have stalled on the same front record.
@@ -102,16 +99,13 @@ class OrderEnforcer
     CaManager &ca_;
     VersionAvailable versionAvailable_;
     RangeTable ranges_;
-
-    // Cached references into `stats`: counter()/histogram() lookups are
-    // string-keyed map walks, far too slow for once-per-record sites.
-    Counter &deliveredCtr_;
-    Counter &depStallsCtr_;
-    Counter &caWaitCtr_;
-    Counter &caIssuerCtr_;
-    Counter &versionStallsCtr_;
-    Counter &syscallRacesCtr_;
-    Histogram &stallGapHist_;
+    Counter &deliveredCtr_{stats.counter("delivered")};
+    Counter &depStallsCtr_{stats.counter("dep_stalls")};
+    Counter &caWaitCtr_{stats.counter("ca_wait_cycles")};
+    Counter &caIssuerCtr_{stats.counter("ca_issuer_stalls")};
+    Counter &versionStallsCtr_{stats.counter("version_stalls")};
+    Counter &syscallRacesCtr_{stats.counter("syscall_races")};
+    Histogram &stallGapHist_{stats.histogram("stall_gap")};
 
     DeliverStatus lastStatus_ = DeliverStatus::kEmpty;
     RecordId stallRid_ = kInvalidRecord;

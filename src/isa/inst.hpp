@@ -193,16 +193,6 @@ struct Inst
     }
 
     static Inst
-    freeAddr(Addr addr)
-    {
-        Inst i;
-        i.op = Op::kFree;
-        i.addr = addr;
-        i.src = 0xff; // sentinel: use addr field
-        return i;
-    }
-
-    static Inst
     lock(Addr addr)
     {
         Inst i;
@@ -235,16 +225,6 @@ struct Inst
     {
         Inst i;
         i.op = Op::kSyscallRead;
-        i.addr = buf;
-        i.size = len;
-        return i;
-    }
-
-    static Inst
-    syscallWrite(Addr buf, std::uint32_t len)
-    {
-        Inst i;
-        i.op = Op::kSyscallWrite;
         i.addr = buf;
         i.size = len;
         return i;

@@ -58,11 +58,6 @@ class AddrCheck : public Lifeguard
 
     void handle(const LgEvent &ev, LgContext &ctx) override;
 
-    bool isAllocated(Addr addr) const
-    {
-        return shadow_.read(addr) == kAllocated;
-    }
-
   private:
     void checkAccess(const LgEvent &ev, LgContext &ctx);
 };

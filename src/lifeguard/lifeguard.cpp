@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/fnv.hpp"
 #include "common/logging.hpp"
 #include "lifeguard/addrcheck.hpp"
 #include "lifeguard/lockset.hpp"
@@ -34,11 +35,11 @@ ViolationLog::setFingerprint() const
                        static_cast<std::uint64_t>(v.addr));
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    std::uint64_t h = 14695981039346656037ULL; // FNV-1a offset basis
+    std::uint64_t h = kFnv1aOffsetBasis;
     for (std::uint64_t key : keys) {
         for (int byte = 0; byte < 8; ++byte) {
             h ^= (key >> (8 * byte)) & 0xFF;
-            h *= 1099511628211ULL;
+            h *= kFnvPrime;
         }
     }
     return h;

@@ -145,7 +145,7 @@ class LgContext
      * 5.3 (metadata writes in read handlers): charges the cost of an
      * atomic bus-locking instruction.
      */
-    void atomicSlowPath() { memCycles_ += kAtomicCost; ++slowPaths_; }
+    void atomicSlowPath() { memCycles_ += kAtomicCost; }
 
     /**
      * TSO consume helper: when @p ev carries a consume-version
@@ -179,7 +179,6 @@ class LgContext
 
     ShadowMemory &shadow() { return shadow_; }
     VersionStore &versions() { return versions_; }
-    std::uint64_t slowPaths() const { return slowPaths_; }
 
     /**
      * Record/replay seam for metadata cache timing. Metadata accesses
@@ -215,7 +214,6 @@ class LgContext
     std::function<Cycle()> metaOracle_;
     std::uint64_t instrs_ = 0;
     Cycle memCycles_ = 0;
-    std::uint64_t slowPaths_ = 0;
 };
 
 /**

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "common/fnv.hpp"
 #include "common/logging.hpp"
 
 namespace paralog {
@@ -371,9 +372,6 @@ ShadowMemory::fill(const AddrRange &range, std::uint8_t value)
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
 /** kFnvPrime^n mod 2^64: the FNV-1a step over n zero values. */
 std::uint64_t
 fnvPrimePow(std::uint64_t n)
@@ -397,7 +395,7 @@ ShadowMemory::fingerprint(Addr base, std::uint64_t bytes) const
     // folded in just before the next value is mixed one at a time.
     const unsigned gpb = 8 / bitsPerByte_;  // app bytes per backing byte
     const unsigned gpw = 64 / bitsPerByte_; // ... per backing word
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = kFnvBasis;
     std::uint64_t zeros = 0; // pending zero values
     auto foldZeros = [&] {
         if (zeros) {

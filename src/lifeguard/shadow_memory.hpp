@@ -59,10 +59,12 @@ namespace paralog {
 class ShadowMemory;
 
 /**
- * FNV-1a hash of the shadow metadata over [base, base + bytes), one
- * metadata value per application byte: the canonical "did two runs
- * reach the same analysis conclusions?" fingerprint, shared by the
- * equivalence test suites and the trace record/replay self-check.
+ * FNV-1a-style hash of the shadow metadata over [base, base + bytes),
+ * one metadata value per application byte, started from the project's
+ * basis (kFnvBasis in common/fnv.hpp, not the textbook offset basis):
+ * the canonical "did two runs reach the same analysis conclusions?"
+ * fingerprint, shared by the equivalence test suites and the trace
+ * record/replay self-check.
  * Same as ShadowMemory::fingerprint (see there for the cost model).
  */
 std::uint64_t shadowFingerprint(const ShadowMemory &shadow, Addr base,
@@ -109,8 +111,9 @@ class ShadowMemory
     void fill(const AddrRange &range, std::uint8_t value);
 
     /**
-     * FNV-1a hash of the metadata over [base, base + bytes), folding
-     * one metadata value per application byte in address order. The
+     * FNV-1a-style hash of the metadata over [base, base + bytes) from
+     * kFnvBasis, folding one metadata value per application byte in
+     * address order. The
      * cost follows the mapped metadata, not the address range. A zero
      * value folds as a multiply by the FNV prime, so a run of n zeros
      * is one multiply by its n-th power: an unmapped chunk segment

@@ -10,7 +10,7 @@ VersionStore::produce(const VersionTag &v, const Versioned &data)
     std::lock_guard<std::mutex> lock(mutex_);
     auto wm = consumedWatermark_.find(v.tid);
     if (wm != consumedWatermark_.end() && v.rid <= wm->second) {
-        stats.counter("produced_stale").inc();
+        producedStaleCtr_.inc();
         return false;
     }
     // Keep-first on duplicate produce: the earliest snapshot is the
@@ -18,11 +18,18 @@ VersionStore::produce(const VersionTag &v, const Versioned &data)
     // one would leave produced > consumed (the consumer takes each
     // tag exactly once).
     if (!entries_.emplace(v, data).second) {
-        stats.counter("produced_duplicate").inc();
+        producedDuplicateCtr_.inc();
         return false;
     }
-    stats.counter("produced").inc();
+    producedCtr_.inc();
     return true;
+}
+
+void
+VersionStore::produceBackstop(const VersionTag &v, const Versioned &data)
+{
+    if (produce(v, data))
+        producedBackstopCtr_.inc();
 }
 
 bool
@@ -45,7 +52,7 @@ VersionStore::consume(const VersionTag &v)
     RecordId &wm = consumedWatermark_[v.tid];
     if (v.rid > wm)
         wm = v.rid;
-    stats.counter("consumed").inc();
+    consumedCtr_.inc();
     return data;
 }
 
@@ -57,7 +64,7 @@ VersionStore::markWriterDone(const VersionTag &v)
     if (it == entries_.end())
         return; // consumer ran first: handler order already matches
     it->second.writerDone = true;
-    stats.counter("writer_first").inc();
+    writerFirstCtr_.inc();
 }
 
 } // namespace paralog

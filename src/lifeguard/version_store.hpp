@@ -51,6 +51,12 @@ class VersionStore
      * exactly once, in rid order).
      */
     bool produce(const VersionTag &v, const Versioned &data);
+
+    /** produce() on behalf of a lifeguard without a produce handler
+     *  (the liveness backstop); a stored snapshot is also counted as
+     *  "produced_backstop". */
+    void produceBackstop(const VersionTag &v, const Versioned &data);
+
     bool available(const VersionTag &v) const;
 
     /** Fetch and erase; panics if unavailable (enforcement bug). */
@@ -101,6 +107,12 @@ class VersionStore
     /// stream (rid) order, so any produce at or below the watermark can
     /// never be consumed again.
     std::unordered_map<ThreadId, RecordId> consumedWatermark_;
+    Counter &producedCtr_{stats.counter("produced")};
+    Counter &producedStaleCtr_{stats.counter("produced_stale")};
+    Counter &producedDuplicateCtr_{stats.counter("produced_duplicate")};
+    Counter &producedBackstopCtr_{stats.counter("produced_backstop")};
+    Counter &consumedCtr_{stats.counter("consumed")};
+    Counter &writerFirstCtr_{stats.counter("writer_first")};
 };
 
 } // namespace paralog

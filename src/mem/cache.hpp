@@ -90,7 +90,6 @@ class Cache
     Addr lineAddr(Addr addr) const { return addr & ~lineMask_; }
     std::uint32_t lineBytes() const { return params_.lineBytes; }
     Cycle hitLatency() const { return params_.hitLatency; }
-    std::uint32_t numSets() const { return numSets_; }
 
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;

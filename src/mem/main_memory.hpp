@@ -29,9 +29,6 @@ class MainMemory
     /** Write the low @p size bytes (1..8) of @p value at @p addr. */
     void write(Addr addr, unsigned size, std::uint64_t value);
 
-    std::uint64_t read64(Addr addr) const { return read(addr, 8); }
-    void write64(Addr addr, std::uint64_t v) { write(addr, 8, v); }
-
     /** Number of distinct pages touched (for tests/stats). */
     std::size_t pageCount() const { return pages_.size(); }
 

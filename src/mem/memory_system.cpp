@@ -62,7 +62,7 @@ MemorySystem::addArcFrom(const BlockTag &block, CoreId producer_core,
         !block.wasWrite && block.retireCycle > self.retireCycle) {
         result.versionRequests.push_back(
             VersionRequest{block.tid, block.rid});
-        stats.counter("sc_violations").inc();
+        scViolationsCtr_.inc();
         return;
     }
 
@@ -85,7 +85,7 @@ MemorySystem::addArcFrom(const BlockTag &block, CoreId producer_core,
                       : block.rid;
     }
     result.arcs.push_back(arc);
-    stats.counter("arcs_raw").inc();
+    arcsRawCtr_.inc();
 }
 
 Cycle
@@ -137,7 +137,7 @@ MemorySystem::accessLine(CoreId core, Addr line_addr, bool is_write,
                 dir.sharers &= ~(1u << c);
             }
             line->state = LineState::kModified;
-            stats.counter("upgrades").inc();
+            upgradesCtr_.inc();
         } else if (is_write && line->state == LineState::kExclusive) {
             line->state = LineState::kModified;
         }
@@ -171,7 +171,7 @@ MemorySystem::accessLine(CoreId core, Addr line_addr, bool is_write,
         if (remote_modified) {
             // Cache-to-cache transfer through the shared L2.
             latency += l2_->hitLatency();
-            stats.counter("c2c_transfers").inc();
+            c2cTransfersCtr_.inc();
         } else {
             if (dir.sharers == 0 && dir.lastWriter.valid()) {
                 // The last writer's copy left the L1s; order after it via
@@ -233,7 +233,7 @@ MemorySystem::kernelWrite(Addr addr, unsigned size, std::uint64_t value)
         }
         l2_->invalidate(la);
     }
-    stats.counter("kernel_writes").inc();
+    kernelWritesCtr_.inc();
 }
 
 void

@@ -125,6 +125,11 @@ class MemorySystem
     std::uint32_t numCores_;
     Counter &readsCtr_{stats.counter("reads")};
     Counter &writesCtr_{stats.counter("writes")};
+    Counter &upgradesCtr_{stats.counter("upgrades")};
+    Counter &c2cTransfersCtr_{stats.counter("c2c_transfers")};
+    Counter &arcsRawCtr_{stats.counter("arcs_raw")};
+    Counter &scViolationsCtr_{stats.counter("sc_violations")};
+    Counter &kernelWritesCtr_{stats.counter("kernel_writes")};
     MainMemory memory_;
     std::vector<std::unique_ptr<Cache>> l1s_;
     std::unique_ptr<Cache> l2_;

@@ -52,6 +52,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/fnv.hpp"
 #include "core/run_stats.hpp"
 #include "lifeguard/lifeguard.hpp"
 #include "sim/config.hpp"
@@ -224,15 +225,8 @@ put64le(std::uint8_t *p, std::uint64_t v)
     put32le(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
-/** The format's own FNV basis, where the header's config fingerprint
- *  starts: the FNV-1a 64-bit offset basis 14695981039346656037 with
- *  its last digit dropped. Every recording depends on it, so another
- *  writer of the format must use it, not the textbook basis. */
-inline constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-/** FNV-1a from kFnvBasis over a byte span (the header's config
- *  fingerprint). */
+/** FNV-1a from the project's basis (kFnvBasis, not the textbook
+ *  offset basis) over a byte span: the header's config fingerprint. */
 inline std::uint64_t
 fnv1a(const std::uint8_t *data, std::size_t n)
 {

@@ -41,7 +41,8 @@ makeScaledConfig(WorkloadKind workload, LifeguardKind lifeguard,
 }
 
 /**
- * FNV-1a hash of the shadow metadata over [base, base + bytes): the
+ * FNV-1a-style hash of the shadow metadata over [base, base + bytes),
+ * from the project's basis (kFnvBasis): the
  * canonical "did two configurations reach the same analysis
  * conclusions?" fingerprint. Works for any lifeguard via
  * Lifeguard::shadow(). (Now shared with the src tree — the trace

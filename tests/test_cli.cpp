@@ -146,19 +146,33 @@ TEST(CliParse, BadListValuesRejected)
 TEST(CliParse, PlatformKnobs)
 {
     ParseResult r = parse({"--accel=off", "--dep-tracking=per-core",
-                           "--memory-model=tso", "--conflict-alerts=off",
+                           "--memory-model=sc", "--conflict-alerts=off",
                            "--scale=1234", "--seed=7",
                            "--log-buffer=4096", "--csv"});
     ASSERT_EQ(r.status, ParseStatus::kOk);
     ExperimentOptions o = r.options.experimentOptions();
     EXPECT_FALSE(o.accelerators);
     EXPECT_EQ(o.depTracking, DepTracking::kPerCore);
-    EXPECT_EQ(o.memoryModel, MemoryModel::kTSO);
+    EXPECT_EQ(o.memoryModel, MemoryModel::kSC);
     EXPECT_FALSE(o.conflictAlerts);
     EXPECT_EQ(o.scale, 1234u);
     EXPECT_EQ(o.seed, 7u);
     EXPECT_EQ(o.logBufferBytes, 4096u);
     EXPECT_TRUE(r.options.csv);
+
+    r = parse({"--dep-tracking=per-block", "--memory-model=tso"});
+    ASSERT_EQ(r.status, ParseStatus::kOk);
+    o = r.options.experimentOptions();
+    EXPECT_EQ(o.depTracking, DepTracking::kPerBlock);
+    EXPECT_EQ(o.memoryModel, MemoryModel::kTSO);
+}
+
+TEST(CliParse, PerCoreTsoComboRejected)
+{
+    ParseResult r = parse({"--dep-tracking=per-core", "--memory-model=tso"});
+    ASSERT_EQ(r.status, ParseStatus::kError);
+    EXPECT_NE(r.error.find("incompatible"), std::string::npos);
+    EXPECT_NE(r.error.find("deadlock"), std::string::npos);
 }
 
 TEST(CliParse, TimeslicedTsoComboRejected)

@@ -1,6 +1,11 @@
 /** @file Unit tests for the common utility module. */
 
+#include <algorithm>
+#include <atomic>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -154,6 +159,73 @@ TEST(Stats, CounterBasics)
     EXPECT_EQ(s.get("missing"), 0u);
     s.reset();
     EXPECT_EQ(s.get("a"), 0u);
+}
+
+TEST(Stats, BoundCounterIsTheNamedCounter)
+{
+    // A component binds its counter once; a later name lookup (a
+    // post-run reader, a test) must see the same object.
+    StatSet s;
+    Counter &bound = s.counter("hits");
+    Histogram &hist = s.histogram("lat");
+    s.counter("other").inc(); // a later insertion must not move it
+    bound.inc(3);
+    EXPECT_EQ(&s.counter("hits"), &bound);
+    EXPECT_EQ(&s.histogram("lat"), &hist);
+    EXPECT_EQ(s.get("hits"), 3u);
+    s.counter("hits").inc();
+    EXPECT_EQ(bound.value(), 4u);
+}
+
+TEST(Stats, ConcurrentFirstTouchBumpAndRender)
+{
+    // The daemon's pattern: workers first-touch and bump counters while
+    // the event loop reads and renders the same set.
+    StatSet s("svc");
+    Counter &bound = s.counter("jobs.completed");
+    constexpr int kWriters = 3;
+    constexpr int kNames = 200;
+    constexpr std::uint64_t kBumps = 20000;
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; ++w)
+        threads.emplace_back([&s, w] {
+            for (int i = 0; i < kNames; ++i)
+                s.counter("w" + std::to_string(w) + "." + std::to_string(i))
+                    .inc();
+        });
+    threads.emplace_back([&bound] {
+        for (std::uint64_t i = 0; i < kBumps; ++i)
+            bound.inc();
+    });
+    std::uint64_t last = 0;
+    std::thread reader([&] {
+        while (!stop.load()) {
+            std::uint64_t v = s.get("jobs.completed");
+            EXPECT_GE(v, last); // monotonic as seen from another thread
+            last = v;
+            std::ostringstream os;
+            s.render(os);
+        }
+    });
+    for (std::thread &t : threads)
+        t.join();
+    stop.store(true);
+    reader.join();
+
+    EXPECT_EQ(s.get("jobs.completed"), kBumps);
+    for (int w = 0; w < kWriters; ++w)
+        for (int i = 0; i < kNames; ++i)
+            EXPECT_EQ(s.get("w" + std::to_string(w) + "." +
+                            std::to_string(i)),
+                      1u);
+    std::ostringstream os;
+    s.render(os);
+    const std::string text = os.str();
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'),
+              kWriters * kNames + 1);
+    EXPECT_NE(text.find("counter svc.jobs.completed 20000\n"),
+              std::string::npos);
 }
 
 TEST(Stats, HistogramBuckets)

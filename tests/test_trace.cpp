@@ -363,16 +363,15 @@ TEST_F(TraceFormatTest, ConfigFingerprintStartsFromTheFormatsFnvBasis)
         std::uint64_t h = basis;
         for (std::size_t i = 24; i < 64; ++i) {
             h ^= file[i];
-            h *= trace::kFnvPrime;
+            h *= kFnvPrime;
         }
         return h;
     };
-    constexpr std::uint64_t kTextbookBasis = 14695981039346656037ULL;
     const std::uint64_t stored = trace::get64le(file.data() + 16);
-    EXPECT_EQ(fnv(trace::kFnvBasis), stored);
+    EXPECT_EQ(fnv(kFnvBasis), stored);
     EXPECT_EQ(trace::fnv1a(file.data() + 24, 40), stored);
-    EXPECT_NE(fnv(kTextbookBasis), stored);
-    EXPECT_EQ(trace::kFnvBasis, kTextbookBasis / 10);
+    EXPECT_NE(fnv(kFnv1aOffsetBasis), stored);
+    EXPECT_EQ(kFnvBasis, kFnv1aOffsetBasis / 10);
 }
 
 // -------------------------------------------- replay determinism ----

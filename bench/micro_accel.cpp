@@ -139,7 +139,7 @@ BM_LogBufferAppendPop(benchmark::State &state)
     RecordId rid = 0;
     for (auto _ : state) {
         rec.rid = rid++;
-        buf.append(rec);
+        buf.append(EventRecord(rec));
         benchmark::DoNotOptimize(buf.pop());
     }
 }

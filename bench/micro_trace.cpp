@@ -83,7 +83,7 @@ makeStream(std::uint64_t n)
             r.addr = rng.next() & 0xFFFFF8; // predictor miss
             r.size = 4;
             if ((i & 31) == 0)
-                r.arcs.push_back(DepArc{1, i});
+                r.mutableArcs().push_back(DepArc{1, i});
             break;
           default:
             r.type = EventType::kMovRR;

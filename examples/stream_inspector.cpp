@@ -43,10 +43,10 @@ main()
         if (r.isMemAccess()) {
             std::snprintf(where, sizeof(where), "%#llx",
                           (unsigned long long)r.addr);
-        } else if (!r.range.empty()) {
+        } else if (!r.range().empty()) {
             std::snprintf(where, sizeof(where), "[%#llx,+%llu)",
-                          (unsigned long long)r.range.begin,
-                          (unsigned long long)r.range.size());
+                          (unsigned long long)r.range().begin,
+                          (unsigned long long)r.range().size());
         } else if (r.addr) {
             std::snprintf(where, sizeof(where), "%#llx",
                           (unsigned long long)r.addr);
@@ -54,7 +54,7 @@ main()
         std::printf("%6llu %3u %6llu  %-14s %-14s",
                     (unsigned long long)tr.globalSeq, r.tid,
                     (unsigned long long)r.rid, toString(r.type), where);
-        for (const DepArc &a : r.arcs) {
+        for (const DepArc &a : r.arcs()) {
             std::printf(" arc(%u,%llu)", a.tid,
                         (unsigned long long)a.rid);
         }

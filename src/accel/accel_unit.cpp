@@ -101,26 +101,26 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
             ev.size = rec.size;
             ev.value = rec.value;
             ev.consumesVersion = rec.consumesVersion;
-            ev.version = rec.version;
+            ev.version = rec.version();
             out.push_back(ev);
         }
         break;
       }
 
       case EventType::kMallocEnd: {
-        highLevelFlush(HighLevelKind::kMallocEnd, rec.range, out);
+        highLevelFlush(HighLevelKind::kMallocEnd, rec.range(), out);
         LgEvent ev;
         ev.type = LgEventType::kMalloc;
-        ev.range = rec.range;
+        ev.range = rec.range();
         out.push_back(ev);
         break;
       }
 
       case EventType::kFreeBegin: {
-        highLevelFlush(HighLevelKind::kFreeBegin, rec.range, out);
+        highLevelFlush(HighLevelKind::kFreeBegin, rec.range(), out);
         LgEvent ev;
         ev.type = LgEventType::kFree;
-        ev.range = rec.range;
+        ev.range = rec.range();
         out.push_back(ev);
         break;
       }
@@ -130,12 +130,12 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
         HighLevelKind kind = (rec.type == EventType::kSyscallBegin)
                                  ? HighLevelKind::kSyscallBegin
                                  : HighLevelKind::kSyscallEnd;
-        highLevelFlush(kind, rec.range, out);
+        highLevelFlush(kind, rec.range(), out);
         LgEvent ev;
         ev.type = (rec.type == EventType::kSyscallBegin)
                       ? LgEventType::kSyscallBegin
                       : LgEventType::kSyscallEnd;
-        ev.range = rec.range;
+        ev.range = rec.range();
         ev.syscall = rec.syscall;
         out.push_back(ev);
         break;
@@ -186,10 +186,10 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
 
       case EventType::kCaBegin:
       case EventType::kCaEnd: {
-        highLevelFlush(rec.caKind, rec.range, out);
+        highLevelFlush(rec.caKind, rec.range(), out);
         LgEvent ev;
         ev.type = LgEventType::kCaFlush;
-        ev.range = rec.range;
+        ev.range = rec.range();
         ev.value = rec.value;
         out.push_back(ev);
         break;
@@ -205,7 +205,7 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
         ev.type = LgEventType::kProduceVersion;
         ev.addr = rec.addr;
         ev.size = rec.size;
-        ev.version = rec.version;
+        ev.version = rec.version();
         out.push_back(ev);
         break;
       }

@@ -27,8 +27,8 @@ EventRecord::compressedBytes() const
         bytes = 8; // high-level / CA / version records
         break;
     }
-    bytes += 4 * static_cast<std::uint32_t>(arcs.size());
-    if (version.valid() || consumesVersion)
+    bytes += 4 * static_cast<std::uint32_t>(arcs().size());
+    if (consumesVersion || version().valid())
         bytes += 4;
     return bytes;
 }

@@ -9,6 +9,8 @@
 #define PARALOG_APP_EVENT_HPP
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -68,32 +70,30 @@ enum class SyscallKind : std::uint8_t
  * The dependence arc (if any) is stored at the receiving end per the
  * paper's order-capturing design; 'version' implements the TSO
  * produce/consume annotations of section 5.5.
+ *
+ * Layout: the log buffer holds thousands of these per stream, so a
+ * record is exactly 64 bytes, one cache line of buffer footprint (a
+ * deque node holds 8). The hot part (the fields every record uses,
+ * plus one owning pointer) is inline; range, version and arcs live in
+ * a cold block allocated only by the few records that carry one of
+ * them (high-level, CA, TSO-annotated and arc-carrying records, about
+ * 3% of a stream). A record without cold data owns no block: copying,
+ * moving and reset() never allocate for it. Copying a record
+ * deep-copies its cold block.
+ *
+ * The type is deliberately not alignas(64): an over-aligned element
+ * makes every deque node an aligned operator new, which glibc serves
+ * outside its per-thread cache, and that cost more than the line
+ * alignment saved (see ROADMAP item 5(d)).
  */
 struct EventRecord
 {
-    EventType type = EventType::kNone;
-    ThreadId tid = kInvalidThread;
     RecordId rid = kInvalidRecord;
-    RegId dst = 0;
-    RegId src = 0;
-    std::uint8_t size = 0;
     Addr addr = 0;
     std::uint64_t value = 0; ///< imm / CA seq / switch target
-    AddrRange range{};
-    SyscallKind syscall = SyscallKind::kNone;
-    HighLevelKind caKind = HighLevelKind::kMallocEnd; ///< for CA records
     /// ConflictAlert sequence this high-level event broadcast (issuer
     /// side); kNoCaSeq if none.
     std::uint64_t caSeq = kNoCaSeq;
-    std::vector<DepArc> arcs; ///< inter-thread dependences (post-reduction)
-    VersionTag version{};///< produce/consume version (invalid if none)
-    bool consumesVersion = false; ///< read annotated with a version
-    /// Access performed by the trusted wrapper library (allocator
-    /// headers): captured for ordering but not checked by lifeguards.
-    bool wrapper = false;
-    /// Bytes charged against the log buffer at append time (annotations
-    /// added later — TSO arcs, versions — must not skew accounting).
-    std::uint32_t chargedBytes = 0;
     /// Simulated cycle at which the application core appended this
     /// record (equal to the retiring access's AccessTag::retireCycle).
     /// Transient capture-side state for the live-parallel publication
@@ -104,6 +104,20 @@ struct EventRecord
     /// the target of a version request — those name a memory access's
     /// AccessTag rid, whose own record carries the real append cycle).
     Cycle appendCycle = 0;
+    ThreadId tid = kInvalidThread;
+    /// Bytes charged against the log buffer at append time (annotations
+    /// added later — TSO arcs, versions — must not skew accounting).
+    std::uint32_t chargedBytes = 0;
+    EventType type = EventType::kNone;
+    RegId dst = 0;
+    RegId src = 0;
+    std::uint8_t size = 0;
+    SyscallKind syscall = SyscallKind::kNone;
+    HighLevelKind caKind = HighLevelKind::kMallocEnd; ///< for CA records
+    bool consumesVersion = false; ///< read annotated with a version
+    /// Access performed by the trusted wrapper library (allocator
+    /// headers): captured for ordering but not checked by lifeguards.
+    bool wrapper = false;
 
     bool isMemAccess() const
     {
@@ -113,33 +127,109 @@ struct EventRecord
     /** Modelled compressed size in the log buffer (~1 B per record). */
     std::uint32_t compressedBytes() const;
 
-    /** Back to the default-constructed state, but keeping `arcs`'
-     *  capacity: decode hot paths reuse one record across millions of
-     *  calls, and `*this = EventRecord{}` would free the vector's
-     *  buffer every time. */
-    void
-    reset()
+    /** Back to the default-constructed state; frees the cold block. */
+    void reset() { *this = EventRecord{}; }
+
+    /** High-level / CA records: the address range the event covers. */
+    AddrRange
+    range() const
     {
-        type = EventType::kNone;
-        tid = kInvalidThread;
-        rid = kInvalidRecord;
-        dst = 0;
-        src = 0;
-        size = 0;
-        addr = 0;
-        value = 0;
-        range = AddrRange{};
-        syscall = SyscallKind::kNone;
-        caKind = HighLevelKind::kMallocEnd;
-        caSeq = kNoCaSeq;
-        arcs.clear();
-        version = VersionTag{};
-        consumesVersion = false;
-        wrapper = false;
-        chargedBytes = 0;
-        appendCycle = 0;
+        return cold_.p ? cold_.p->range : AddrRange{};
     }
+    void
+    setRange(const AddrRange &r)
+    {
+        if (cold_.p || r != AddrRange{})
+            cold().range = r;
+    }
+
+    /** Produce/consume version (invalid if none). */
+    VersionTag
+    version() const
+    {
+        return cold_.p ? cold_.p->version : VersionTag{};
+    }
+    void
+    setVersion(const VersionTag &v)
+    {
+        if (cold_.p || v != VersionTag{})
+            cold().version = v;
+    }
+
+    /** Inter-thread dependences (post-reduction). */
+    const std::vector<DepArc> &
+    arcs() const
+    {
+        return cold_.p ? cold_.p->arcs : kNoArcs;
+    }
+    /** The arc list, for appending to; allocates the cold block. */
+    std::vector<DepArc> &mutableArcs() { return cold().arcs; }
+    void
+    setArcs(std::vector<DepArc> &&arcs)
+    {
+        if (cold_.p || !arcs.empty())
+            cold().arcs = std::move(arcs);
+    }
+    /** Move the arcs out, leaving this record with none. */
+    std::vector<DepArc>
+    takeArcs()
+    {
+        return cold_.p ? std::exchange(cold_.p->arcs, {})
+                       : std::vector<DepArc>{};
+    }
+
+    /** True if this record owns a cold block. Readers never need it:
+     *  range, version and arcs read as empty when the block is absent. */
+    bool hasColdBlock() const { return cold_.p != nullptr; }
+
+  private:
+    struct Cold
+    {
+        AddrRange range{};
+        VersionTag version{};
+        std::vector<DepArc> arcs;
+    };
+
+    /** Owning pointer to the cold block; copying deep-copies it. */
+    struct ColdPtr
+    {
+        std::unique_ptr<Cold> p;
+
+        ColdPtr() = default;
+        ColdPtr(ColdPtr &&) noexcept = default;
+        ColdPtr &operator=(ColdPtr &&) noexcept = default;
+        ColdPtr(const ColdPtr &o)
+            : p(o.p ? std::make_unique<Cold>(*o.p) : nullptr)
+        {
+        }
+        ColdPtr &
+        operator=(const ColdPtr &o)
+        {
+            if (!o.p)
+                p.reset();
+            else if (p)
+                *p = *o.p;
+            else
+                p = std::make_unique<Cold>(*o.p);
+            return *this;
+        }
+    };
+
+    Cold &
+    cold()
+    {
+        if (!cold_.p)
+            cold_.p = std::make_unique<Cold>();
+        return *cold_.p;
+    }
+
+    static inline const std::vector<DepArc> kNoArcs{};
+
+    ColdPtr cold_;
 };
+
+static_assert(sizeof(EventRecord) == 64,
+              "EventRecord must stay one cache line long");
 
 /**
  * What the interpreter hands the capture unit after retiring one

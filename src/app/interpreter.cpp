@@ -48,34 +48,6 @@ Interpreter::Interpreter(const SimConfig &cfg, DataPath &dp,
 {
 }
 
-namespace {
-
-/** Field-wise EventRecord reset, equivalent to a fresh default-
- *  constructed record but reusing the arcs vector's storage. */
-void
-resetRecord(EventRecord &r)
-{
-    r.type = EventType::kNone;
-    r.tid = kInvalidThread;
-    r.rid = kInvalidRecord;
-    r.dst = 0;
-    r.src = 0;
-    r.size = 0;
-    r.addr = 0;
-    r.value = 0;
-    r.range = AddrRange{};
-    r.syscall = SyscallKind::kNone;
-    r.caKind = HighLevelKind::kMallocEnd;
-    r.caSeq = kNoCaSeq;
-    r.arcs.clear();
-    r.version = VersionTag{};
-    r.consumesVersion = false;
-    r.wrapper = false;
-    r.chargedBytes = 0;
-}
-
-} // namespace
-
 AccessTag
 Interpreter::tagFor(const ThreadContext &tc, Cycle now) const
 {
@@ -192,7 +164,7 @@ Interpreter::execute(ThreadContext &tc, CoreId core, Cycle now,
     out.event.caKind = HighLevelKind::kMallocEnd;
     EventRecord &rec = out.event.record;
     if (emitRecords_)
-        resetRecord(rec);
+        rec.reset();
     rec.tid = tc.tid();
     rec.rid = tc.retired;
     AccessTag tag = tagFor(tc, now);
@@ -437,7 +409,7 @@ Interpreter::execute(ThreadContext &tc, CoreId core, Cycle now,
                                           : SyscallKind::kWrite;
             break;
         }
-        rec.range = range;
+        rec.setRange(range);
         out.event.caBroadcast = inst.ca;
         out.event.caKind = kind;
         break;

@@ -33,7 +33,7 @@ EventFilter::wants(const EventRecord &rec) const
 }
 
 bool
-CaptureUnit::append(const AppEvent &ev)
+CaptureUnit::append(AppEvent &&ev)
 {
     // Arc reduction state must advance even if the record is filtered:
     // the order-capturing hardware operates below the event mux. Arcs on
@@ -63,10 +63,12 @@ CaptureUnit::append(const AppEvent &ev)
         return false;
     }
 
-    EventRecord rec = ev.record;
-    rec.arcs = std::move(arcs);
+    // Finish the record where the interpreter built it; the one move
+    // below places it in the log buffer.
+    EventRecord &rec = ev.record;
+    rec.setArcs(std::move(arcs));
     recordsCtr_.inc();
-    if (!rec.arcs.empty())
+    if (!rec.arcs().empty())
         recordsWithArcsCtr_.inc();
     std::vector<std::uint8_t> *payload = nullptr;
     if (journal_) {
@@ -83,7 +85,7 @@ CaptureUnit::append(const AppEvent &ev)
 }
 
 void
-CaptureUnit::appendCa(EventRecord rec)
+CaptureUnit::appendCa(EventRecord &&rec)
 {
     rec.tid = tid_;
     // CA records are injected by the broadcast mechanism between retired
@@ -125,8 +127,8 @@ CaptureUnit::attachArcs(RecordId rid, const std::vector<RawArc> &arcs)
             pendingArcsCarry_.push_back(a);
         return;
     }
-    for (const DepArc &a : kept)
-        rec->arcs.push_back(a);
+    std::vector<DepArc> &rec_arcs = rec->mutableArcs();
+    rec_arcs.insert(rec_arcs.end(), kept.begin(), kept.end());
 }
 
 bool
@@ -139,7 +141,7 @@ CaptureUnit::annotateConsume(RecordId rid, const VersionTag &v)
     EventRecord *rec = buf_.findByRidPreferMemAccess(rid);
     if (!rec)
         return false; // already consumed: reader saw pre-write metadata
-    if (rec->consumesVersion && rec->version == v) {
+    if (rec->consumesVersion && rec->version() == v) {
         // A line-crossing store racing a line-crossing load raises one
         // version request per cache line with the identical tag; a
         // second produce record for it would double-produce the entry.
@@ -147,7 +149,7 @@ CaptureUnit::annotateConsume(RecordId rid, const VersionTag &v)
         return false;
     }
     rec->consumesVersion = true;
-    rec->version = v;
+    rec->setVersion(v);
     consumeVersionsCtr_.inc();
     return true;
 }
@@ -169,7 +171,7 @@ CaptureUnit::insertProduceBefore(RecordId store_rid, const VersionTag &v,
     rec.rid = store_rid;
     rec.addr = addr;
     rec.size = size;
-    rec.version = v;
+    rec.setVersion(v);
     // The consuming lifeguard core matches this against the store's own
     // record to learn whether the writer's handler ran before the
     // consumer (read-side-writer rule).
@@ -178,10 +180,8 @@ CaptureUnit::insertProduceBefore(RecordId store_rid, const VersionTag &v,
     // is ordered after: the produce record inherits the store's
     // drain-time arcs (delivery is in order, so checking them one
     // record early enforces the same waits).
-    if (EventRecord *store = buf_.findStoreByRid(store_rid)) {
-        rec.arcs = std::move(store->arcs);
-        store->arcs.clear();
-    }
+    if (EventRecord *store = buf_.findStoreByRid(store_rid))
+        rec.setArcs(store->takeArcs());
     buf_.insertBefore(store_rid, std::move(rec));
     produceVersionsCtr_.inc();
 }

@@ -60,12 +60,14 @@ class CaptureUnit
      * Append a retired event. Applies the event filter and arc reduction;
      * returns true if a record was actually written to the stream.
      * Arc reduction runs even for filtered-out records (the hardware sees
-     * all coherence traffic regardless of lifeguard interests).
+     * all coherence traffic regardless of lifeguard interests). A
+     * captured record is moved out of @p ev.record into the log buffer;
+     * the rest of @p ev is left as it was.
      */
-    bool append(const AppEvent &ev);
+    bool append(AppEvent &&ev);
 
     /** Append a ConflictAlert record (broadcast insertion, never blocks). */
-    void appendCa(EventRecord rec);
+    void appendCa(EventRecord &&rec);
 
     /** Attach arcs discovered at TSO store-drain time to a pending record. */
     void attachArcs(RecordId rid, const std::vector<RawArc> &arcs);
@@ -258,14 +260,14 @@ class CaptureUnit
      *  bookkeeping mirrors the live append paths (@p is_ca selects the
      *  appendCa accounting). */
     void
-    replayAppend(EventRecord rec, std::uint32_t charged_bytes,
+    replayAppend(EventRecord &&rec, std::uint32_t charged_bytes,
                  bool is_ca = false)
     {
         if (is_ca) {
             caRecordsCtr_.inc();
         } else {
             recordsCtr_.inc();
-            if (!rec.arcs.empty())
+            if (!rec.arcs().empty())
                 recordsWithArcsCtr_.inc();
         }
         buf_.append(std::move(rec), charged_bytes);
@@ -279,8 +281,8 @@ class CaptureUnit
     replayAttachArcs(RecordId rid, const std::vector<DepArc> &kept)
     {
         if (EventRecord *rec = buf_.findByRid(rid)) {
-            for (const DepArc &a : kept)
-                rec->arcs.push_back(a);
+            std::vector<DepArc> &arcs = rec->mutableArcs();
+            arcs.insert(arcs.end(), kept.begin(), kept.end());
         }
     }
 

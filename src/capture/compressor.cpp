@@ -92,17 +92,19 @@ StreamCompressor::encode(const EventRecord &rec,
       case EventType::kSyscallBegin:
       case EventType::kSyscallEnd:
       case EventType::kCaBegin:
-      case EventType::kCaEnd:
+      case EventType::kCaEnd: {
         // Range begin + length, uncompressed-ish.
-        bytes += addressBytes(pred_[2], rec.range.begin, out, hit);
-        bytes += out ? putVarint(*out, rec.range.size())
-                     : varintSize(rec.range.size());
+        const AddrRange range = rec.range();
+        bytes += addressBytes(pred_[2], range.begin, out, hit);
+        bytes += out ? putVarint(*out, range.size())
+                     : varintSize(range.size());
         break;
+      }
       case EventType::kProduceVersion:
         bytes += addressBytes(pred_[2], rec.addr, out, hit) + 4;
         if (out)
             putFixed32(*out,
-                       static_cast<std::uint32_t>(rec.version.rid));
+                       static_cast<std::uint32_t>(rec.version().rid));
         break;
       case EventType::kThreadDone:
       case EventType::kThreadSwitch:
@@ -111,16 +113,16 @@ StreamCompressor::encode(const EventRecord &rec,
     }
 
     // Dependence arcs: (thread id, record id delta) per arc.
-    for (const DepArc &arc : rec.arcs) {
+    for (const DepArc &arc : rec.arcs()) {
         bytes += 1;
         if (out)
             out->push_back(static_cast<std::uint8_t>(arc.tid));
         bytes += out ? putVarint(*out, arc.rid) : varintSize(arc.rid);
     }
-    if (rec.consumesVersion || rec.version.valid()) {
+    if (rec.consumesVersion || rec.version().valid()) {
         bytes += 4;
         if (out)
-            putFixed32(*out, static_cast<std::uint32_t>(rec.version.rid));
+            putFixed32(*out, static_cast<std::uint32_t>(rec.version().rid));
     }
 
     if (out)

@@ -7,7 +7,7 @@
 namespace paralog {
 
 void
-LogBuffer::append(EventRecord rec, std::uint32_t charged_bytes)
+LogBuffer::append(EventRecord &&rec, std::uint32_t charged_bytes)
 {
     rec.chargedBytes =
         charged_bytes ? charged_bytes : rec.compressedBytes();
@@ -93,7 +93,7 @@ LogBuffer::findStoreByRid(RecordId rid)
 }
 
 void
-LogBuffer::insertBefore(RecordId before_rid, EventRecord rec)
+LogBuffer::insertBefore(RecordId before_rid, EventRecord &&rec)
 {
     auto pos = firstAtOrAfter(before_rid);
     // Prefer the exact store record so the snapshot is taken as late as

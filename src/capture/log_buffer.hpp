@@ -5,6 +5,11 @@
  * buffer is full the application core stalls; when empty the lifeguard
  * core stalls.
  *
+ * The simulator keeps each record as one 64-byte EventRecord in a
+ * std::deque, and a full 64 KB stream can hold tens of thousands of
+ * them: records move in (append) and are read in place (peek), never
+ * copied.
+ *
  * Under TSO a visibility limit hides records at or beyond the oldest
  * undrained store so produce-version annotations can still be inserted
  * in front of pending store records (section 5.5).
@@ -33,7 +38,7 @@ class LogBuffer
      *  first (ConflictAlert insertion may transiently overflow).
      *  @param charged_bytes modelled compressed size; 0 = use the
      *         record's static size table */
-    void append(EventRecord rec, std::uint32_t charged_bytes = 0);
+    void append(EventRecord &&rec, std::uint32_t charged_bytes = 0);
 
     bool full() const { return bytes_ >= capacityBytes_; }
     bool empty() const { return records_.empty(); }
@@ -52,8 +57,9 @@ class LogBuffer
     /**
      * Batch-pop half of the delivery fast path: the consumer processes
      * the head in place via peek() and then discards it. Unlike pop()
-     * no record is moved out, so draining N records costs N deque
-     * bookkeeping updates and nothing else.
+     * no record is moved out: draining N records reads N cache lines
+     * (one per 64-byte record), frees the few cold blocks among them
+     * and returns one deque node per 8 records to the allocator.
      */
     void dropFront();
 
@@ -81,7 +87,7 @@ class LogBuffer
      * precedes it — the tail still orders the insert before any record
      * the application appends later).
      */
-    void insertBefore(RecordId before_rid, EventRecord rec);
+    void insertBefore(RecordId before_rid, EventRecord &&rec);
 
     /** Total records ever appended (stats). */
     std::uint64_t appended() const { return appended_; }

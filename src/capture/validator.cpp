@@ -127,7 +127,7 @@ HappensBeforeValidator::validate(const std::vector<TracedRecord> &trace)
         // Join along recorded dependence arcs: the arc guarantees the
         // producer completed *through* rid, even across filtered
         // records.
-        for (const DepArc &arc : rec.arcs) {
+        for (const DepArc &arc : rec.arcs()) {
             if (arc.tid >= numThreads_)
                 continue;
             if (const std::vector<RecordId> *pc =
@@ -195,12 +195,12 @@ HappensBeforeValidator::validate(const std::vector<TracedRecord> &trace)
             // classifier decides the direction: malloc/free and
             // read()-style syscalls write the range, write()-style
             // syscalls only read the output buffer.
-            if (rec.range.empty())
+            const AddrRange range = rec.range();
+            if (range.empty())
                 break;
-            Addr first =
-                rec.range.begin & ~static_cast<Addr>(lineBytes_ - 1);
+            Addr first = range.begin & ~static_cast<Addr>(lineBytes_ - 1);
             Addr last =
-                (rec.range.end - 1) & ~static_cast<Addr>(lineBytes_ - 1);
+                (range.end - 1) & ~static_cast<Addr>(lineBytes_ - 1);
             for (Addr line = first; line <= last; line += lineBytes_)
                 check_line(line, t, rec.rid, traceIsWrite(rec), clock,
                            via_alert);

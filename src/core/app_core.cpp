@@ -78,10 +78,14 @@ AppCore::step(Cycle now)
         // MemorySystem::addArcFrom compares store-buffer entries
         // against when it raises a version request.
         out.event.record.appendCycle = now;
-        bool appended = capture_->append(out.event);
-        if (appended && out.event.caBroadcast && caBroadcast_) {
-            latency += caBroadcast_(tc_->tid(), rid, out.event.caKind,
-                                    out.event.record.range);
+        // append() moves the record into the log buffer: read what the
+        // ConflictAlert broadcast needs first.
+        const bool broadcast = out.event.caBroadcast && caBroadcast_;
+        const HighLevelKind ca_kind = out.event.caKind;
+        const AddrRange range = out.event.record.range();
+        bool appended = capture_->append(std::move(out.event));
+        if (appended && broadcast) {
+            latency += caBroadcast_(tc_->tid(), rid, ca_kind, range);
             stats.caAckCycles += latency - out.latency;
         }
     }

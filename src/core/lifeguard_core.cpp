@@ -44,7 +44,7 @@ LifeguardCore::dumpState() const
         std::fprintf(stderr, "  front: type=%s rid=%llu arcs=[",
                      toString(front->type),
                      static_cast<unsigned long long>(front->rid));
-        for (const DepArc &a : front->arcs)
+        for (const DepArc &a : front->arcs())
             std::fprintf(stderr, "(%u,%llu)", a.tid,
                          static_cast<unsigned long long>(a.rid));
         std::fprintf(stderr, "] caSeq=%llu consumesV=%d\n",
@@ -130,10 +130,10 @@ LifeguardCore::enforceVersionProtocol(const EventRecord &rec)
         // is a user lifeguard written against the porting contract)
         // must still satisfy the consumer's version wait. The snapshot
         // is exactly the current shadow contents.
-        if (!vs.available(rec.version)) {
+        if (!vs.available(rec.version())) {
             std::uint64_t bits =
                 lifeguard_.shadow().readPacked(rec.addr, rec.size);
-            vs.produceBackstop(rec.version,
+            vs.produceBackstop(rec.version(),
                                VersionStore::Versioned{bits, rec.addr,
                                                        rec.size, false});
         }
@@ -148,8 +148,8 @@ LifeguardCore::enforceVersionProtocol(const EventRecord &rec)
                                }),
                 pendingWriterStores_.end());
         }
-        if (vs.available(rec.version))
-            pendingWriterStores_.emplace_back(rec.version, rec.value);
+        if (vs.available(rec.version()))
+            pendingWriterStores_.emplace_back(rec.version(), rec.value);
         return;
     }
 
@@ -172,8 +172,8 @@ LifeguardCore::enforceVersionProtocol(const EventRecord &rec)
     // Versioned reads of metadata-irrelevant words (lock/barrier
     // records) leave their snapshot unconsumed by any handler; discard
     // it so the version store drains.
-    if (rec.consumesVersion && vs.available(rec.version))
-        vs.consume(rec.version);
+    if (rec.consumesVersion && vs.available(rec.version()))
+        vs.consume(rec.version());
 }
 
 void

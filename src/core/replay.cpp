@@ -42,14 +42,14 @@ ReplayCore::apply()
         // capture unit: dropped records' arcs carry forward to the next
         // surviving record so ordering stays conservative.
         if (filter_ && !filter_->wants(op.rec)) {
-            for (const DepArc &a : op.rec.arcs)
+            for (const DepArc &a : op.rec.arcs())
                 arcsCarry_.push_back(a);
             droppedRids_.push_back(op.rec.rid);
             break;
         }
         if (filter_ && !arcsCarry_.empty()) {
-            op.rec.arcs.insert(op.rec.arcs.begin(), arcsCarry_.begin(),
-                               arcsCarry_.end());
+            std::vector<DepArc> &arcs = op.rec.mutableArcs();
+            arcs.insert(arcs.begin(), arcsCarry_.begin(), arcsCarry_.end());
             arcsCarry_.clear();
         }
         unit_.replayAppend(std::move(op.rec), op.chargedBytes,

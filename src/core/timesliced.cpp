@@ -153,7 +153,7 @@ Timesliced::stepApp(Cycle now)
     ++st.retired;
     st.execCycles += out.latency;
     capture_->setRetired(tc.retired);
-    capture_->append(out.event);
+    capture_->append(std::move(out.event));
     appBusyUntil_ = now + std::max<Cycle>(1, out.latency);
 
     if (quantumLeft_ == 0 || --quantumLeft_ == 0)

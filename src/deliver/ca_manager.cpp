@@ -27,7 +27,7 @@ CaManager::broadcast(ThreadId issuer, RecordId issuer_event_rid,
         EventRecord rec;
         rec.type = is_begin ? EventType::kCaBegin : EventType::kCaEnd;
         rec.value = b.seq;
-        rec.range = range;
+        rec.setRange(range);
         rec.caKind = kind;
         units[t]->appendCa(std::move(rec));
         b.arrivalRid[t] = units[t]->retired();

@@ -86,7 +86,7 @@ OrderEnforcer::tryDeliverBatch(BatchItem &out, bool continuation)
         return note(DeliverStatus::kEmpty, nullptr);
 
     // Inter-thread dependence arcs (the core ordering mechanism).
-    for (const DepArc &arc : rec->arcs) {
+    for (const DepArc &arc : rec->arcs()) {
         if (!progress_.satisfied(arc)) {
             if (!continuation) {
                 depStallsCtr_.inc();
@@ -101,7 +101,7 @@ OrderEnforcer::tryDeliverBatch(BatchItem &out, bool continuation)
     // writer's lifeguard produced the versioned metadata. (Produce
     // records themselves never wait here: they carry the producing
     // store's arcs instead, checked above.)
-    if (rec->consumesVersion && !versionAvailable_(rec->version)) {
+    if (rec->consumesVersion && !versionAvailable_(rec->version())) {
         if (!continuation)
             versionStallsCtr_.inc();
         return note(DeliverStatus::kVersionStall, rec);
@@ -135,7 +135,7 @@ OrderEnforcer::tryDeliverBatch(BatchItem &out, bool continuation)
         // Maintain the hardware range table for remote syscalls.
         if (rec->caKind == HighLevelKind::kSyscallBegin &&
             issuer != kInvalidThread) {
-            ranges_.insert(issuer, rec->range);
+            ranges_.insert(issuer, rec->range());
         } else if (rec->caKind == HighLevelKind::kSyscallEnd &&
                    issuer != kInvalidThread) {
             ranges_.remove(issuer);

@@ -231,6 +231,16 @@ struct Inst
     }
 
     static Inst
+    syscallWrite(Addr buf, std::uint32_t len)
+    {
+        Inst i;
+        i.op = Op::kSyscallWrite;
+        i.addr = buf;
+        i.size = len;
+        return i;
+    }
+
+    static Inst
     done()
     {
         Inst i;

@@ -38,12 +38,14 @@ void
 encodeSideband(const EventRecord &rec, RecordId &last_rid,
                std::vector<std::uint8_t> &out)
 {
+    const AddrRange range = rec.range();
+    const VersionTag version = rec.version();
     std::uint32_t flags = 0;
     if (rec.wrapper)
         flags |= kSbWrapper;
     if (rec.consumesVersion)
         flags |= kSbConsumesVersion;
-    if (rec.version.valid())
+    if (version.valid())
         flags |= kSbVersionTag;
     if (rec.dst != 0)
         flags |= kSbDst;
@@ -58,15 +60,14 @@ encodeSideband(const EventRecord &rec, RecordId &last_rid,
     // The payload reconstructs the range as [begin, begin + size());
     // ship it explicitly only when that would not round-trip.
     bool range_in_payload = payloadCarriesRange(rec.type) &&
-                            rec.range.end >= rec.range.begin;
-    if (!range_in_payload &&
-        (rec.range.begin != 0 || rec.range.end != 0))
+                            range.end >= range.begin;
+    if (!range_in_payload && range != AddrRange{})
         flags |= kSbRange;
     if (rec.caSeq != kNoCaSeq)
         flags |= kSbCaSeq;
     flags |= static_cast<std::uint32_t>(rec.syscall) << kSbSyscallShift;
     flags |= static_cast<std::uint32_t>(rec.caKind) << kSbCaKindShift;
-    if (!rec.arcs.empty())
+    if (!rec.arcs().empty())
         flags |= kSbArcs;
 
     putVarint(out, flags);
@@ -83,17 +84,17 @@ encodeSideband(const EventRecord &rec, RecordId &last_rid,
     if (flags & kSbAddr)
         putVarint(out, rec.addr);
     if (flags & kSbRange) {
-        putVarint(out, rec.range.begin);
-        putVarint(out, rec.range.end);
+        putVarint(out, range.begin);
+        putVarint(out, range.end);
     }
     if (flags & kSbCaSeq)
         putVarint(out, rec.caSeq);
     if (flags & kSbVersionTag) {
-        putVarint(out, rec.version.tid);
-        putVarint(out, rec.version.rid);
+        putVarint(out, version.tid);
+        putVarint(out, version.rid);
     }
     if (flags & kSbArcs)
-        putVarint(out, rec.arcs.size());
+        putVarint(out, rec.arcs().size());
 }
 
 Addr
@@ -122,7 +123,7 @@ bool
 RecordDecoder::decode(ByteCursor &c, std::uint32_t payload_bytes,
                       EventRecord &out)
 {
-    out.reset(); // in place: keeps arcs' capacity across calls
+    out.reset();
 
     // ---- sideband ----
     std::uint64_t flags = 0, rid_delta = 0;
@@ -173,7 +174,7 @@ RecordDecoder::decode(ByteCursor &c, std::uint32_t payload_bytes,
         std::uint64_t vtid = 0, vrid = 0;
         if (!c.getVarint(vtid) || !c.getVarint(vrid))
             return false;
-        out.version = VersionTag{static_cast<ThreadId>(vtid), vrid};
+        out.setVersion(VersionTag{static_cast<ThreadId>(vtid), vrid});
     }
     std::uint64_t arc_count = 0;
     if (flags & kSbArcs) {
@@ -218,7 +219,7 @@ RecordDecoder::decode(ByteCursor &c, std::uint32_t payload_bytes,
         Addr begin = decodeAddr(pred_[2], hit, pl, ok);
         std::uint64_t len = 0;
         ok = ok && pl.getVarint(len);
-        out.range = AddrRange{begin, begin + len};
+        out.setRange(AddrRange{begin, begin + len});
         break;
       }
       case EventType::kProduceVersion: {
@@ -236,17 +237,20 @@ RecordDecoder::decode(ByteCursor &c, std::uint32_t payload_bytes,
     if (flags & kSbAddr)
         out.addr = sb_addr;
     if (flags & kSbRange)
-        out.range = sb_range;
+        out.setRange(sb_range);
 
-    out.arcs.reserve(arc_count);
-    for (std::uint64_t i = 0; i < arc_count; ++i) {
-        std::uint8_t tid = 0;
-        std::uint64_t rid = 0;
-        if (!pl.getByte(tid) || !pl.getVarint(rid))
-            return false;
-        out.arcs.push_back(DepArc{tid, rid});
+    if (arc_count != 0) {
+        std::vector<DepArc> &arcs = out.mutableArcs();
+        arcs.reserve(arc_count);
+        for (std::uint64_t i = 0; i < arc_count; ++i) {
+            std::uint8_t tid = 0;
+            std::uint64_t rid = 0;
+            if (!pl.getByte(tid) || !pl.getVarint(rid))
+                return false;
+            arcs.push_back(DepArc{tid, rid});
+        }
     }
-    if (out.consumesVersion || out.version.valid()) {
+    if (out.consumesVersion || out.version().valid()) {
         std::uint32_t ignored = 0;
         if (!pl.getFixed32(ignored))
             return false;

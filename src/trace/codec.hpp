@@ -53,7 +53,7 @@ inline constexpr std::uint32_t kSbArcs = 1u << 14;
 /** True if the compressed payload itself carries rec.addr. */
 bool payloadCarriesAddr(EventType type);
 
-/** True if the compressed payload itself carries rec.range. */
+/** True if the compressed payload itself carries rec.range(). */
 bool payloadCarriesRange(EventType type);
 
 /**

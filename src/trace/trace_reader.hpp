@@ -55,9 +55,9 @@ struct TraceOp
     CaBroadcast ca;                // kCaBroadcast
 
     /** Back to the default-constructed state, keeping the capacity of
-     *  the three nested vectors (arcs, rec.arcs, ca.arrivalRid) — the
-     *  op streams reuse one TraceOp per caller across the whole
-     *  journal, and `*this = TraceOp{}` would free them every op. */
+     *  the nested vectors (arcs, ca.arrivalRid) — the op streams reuse
+     *  one TraceOp per caller across the whole journal, and
+     *  `*this = TraceOp{}` would free them every op. */
     void
     reset()
     {

@@ -181,7 +181,7 @@ TEST(ItTable, VersionedLoadDeliversAndFlushes)
     it.process(loadRec(1, 0xA00, 1), out);
     EventRecord vload = loadRec(2, 0xA00, 5);
     vload.consumesVersion = true;
-    vload.version = VersionTag{1, 3};
+    vload.setVersion(VersionTag{1, 3});
     EXPECT_FALSE(it.process(vload, out)); // delivered, not absorbed
     ASSERT_EQ(out.size(), 1u);            // r1's pending state flushed
     EXPECT_EQ(out[0].type, LgEventType::kRegInheritMem);
@@ -353,7 +353,7 @@ TEST_F(AccelUnitTest, CaRecordFlushesItState)
 
     EventRecord ca = rec(EventType::kCaBegin, 2);
     ca.caKind = HighLevelKind::kFreeBegin;
-    ca.range = AddrRange{0xA00, 0xB00};
+    ca.setRange(AddrRange{0xA00, 0xB00});
     au.process(ca, false, out);
     EXPECT_EQ(au.delayedMinRid(), kInvalidRecord); // flushed
     // The flush delivered the pending inherit plus the CA flush event.

@@ -253,8 +253,8 @@ TEST_F(InterpTest, MallocExpandsToWrapperSequence)
                   EventType::kMallocEnd, EventType::kLockRelease,
                   EventType::kThreadDone}));
     // The malloc_end record carries the allocated range.
-    EXPECT_EQ(recs[4].range.size(), 128u);
-    EXPECT_EQ(recs[4].range.begin, lastTc_[1]);
+    EXPECT_EQ(recs[4].range().size(), 128u);
+    EXPECT_EQ(recs[4].range().begin, lastTc_[1]);
 }
 
 TEST_F(InterpTest, FreeCarriesRange)
@@ -268,7 +268,7 @@ TEST_F(InterpTest, FreeCarriesRange)
     for (const auto &r : recs) {
         if (r.type == EventType::kFreeBegin) {
             found = true;
-            EXPECT_EQ(r.range.size(), 64u);
+            EXPECT_EQ(r.range().size(), 64u);
         }
     }
     EXPECT_TRUE(found);
@@ -305,7 +305,7 @@ TEST_F(InterpTest, SyscallReadFillsBufferAndEmitsRange)
         if (r.type == EventType::kSyscallBegin) {
             begin = true;
             EXPECT_EQ(r.syscall, SyscallKind::kRead);
-            EXPECT_EQ(r.range, (AddrRange{0x4000, 0x4040}));
+            EXPECT_EQ(r.range(), (AddrRange{0x4000, 0x4040}));
         }
         if (r.type == EventType::kSyscallEnd)
             end = true;

@@ -47,7 +47,7 @@ TEST(LogBuffer, CompressedSizesByType)
     EXPECT_EQ(rec(EventType::kLoad, 0).compressedBytes(), 1u);
     EXPECT_EQ(rec(EventType::kMallocEnd, 0).compressedBytes(), 8u);
     EventRecord r = rec(EventType::kLoad, 0);
-    r.arcs.push_back(DepArc{1, 5});
+    r.mutableArcs().push_back(DepArc{1, 5});
     EXPECT_EQ(r.compressedBytes(), 5u); // 1 + 4 per arc
 }
 
@@ -99,6 +99,96 @@ TEST(LogBuffer, InsertBefore)
     EXPECT_EQ(buf.pop().rid, 2u);
     EXPECT_EQ(buf.pop().type, EventType::kProduceVersion);
     EXPECT_EQ(buf.pop().rid, 7u);
+}
+
+// ---- EventRecord value semantics (hot line + out-of-line cold block) ----
+
+/** A load carrying every cold field: range, version and one arc. */
+EventRecord
+coldRec()
+{
+    EventRecord r = rec(EventType::kLoad, 4, 0x40);
+    r.setRange(AddrRange{0x1000, 0x1040});
+    r.setVersion(VersionTag{1, 9});
+    r.mutableArcs().push_back(DepArc{1, 3});
+    return r;
+}
+
+TEST(EventRecord, CopyDeepCopiesTheColdBlock)
+{
+    EventRecord a = coldRec();
+    EventRecord b = a;
+    b.mutableArcs().push_back(DepArc{2, 8});
+    b.setRange(AddrRange{0x2000, 0x2010});
+    b.setVersion(VersionTag{3, 1});
+    EXPECT_EQ(a.arcs(), (std::vector<DepArc>{DepArc{1, 3}}));
+    EXPECT_EQ(a.range(), (AddrRange{0x1000, 0x1040}));
+    EXPECT_EQ(a.version(), (VersionTag{1, 9}));
+
+    // Copy-assignment over a record that already owns a block.
+    EventRecord c = coldRec();
+    c.mutableArcs().clear();
+    c = b;
+    EXPECT_EQ(c.arcs().size(), 2u);
+    EXPECT_EQ(c.range(), b.range());
+    c.mutableArcs().clear();
+    EXPECT_EQ(b.arcs().size(), 2u);
+}
+
+TEST(EventRecord, WithoutColdDataOwnsNoBlock)
+{
+    EventRecord plain = rec(EventType::kLoad, 1, 0x80);
+    EXPECT_FALSE(plain.hasColdBlock());
+    // Setting a cold field to its default value allocates nothing.
+    plain.setRange(AddrRange{});
+    plain.setVersion(VersionTag{});
+    plain.setArcs({});
+    EXPECT_TRUE(plain.takeArcs().empty());
+    EXPECT_FALSE(plain.hasColdBlock());
+
+    EventRecord copy = plain;
+    EXPECT_FALSE(copy.hasColdBlock());
+    EventRecord moved = std::move(copy);
+    EXPECT_FALSE(moved.hasColdBlock());
+    moved.reset();
+    EXPECT_FALSE(moved.hasColdBlock());
+
+    // Assigning a plain record drops the target's block.
+    EventRecord target = coldRec();
+    target = plain;
+    EXPECT_FALSE(target.hasColdBlock());
+    EXPECT_TRUE(target.arcs().empty());
+    EventRecord target2 = coldRec();
+    target2 = EventRecord(plain);
+    EXPECT_FALSE(target2.hasColdBlock());
+
+    // A move hands the block over.
+    EventRecord from = coldRec();
+    EventRecord to = std::move(from);
+    EXPECT_TRUE(to.hasColdBlock());
+    EXPECT_EQ(to.arcs().size(), 1u);
+}
+
+TEST(EventRecord, ResetClearsEveryField)
+{
+    EventRecord r = coldRec();
+    r.caSeq = 5;
+    r.chargedBytes = 9;
+    r.appendCycle = 77;
+    r.consumesVersion = true;
+    r.reset();
+    EXPECT_EQ(r.range(), AddrRange{});
+    EXPECT_EQ(r.version(), VersionTag{});
+    EXPECT_TRUE(r.arcs().empty());
+    EXPECT_FALSE(r.hasColdBlock());
+    EXPECT_EQ(r.type, EventType::kNone);
+    EXPECT_EQ(r.rid, kInvalidRecord);
+    EXPECT_EQ(r.tid, kInvalidThread);
+    EXPECT_EQ(r.addr, 0u);
+    EXPECT_EQ(r.caSeq, kNoCaSeq);
+    EXPECT_EQ(r.chargedBytes, 0u);
+    EXPECT_EQ(r.appendCycle, 0u);
+    EXPECT_FALSE(r.consumesVersion);
 }
 
 TEST(ArcReducer, DropsDominatedArcs)
@@ -165,10 +255,10 @@ TEST_F(CaptureUnitTest, ArcReductionAppliedOnAppend)
     AppEvent ev = appEvent(EventType::kLoad, 0);
     ev.arcs.push_back(RawArc{1, 10, false});
     ev.arcs.push_back(RawArc{1, 8, false}); // dominated by the first
-    cu.append(ev);
+    cu.append(std::move(ev));
     EventRecord r = cu.pop();
-    ASSERT_EQ(r.arcs.size(), 1u);
-    EXPECT_EQ(r.arcs[0].rid, 10u);
+    ASSERT_EQ(r.arcs().size(), 1u);
+    EXPECT_EQ(r.arcs()[0].rid, 10u);
 }
 
 TEST_F(CaptureUnitTest, ArcsOnFilteredRecordCarryForward)
@@ -179,13 +269,13 @@ TEST_F(CaptureUnitTest, ArcsOnFilteredRecordCarryForward)
     CaptureUnit cu(0, cfg, f);
     AppEvent load = appEvent(EventType::kLoad, 0);
     load.arcs.push_back(RawArc{1, 42, false});
-    EXPECT_FALSE(cu.append(load)); // filtered, arc pending
+    EXPECT_FALSE(cu.append(std::move(load))); // filtered, arc pending
     EXPECT_TRUE(cu.append(appEvent(EventType::kMovRR, 1)));
     EventRecord r = cu.pop();
     // The ordering survived on the next captured record.
-    ASSERT_EQ(r.arcs.size(), 1u);
-    EXPECT_EQ(r.arcs[0].tid, 1u);
-    EXPECT_EQ(r.arcs[0].rid, 42u);
+    ASSERT_EQ(r.arcs().size(), 1u);
+    EXPECT_EQ(r.arcs()[0].tid, 1u);
+    EXPECT_EQ(r.arcs()[0].rid, 42u);
 }
 
 TEST_F(CaptureUnitTest, ProgressCeilingTracksStream)
@@ -218,10 +308,38 @@ TEST_F(CaptureUnitTest, ConsumeAnnotation)
     const EventRecord *r = cu.peek();
     ASSERT_NE(r, nullptr);
     EXPECT_TRUE(r->consumesVersion);
-    EXPECT_EQ(r->version, v);
+    EXPECT_EQ(r->version(), v);
     // Annotating a consumed record reports failure (benign).
     cu.pop();
     EXPECT_FALSE(cu.annotateConsume(3, v));
+}
+
+TEST_F(CaptureUnitTest, AppendOfPlainRecordAllocatesNoColdBlock)
+{
+    CaptureUnit cu(0, cfg, EventFilter{});
+    EXPECT_TRUE(cu.append(appEvent(EventType::kLoad, 0, 0x100)));
+    ASSERT_NE(cu.peek(), nullptr);
+    EXPECT_FALSE(cu.peek()->hasColdBlock());
+}
+
+TEST_F(CaptureUnitTest, AnnotationsReachABufferedRecordWithoutColdBlock)
+{
+    CaptureUnit cu(0, cfg, EventFilter{});
+    cu.append(appEvent(EventType::kLoad, 3, 0x100));
+    cu.append(appEvent(EventType::kLoad, 4, 0x108));
+    ASSERT_FALSE(cu.buffer().findByRid(3)->hasColdBlock());
+    ASSERT_FALSE(cu.buffer().findByRid(4)->hasColdBlock());
+
+    EXPECT_TRUE(cu.annotateConsume(3, VersionTag{1, 99}));
+    cu.attachArcs(4, {RawArc{1, 7, false}});
+
+    EventRecord first = cu.pop();
+    EXPECT_TRUE(first.consumesVersion);
+    EXPECT_EQ(first.version(), (VersionTag{1, 99}));
+    EXPECT_TRUE(first.arcs().empty());
+    EventRecord second = cu.pop();
+    EXPECT_EQ(second.arcs(), (std::vector<DepArc>{DepArc{1, 7}}));
+    EXPECT_EQ(second.version(), VersionTag{});
 }
 
 TEST_F(CaptureUnitTest, DuplicateConsumeAnnotationReportsFalse)
@@ -251,8 +369,9 @@ TEST_F(CaptureUnitTest, ProduceInsertionMovesStoreArcsAndStampsStoreRid)
     CaptureUnit cu(0, cfg, EventFilter{});
     AppEvent store = appEvent(EventType::kStore, 5, 0x100);
     store.arcs.push_back(RawArc{1, 42, false});
-    cu.append(store);
+    cu.append(std::move(store));
     cu.insertProduceBefore(5, VersionTag{2, 7}, 0x100, 8);
+    EXPECT_TRUE(cu.buffer().findStoreByRid(5)->arcs().empty());
 
     // The snapshot must wait for every remote handler the store itself
     // is ordered after: the produce record inherits the drain-time
@@ -261,9 +380,9 @@ TEST_F(CaptureUnitTest, ProduceInsertionMovesStoreArcsAndStampsStoreRid)
     ASSERT_EQ(produce.type, EventType::kProduceVersion);
     EXPECT_EQ(produce.rid, 5u);
     EXPECT_EQ(produce.value, 5u);
-    ASSERT_EQ(produce.arcs.size(), 1u);
-    EXPECT_EQ(produce.arcs[0], (DepArc{1, 42}));
-    EXPECT_TRUE(cu.pop().arcs.empty());
+    ASSERT_EQ(produce.arcs().size(), 1u);
+    EXPECT_EQ(produce.arcs()[0], (DepArc{1, 42}));
+    EXPECT_TRUE(cu.pop().arcs().empty());
 }
 
 TEST_F(CaptureUnitTest, ProduceInsertionAfterSameRidCaRecordStaysSorted)
@@ -279,7 +398,7 @@ TEST_F(CaptureUnitTest, ProduceInsertionAfterSameRidCaRecordStaysSorted)
     EventRecord ca;
     ca.type = EventType::kCaBegin;
     ca.value = 0;
-    cu.appendCa(ca); // rid 10, same as the upcoming store
+    cu.appendCa(std::move(ca)); // rid 10, same as the upcoming store
     cu.append(appEvent(EventType::kStore, 10, 0x200));
 
     cu.insertProduceBefore(10, VersionTag{1, 33}, 0x200, 8);

@@ -58,7 +58,7 @@ TEST(Compressor, ArcsAddBytes)
     EventRecord plain = loadAt(0x1000);
     std::uint32_t base = c.encode(plain);
     EventRecord with_arc = loadAt(0x1008);
-    with_arc.arcs.push_back(DepArc{1, 100});
+    with_arc.mutableArcs().push_back(DepArc{1, 100});
     EXPECT_GT(c.encode(with_arc), base - 1); // arc payload present
     EventRecord strided = loadAt(0x1010);
     std::uint32_t after = c.encode(strided);
@@ -70,7 +70,7 @@ TEST(Compressor, HighLevelRecordsCarryRanges)
     StreamCompressor c;
     EventRecord m;
     m.type = EventType::kMallocEnd;
-    m.range = AddrRange{0x10000, 0x10400};
+    m.setRange(AddrRange{0x10000, 0x10400});
     EXPECT_GT(c.encode(m), 2u);
 }
 
@@ -108,12 +108,12 @@ expectRecordEq(const EventRecord &got, const EventRecord &want,
     EXPECT_EQ(got.size, want.size) << ctx;
     EXPECT_EQ(got.addr, want.addr) << ctx;
     EXPECT_EQ(got.value, want.value) << ctx;
-    EXPECT_EQ(got.range, want.range) << ctx;
+    EXPECT_EQ(got.range(), want.range()) << ctx;
     EXPECT_EQ(got.syscall, want.syscall) << ctx;
     EXPECT_EQ(got.caKind, want.caKind) << ctx;
     EXPECT_EQ(got.caSeq, want.caSeq) << ctx;
-    EXPECT_EQ(got.arcs, want.arcs) << ctx;
-    EXPECT_EQ(got.version, want.version) << ctx;
+    EXPECT_EQ(got.arcs(), want.arcs()) << ctx;
+    EXPECT_EQ(got.version(), want.version()) << ctx;
     EXPECT_EQ(got.consumesVersion, want.consumesVersion) << ctx;
     EXPECT_EQ(got.wrapper, want.wrapper) << ctx;
 }
@@ -132,6 +132,7 @@ roundTripStream(const std::vector<EventRecord> &stream)
     RecordId enc_last_rid = 0;
     std::uint64_t decoded_bytes = 0;
 
+    EventRecord back; // reused, like the trace reader's decode target
     for (std::size_t i = 0; i < stream.size(); ++i) {
         const EventRecord &rec = stream[i];
         std::string ctx = std::string("record ") + std::to_string(i) +
@@ -147,11 +148,16 @@ roundTripStream(const std::vector<EventRecord> &stream)
         EXPECT_EQ(emitted, modeled) << ctx;
         ASSERT_EQ(bytes.size() - sideband_len, modeled) << ctx;
 
-        EventRecord back;
         ByteCursor c(bytes.data(), bytes.size());
         ASSERT_TRUE(dec.decode(c, emitted, back)) << ctx;
         EXPECT_TRUE(c.atEnd()) << ctx;
         expectRecordEq(back, rec, ctx);
+        // Decoding allocates a cold block only for a record that
+        // carries range, version or arcs.
+        EXPECT_EQ(back.hasColdBlock(), back.range() != AddrRange{} ||
+                                           back.version() != VersionTag{} ||
+                                           !back.arcs().empty())
+            << ctx;
         decoded_bytes += emitted;
     }
     EXPECT_EQ(decoded_bytes, legacy.totalBytes());
@@ -185,17 +191,17 @@ recordOf(EventType type, Addr addr, RecordId rid)
         break;
       case EventType::kMallocEnd:
       case EventType::kFreeBegin:
-        r.range = AddrRange{addr, addr + 256};
+        r.setRange(AddrRange{addr, addr + 256});
         r.caSeq = 11;
         break;
       case EventType::kSyscallBegin:
       case EventType::kSyscallEnd:
-        r.range = AddrRange{addr, addr + 64};
+        r.setRange(AddrRange{addr, addr + 64});
         r.syscall = SyscallKind::kRead;
         break;
       case EventType::kCaBegin:
       case EventType::kCaEnd:
-        r.range = AddrRange{addr, addr + 128};
+        r.setRange(AddrRange{addr, addr + 128});
         r.value = 9; // CA sequence
         r.caKind = HighLevelKind::kFreeBegin;
         break;
@@ -203,7 +209,7 @@ recordOf(EventType type, Addr addr, RecordId rid)
         r.addr = addr;
         r.size = 4;
         r.value = 17; // producing store rid
-        r.version = VersionTag{1, 17};
+        r.setVersion(VersionTag{1, 17});
         break;
       case EventType::kMovImm:
       case EventType::kThreadSwitch:
@@ -241,10 +247,10 @@ TEST(CodecRoundTrip, ArcsVersionsAndFlags)
 {
     std::vector<EventRecord> stream;
     EventRecord ld = recordOf(EventType::kLoad, 0x1000, 5);
-    ld.arcs.push_back(DepArc{1, 100});
-    ld.arcs.push_back(DepArc{3, 70000}); // multi-byte varint rid
+    ld.mutableArcs().push_back(DepArc{1, 100});
+    ld.mutableArcs().push_back(DepArc{3, 70000}); // multi-byte varint rid
     ld.consumesVersion = true;
-    ld.version = VersionTag{2, 1234};
+    ld.setVersion(VersionTag{2, 1234});
     stream.push_back(ld);
 
     EventRecord st = recordOf(EventType::kStore, 0x2000, 6);
@@ -276,7 +282,7 @@ TEST(CodecRoundTrip, RandomizedStream)
         EventRecord r = recordOf(static_cast<EventType>(t),
                                  rng.next() & 0xFFFFF8, rid);
         if (rng.next() % 4 == 0)
-            r.arcs.push_back(
+            r.mutableArcs().push_back(
                 DepArc{static_cast<ThreadId>(rng.next() % 8),
                        rng.next() % 100000});
         stream.push_back(r);

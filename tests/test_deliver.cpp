@@ -118,7 +118,7 @@ TEST_F(EnforceTest, ArcStallsUntilProgress)
 {
     AppEvent ev = load(0, 0);
     ev.arcs.push_back(RawArc{1, 5, false});
-    unit0.append(ev);
+    unit0.append(std::move(ev));
     OrderEnforcer::Delivery d;
     EXPECT_EQ(enf0.tryDeliver(d), DeliverStatus::kDepStall);
     progress.publish(1, 5); // done=5 means rid 5 NOT yet complete
@@ -131,8 +131,8 @@ TEST_F(EnforceTest, VersionStallUntilProduced)
 {
     AppEvent ev = load(0, 0);
     ev.record.consumesVersion = true;
-    ev.record.version = VersionTag{1, 7};
-    unit0.append(ev);
+    ev.record.setVersion(VersionTag{1, 7});
+    unit0.append(std::move(ev));
     OrderEnforcer::Delivery d;
     EXPECT_EQ(enf0.tryDeliver(d), DeliverStatus::kVersionStall);
     versions.produce(VersionTag{1, 7}, VersionStore::Versioned{1, 0x100, 8});
@@ -147,8 +147,8 @@ TEST_F(EnforceTest, CaBarrierBothHalves)
     freeEv.record.type = EventType::kFreeBegin;
     freeEv.record.tid = 0;
     freeEv.record.rid = 10;
-    freeEv.record.range = AddrRange{0x1000, 0x1040};
-    unit0.append(freeEv);
+    freeEv.record.setRange(AddrRange{0x1000, 0x1040});
+    unit0.append(std::move(freeEv));
 
     unit1.setRetired(4); // thread 1 has retired 4 records
     unit1.append(load(1, 2));
@@ -242,7 +242,7 @@ TEST_F(EnforceTest, BatchMatchesSinglePop)
                 ev.arcs.push_back(RawArc{arc_tid, 2, false}); // satisfied
             if (r == 9)
                 ev.arcs.push_back(RawArc{arc_tid, 50, false}); // stalls
-            unit.append(ev);
+            unit.append(std::move(ev));
         }
     };
     build(unit0, 0, 1);

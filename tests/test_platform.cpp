@@ -5,15 +5,21 @@
  * (shadow state consistency, ordering, ConflictAlert effects).
  */
 
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include "core/replay.hpp"
 #include "harness/paralog_test.hpp"
 #include "lifeguard/addrcheck.hpp"
 #include "lifeguard/taintcheck.hpp"
+#include "trace/format.hpp"
+#include "trace/recorder.hpp"
 
 namespace paralog {
 namespace {
@@ -283,6 +289,129 @@ TEST_F(PlatformTest, LockSetFlagsRacyWorkload)
     Platform p(cfg);
     RunResult r = p.run();
     EXPECT_GT(r.violationCount, 0u);
+}
+
+// ------------------------------------------------ write syscall ----
+
+/**
+ * Thread 0 allocates two 64-byte heap buffers, read()s untrusted input
+ * into the first and then write()s either the first (tainted) or the
+ * second (untouched) one out. Thread 1 stores to a few globals, so the
+ * syscall ConflictAlerts have a peer to reach.
+ */
+class WriteSyscallWorkload : public Workload
+{
+  public:
+    explicit WriteSyscallWorkload(bool write_tainted)
+        : writeTainted_(write_tainted)
+    {
+    }
+
+    const char *name() const override { return "write_syscall"; }
+
+    ThreadProgramPtr
+    makeThread(ThreadId tid, const WorkloadEnv &env) const override
+    {
+        return std::make_unique<Thread>(tid, env, writeTainted_);
+    }
+
+  private:
+    struct Thread : public ThreadProgram
+    {
+        Thread(ThreadId tid, const WorkloadEnv &env, bool write_tainted)
+            : tid_(tid), env_(env), writeTainted_(write_tainted)
+        {
+        }
+
+        std::optional<Inst>
+        next(ThreadContext &tc) override
+        {
+            const unsigned step = step_++;
+            if (tid_ != 0)
+                return step < 8 ? std::optional<Inst>(Inst::store(
+                                      env_.globalBase + 8 * step, 0, 8))
+                                : std::nullopt;
+            switch (step) {
+              case 0: return Inst::malloc(1, kBytes);
+              case 1: return Inst::malloc(2, kBytes);
+              case 2: return Inst::syscallRead(tc.regs[1], kBytes);
+              case 3:
+                return Inst::syscallWrite(tc.regs[writeTainted_ ? 1 : 2],
+                                          kBytes);
+              default: return std::nullopt;
+            }
+        }
+
+        static constexpr std::uint32_t kBytes = 64;
+        ThreadId tid_;
+        WorkloadEnv env_;
+        bool writeTainted_;
+        unsigned step_ = 0;
+    };
+
+    bool writeTainted_;
+};
+
+PlatformConfig
+writeSyscallConfig(LifeguardKind lifeguard, bool write_tainted)
+{
+    PlatformConfig cfg =
+        makeConfig(WorkloadKind::kLu, lifeguard, MonitorMode::kParallel, 2,
+                   test::makeOptions());
+    cfg.customWorkload =
+        std::make_shared<WriteSyscallWorkload>(write_tainted);
+    return cfg;
+}
+
+TEST_F(PlatformTest, WriteSyscallOfTaintedBufferIsReportedOnce)
+{
+    Platform p(writeSyscallConfig(LifeguardKind::kTaintCheck, true));
+    RunResult r = p.run();
+    EXPECT_EQ(r.violationCount, 1u);
+    EXPECT_EQ(p.lifeguard().violations.count(
+                  Violation::Kind::kTaintedOutput),
+              1u);
+}
+
+TEST_F(PlatformTest, WriteSyscallOfUntouchedBufferIsClean)
+{
+    Platform p(writeSyscallConfig(LifeguardKind::kTaintCheck, false));
+    EXPECT_EQ(p.run().violationCount, 0u);
+}
+
+TEST_F(PlatformTest, WriteSyscallIsCleanUnderAddrCheck)
+{
+    Platform p(writeSyscallConfig(LifeguardKind::kAddrCheck, true));
+    EXPECT_EQ(p.run().violationCount, 0u);
+}
+
+TEST_F(PlatformTest, WriteSyscallViolationSurvivesV2RecordAndReplay)
+{
+    const std::string path = ::testing::TempDir() +
+                             "paralog_write_syscall_" +
+                             std::to_string(::getpid()) + ".trace";
+    PlatformConfig cfg =
+        writeSyscallConfig(LifeguardKind::kTaintCheck, true);
+    trace::TraceRecorder recorder(
+        path,
+        trace::TraceConfig::forRun(cfg.sim, cfg.workload, cfg.lifeguard,
+                                   cfg.scale),
+        trace::kFormatVersionV2);
+    ASSERT_TRUE(recorder.ok()) << recorder.error();
+    cfg.recorder = &recorder;
+    Platform p(cfg);
+    RunResult live = p.run();
+    live.shadowFingerprint = heapGlobalsFingerprint(p.lifeguard().shadow());
+    ASSERT_TRUE(recorder.finalize(live)) << recorder.error();
+    ASSERT_EQ(live.violationCount, 1u);
+
+    ReplayConfig rc;
+    rc.path = path;
+    ReplayPlatform rp(std::move(rc));
+    RunResult replayed = rp.run();
+    EXPECT_EQ(replayed.violationCount, 1u);
+    EXPECT_EQ(replayed.violationFingerprint, live.violationFingerprint);
+    std::remove(path.c_str());
 }
 
 // ------------------------------------------------- result tiers ----

@@ -35,7 +35,7 @@ TEST(Validator, OrderedPairAccepted)
     std::vector<TracedRecord> trace;
     trace.push_back(access(0, 0, 0, EventType::kStore, 0x1000));
     TracedRecord rd = access(1, 1, 0, EventType::kLoad, 0x1000);
-    rd.rec.arcs.push_back(DepArc{0, 0}); // RAW arc recorded
+    rd.rec.mutableArcs().push_back(DepArc{0, 0}); // RAW arc recorded
     trace.push_back(rd);
 
     HappensBeforeValidator v(2);
@@ -65,11 +65,11 @@ TEST(Validator, TransitiveOrderingAccepted)
     std::vector<TracedRecord> trace;
     trace.push_back(access(0, 0, 0, EventType::kStore, 0x1000)); // A
     TracedRecord r1 = access(1, 1, 0, EventType::kLoad, 0x1000);
-    r1.rec.arcs.push_back(DepArc{0, 0});
+    r1.rec.mutableArcs().push_back(DepArc{0, 0});
     trace.push_back(r1);
     trace.push_back(access(2, 1, 1, EventType::kStore, 0x2000)); // B
     TracedRecord r2 = access(3, 2, 0, EventType::kLoad, 0x2000);
-    r2.rec.arcs.push_back(DepArc{1, 1});
+    r2.rec.mutableArcs().push_back(DepArc{1, 1});
     trace.push_back(r2);
     trace.push_back(access(4, 2, 1, EventType::kLoad, 0x1000)); // A again
 
@@ -113,7 +113,7 @@ TEST(Validator, ConflictAlertOrdersLogicalRace)
     freeRec.rec.type = EventType::kFreeBegin;
     freeRec.rec.tid = 0;
     freeRec.rec.rid = 0;
-    freeRec.rec.range = AddrRange{0x5000, 0x5100};
+    freeRec.rec.setRange(AddrRange{0x5000, 0x5100});
     freeRec.rec.caSeq = 7;
     trace.push_back(freeRec);
 
@@ -124,7 +124,7 @@ TEST(Validator, ConflictAlertOrdersLogicalRace)
     ca.rec.rid = 1;
     ca.rec.value = 7;
     ca.rec.caKind = HighLevelKind::kFreeBegin;
-    ca.rec.range = AddrRange{0x5000, 0x5100};
+    ca.rec.setRange(AddrRange{0x5000, 0x5100});
     trace.push_back(ca);
 
     // T1's access after its CA record: ordered after the free.
@@ -148,7 +148,7 @@ TEST(Validator, FreeWithoutAlertFlagged)
     freeRec.rec.type = EventType::kFreeBegin;
     freeRec.rec.tid = 0;
     freeRec.rec.rid = 0;
-    freeRec.rec.range = AddrRange{0x5000, 0x5100};
+    freeRec.rec.setRange(AddrRange{0x5000, 0x5100});
     trace.push_back(freeRec); // no CA, no arc: logical race
 
     HappensBeforeValidator v(2);
@@ -171,8 +171,8 @@ TEST(Validator, SyscallRangeDirectionFollowsTheSharedClassifier)
     sys.rec.tid = 0;
     sys.rec.rid = 0;
     sys.rec.syscall = SyscallKind::kWrite;
-    sys.rec.range = AddrRange{0x5000, 0x5040};
-    sys.rec.arcs.push_back(DepArc{1, 0});
+    sys.rec.setRange(AddrRange{0x5000, 0x5040});
+    sys.rec.mutableArcs().push_back(DepArc{1, 0});
     sys.isWrite = traceIsWrite(sys.rec);
     EXPECT_FALSE(sys.isWrite);
     trace.push_back(sys);

@@ -52,7 +52,7 @@ class AppCore
   private:
     CoreId core_;
     std::unique_ptr<ThreadContext> tc_;
-    CaptureUnit *capture_; ///< may be shared (timesliced) or null
+    CaptureUnit *capture_; ///< null when unmonitored
     Interpreter &interp_;
     Interpreter::StepOutcome out_; ///< scratch, reused across steps
     MemorySystem &mem_;

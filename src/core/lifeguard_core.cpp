@@ -7,6 +7,17 @@
 
 namespace paralog {
 
+namespace {
+
+/// Max records one step drains through the batched delivery fast path
+/// (OrderEnforcer::tryDeliverBatch). Purely a host wall-clock bound:
+/// simulated timing and results are identical for any value >= 1 (the
+/// batch never spans a stall, and per-record costs accumulate exactly
+/// as single-pop delivery would).
+constexpr std::uint32_t kDeliverBatchMax = 16;
+
+} // namespace
+
 LifeguardCore::LifeguardCore(CoreId core, ThreadId tid, const SimConfig &cfg,
                              CaptureUnit &capture, ProgressTable &progress,
                              CaManager &ca, Lifeguard &lifeguard,
@@ -176,11 +187,11 @@ LifeguardCore::enforceVersionProtocol(const EventRecord &rec)
         vs.consume(rec.version());
 }
 
-void
+std::uint32_t
 LifeguardCore::step(Cycle now, Cycle batch_horizon)
 {
     if (finished())
-        return;
+        return 1;
 
     OrderEnforcer::BatchItem d;
     DeliverStatus st = enforcer_.tryDeliverBatch(d, false);
@@ -201,22 +212,22 @@ LifeguardCore::step(Cycle now, Cycle batch_horizon)
             publishProgress();
             busyUntil = now + cfg_.retryInterval;
         }
-        return;
+        return 1;
 
       case DeliverStatus::kDepStall:
         stats.depStall += cfg_.depRetryInterval;
         busyUntil = now + cfg_.depRetryInterval + maybeStallFlush(now);
-        return;
+        return 1;
 
       case DeliverStatus::kCaStall:
         stats.caStall += cfg_.depRetryInterval;
         busyUntil = now + cfg_.depRetryInterval + maybeStallFlush(now);
-        return;
+        return 1;
 
       case DeliverStatus::kVersionStall:
         stats.versionStall += cfg_.depRetryInterval;
         busyUntil = now + cfg_.depRetryInterval + maybeStallFlush(now);
-        return;
+        return 1;
 
       case DeliverStatus::kDelivered:
         break;
@@ -267,9 +278,9 @@ LifeguardCore::step(Cycle now, Cycle batch_horizon)
             progress_.finish(tid_);
             stats.doneAt = now + cost;
             busyUntil = now + cost;
-            return;
+            return delivered;
         }
-        if (delivered >= cfg_.deliverBatchMax ||
+        if (delivered >= kDeliverBatchMax ||
             now + cost >= batch_horizon)
             break;
         if (enforcer_.tryDeliverBatch(d, true) != DeliverStatus::kDelivered)
@@ -285,6 +296,7 @@ LifeguardCore::step(Cycle now, Cycle batch_horizon)
     }
     publishProgress();
     busyUntil = now + cost;
+    return delivered;
 }
 
 void

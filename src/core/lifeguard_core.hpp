@@ -37,8 +37,15 @@ class LifeguardCore
      * — every batched record is processed, and every side effect
      * published, in an interval no other core observes. Pass
      * @p batch_horizon = now to disable batching (single-pop step).
+     *
+     * Returns the number of single-pop steps this call stands for: the
+     * records it delivered, or 1 for a stall or empty step. A batch of
+     * n records is exactly the n scheduler iterations single-pop
+     * delivery would have spent stepping only this core, so the serial
+     * scheduler's step count (the journal's stamp) is the same either
+     * way.
      */
-    void step(Cycle now, Cycle batch_horizon);
+    std::uint32_t step(Cycle now, Cycle batch_horizon);
 
     /** All kThreadDone records consumed (timesliced needs several). */
     bool finished() const { return doneSeen_ >= doneNeeded_; }

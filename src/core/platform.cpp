@@ -90,13 +90,6 @@ Platform::Platform(PlatformConfig cfg)
         PARALOG_ASSERT(!concurrentLive(),
                        "trace recording requires the serial engine "
                        "(lgThreads 0 or 1)");
-        // Canonical single-pop delivery: the step-call structure must
-        // be reproducible without the application cores. Batching is
-        // simulated-result-invariant (the host wall-clock knob), but its
-        // batch boundaries depend on the application-side horizon;
-        // batch size 1 removes that dependence. Replay forces the same
-        // value.
-        cfg_.sim.deliverBatchMax = 1;
     }
 
     mem_ = std::make_unique<MemorySystem>(cfg_.sim, cores);
@@ -350,10 +343,10 @@ Platform::soloHorizon() const
 }
 
 void
-Platform::afterLgStep()
+Platform::afterLgStep(std::uint32_t n)
 {
     if (cfg_.recorder)
-        cfg_.recorder->noteLgStep();
+        cfg_.recorder->noteLgStep(n);
 }
 
 void

@@ -174,7 +174,7 @@ class Platform : public PlatformHooks, public TsoHooks
     Cycle nextProducerCycle() const;
     void produce(Cycle now, std::uint64_t lg_steps);
     Cycle soloHorizon() const;
-    void afterLgStep();
+    void afterLgStep(std::uint32_t n);
     void foldState(SignatureFold &fold, std::uint64_t lg_steps) const;
     /// The app-state line of stream @p tid (serial and concurrent dumps).
     void dumpStream(ThreadId tid) const;

@@ -109,12 +109,6 @@ ReplayPlatform::ReplayPlatform(ReplayConfig cfg)
     if (!cfg_.lifeguardOverride)
         lifeguardKind_ = tc.lifeguard;
     sameLifeguard_ = (lifeguardKind_ == tc.lifeguard);
-    // Recordings use canonical single-pop delivery (see the Platform
-    // ctor): the journal's lifeguard-step stamps only line up when
-    // replay steps the same way. The concurrent engine ignores
-    // the step stamps entirely (delivery order is protocol-enforced,
-    // not schedule-reproduced), so it may batch freely.
-    sim_.deliverBatchMax = concurrent() ? 16 : 1;
 
     if (concurrent()) {
         // Cross-lifeguard replays re-filter streams and use a fresh
@@ -208,7 +202,13 @@ ReplayPlatform::run()
         return runConcurrent();
     SerialScheduler sched("replay", cfg_.maxCycles, cfg_.stallWatchdogIters,
                           lgCores_, *progress_, versions_);
-    RunResult result = collectResult(sched.run(*this));
+    // The application's last step (its exit) journals no op, so the
+    // journal can run dry before the recorded application exited; the
+    // live run ended no earlier than that exit.
+    Cycle total = sched.run(*this);
+    for (const AppThreadStats &a : reader_.footer().result.app)
+        total = std::max(total, a.doneAt);
+    RunResult result = collectResult(total);
 
     // The oracle panics when a lifeguard performs *more* metadata
     // accesses than recorded; the opposite divergence — recorded

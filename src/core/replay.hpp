@@ -7,13 +7,15 @@
  * journalled producer-side stream mutations (appends, CA insertions,
  * TSO annotations, visibility-limit moves, retire ticks) at their
  * recorded simulated cycles — and, within a cycle, only after the
- * recorded number of global lifeguard steps, which reproduces the live
- * scheduler's producer/consumer interleaving exactly. The lifeguard
- * cores, order enforcers, accelerators, progress table, ConflictAlert
- * barriers and version store are the real ones, so when the recorded
- * lifeguard is replayed the delivery order, lifeguard results, shadow
- * fingerprint and every stats column reproduce the live run
- * bit-identically (self-checked against the trace footer).
+ * recorded number of global single-pop lifeguard steps, which
+ * reproduces the live scheduler's producer/consumer interleaving
+ * exactly, whether either side delivered in batches or one record at
+ * a time. The lifeguard cores, order enforcers, accelerators, progress
+ * table, ConflictAlert barriers and version store are the real ones,
+ * so when the recorded lifeguard is replayed the delivery order,
+ * lifeguard results, shadow fingerprint and every stats column
+ * reproduce the live run bit-identically (self-checked against the
+ * trace footer).
  *
  * Replaying under a *different* lifeguard re-monitors the same event
  * streams: results are genuine analysis output, but the recording only
@@ -161,7 +163,7 @@ class ReplayPlatform
     /// An op gated on a future lifeguard step has cycle <= now and pins
     /// the horizon to now: conservative, and result-invariant.
     Cycle soloHorizon() const { return nextProducerCycle(); }
-    void afterLgStep() {}
+    void afterLgStep(std::uint32_t) {}
     void foldState(SignatureFold &fold, std::uint64_t lg_steps) const;
     void dumpStream(ThreadId tid) const;
 

@@ -13,7 +13,8 @@
  * class (a friend) calls, inlined into the loop: producersDone(),
  * nextProducerCycle() (~0: none), produce(now, lg_steps),
  * soloHorizon() (earliest time a producer-side actor can act),
- * afterLgStep(), foldState(fold, lg_steps) (progress terms) and
+ * afterLgStep(n) (n single-pop lifeguard steps just ran),
+ * foldState(fold, lg_steps) (progress terms) and
  * dumpStream(t) (one line of stream t's producer state).
  */
 
@@ -212,9 +213,11 @@ class SerialScheduler
                     if (j != i && !lgs_[j]->finished())
                         horizon = std::min(horizon, lgs_[j]->busyUntil);
                 }
-                c->step(now, horizon);
-                hooks.afterLgStep();
-                ++lg_steps;
+                // A batch counts as the single-pop steps it stands for,
+                // which is what the journal stamps.
+                const std::uint32_t n = c->step(now, horizon);
+                hooks.afterLgStep(n);
+                lg_steps += n;
             }
         }
         return now;

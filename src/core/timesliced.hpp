@@ -50,7 +50,7 @@ class Timesliced : public PlatformHooks
     Cycle nextProducerCycle() const;
     void produce(Cycle now, std::uint64_t lg_steps);
     Cycle soloHorizon() const { return nextProducerCycle(); }
-    void afterLgStep() {}
+    void afterLgStep(std::uint32_t) {}
     void foldState(SignatureFold &fold, std::uint64_t lg_steps) const;
     void dumpStream(ThreadId) const {}
 

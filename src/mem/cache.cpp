@@ -101,11 +101,4 @@ Cache::invalidate(Addr addr)
         line->state = LineState::kInvalid;
 }
 
-void
-Cache::flushAll()
-{
-    for (auto &line : lines_)
-        line.state = LineState::kInvalid;
-}
-
 } // namespace paralog

@@ -84,9 +84,6 @@ class Cache
     /** Invalidate the line containing @p addr if present. */
     void invalidate(Addr addr);
 
-    /** Invalidate everything (context switch / barrier flush). */
-    void flushAll();
-
     Addr lineAddr(Addr addr) const { return addr & ~lineMask_; }
     std::uint32_t lineBytes() const { return params_.lineBytes; }
     Cycle hitLatency() const { return params_.hitLatency; }

@@ -236,15 +236,6 @@ MemorySystem::kernelWrite(Addr addr, unsigned size, std::uint64_t value)
     kernelWritesCtr_.inc();
 }
 
-void
-MemorySystem::flushL1(CoreId core)
-{
-    l1s_[core]->flushAll();
-    directory_.forEach([core](std::uint64_t, DirEntry &de) {
-        de.sharers &= ~(1u << core);
-    });
-}
-
 LineState
 MemorySystem::l1State(CoreId core, Addr addr) const
 {

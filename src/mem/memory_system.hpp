@@ -95,9 +95,6 @@ class MemorySystem
      */
     void setCoreCounter(CoreId core, RecordId rid);
 
-    /** Flush one core's L1 (context switch in timesliced mode). */
-    void flushL1(CoreId core);
-
     /** Current MESI state of @p addr in @p core's L1 (for tests). */
     LineState l1State(CoreId core, Addr addr) const;
 

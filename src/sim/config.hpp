@@ -132,13 +132,6 @@ struct SimConfig
     /// wait cycles, which a short delay preserves.
     std::uint32_t stallFlushAfterRetries = 8;
 
-    /// Max records one LifeguardCore::step drains through the batched
-    /// delivery fast path (OrderEnforcer::tryDeliverBatch). Purely a
-    /// host wall-clock knob: simulated timing and results are identical
-    /// for any value >= 1 (the batch never spans a stall, and per-record
-    /// costs accumulate exactly as single-pop delivery would).
-    std::uint32_t deliverBatchMax = 16;
-
     /// Deterministic seed for workloads.
     std::uint64_t seed = 1;
 

@@ -8,10 +8,12 @@
  * insertions and broadcasts, TSO drain-time arc attachment,
  * produce/consume version annotations, visibility-limit moves and
  * retire-counter ticks — each stamped with its simulated cycle and the
- * global lifeguard-step count at which it happened. Replaying the
- * journal against live lifeguard cores reproduces the recorded run's
- * delivery order, lifeguard results, shadow fingerprints and stats
- * bit-identically (core/replay.hpp).
+ * global count of single-pop lifeguard steps at which it happened (a
+ * batched step of n records counts n; a stall or empty step counts 1,
+ * see LifeguardCore::step). Replaying the journal against live
+ * lifeguard cores reproduces the recorded run's delivery order,
+ * lifeguard results, shadow fingerprints and stats bit-identically
+ * (core/replay.hpp).
  *
  * Layout (all integers little-endian):
  *

@@ -3,7 +3,8 @@
  * TraceRecorder: the live half of record/replay. Attached to a
  * Platform run (PlatformConfig::recorder), it implements the capture
  * journal — stamping every producer-side stream mutation with its
- * simulated cycle and the global lifeguard-step count, and writing its
+ * simulated cycle and the global count of single-pop lifeguard steps
+ * (a batched step of n records counts n), and writing its
  * fields straight into the TraceWriter's per-thread v2 columns
  * (OpColumns, v2_block.hpp), from which a chunk flush produces either
  * container's payload — and additionally captures the platform-level
@@ -48,7 +49,8 @@ class TraceRecorder : public CaptureJournal
 
     // ---- phase bookkeeping (driven by the Platform scheduler loop) ----
     void setNow(Cycle now) { now_ = now; }
-    void noteLgStep() { ++lgSteps_; }
+    /** @p n single-pop lifeguard steps just ran (LifeguardCore::step). */
+    void noteLgStep(std::uint32_t n) { lgSteps_ += n; }
 
     // ---- CaptureJournal ----
     void onRetire(ThreadId tid, RecordId retired) override;

@@ -10,10 +10,10 @@
 #include <gtest/gtest.h>
 
 #include "common/bitops.hpp"
-#include "common/interval_set.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/types.hpp"
 
 namespace paralog {
 namespace {
@@ -74,71 +74,6 @@ TEST(Rng, UniformInUnitInterval)
         EXPECT_GE(u, 0.0);
         EXPECT_LT(u, 1.0);
     }
-}
-
-TEST(IntervalSet, InsertAndContains)
-{
-    IntervalSet s;
-    s.insert(10, 20);
-    EXPECT_TRUE(s.contains(10));
-    EXPECT_TRUE(s.contains(19));
-    EXPECT_FALSE(s.contains(20));
-    EXPECT_FALSE(s.contains(9));
-}
-
-TEST(IntervalSet, MergeAdjacent)
-{
-    IntervalSet s;
-    s.insert(10, 20);
-    s.insert(20, 30);
-    EXPECT_EQ(s.size(), 1u);
-    EXPECT_TRUE(s.covers(10, 30));
-}
-
-TEST(IntervalSet, MergeOverlapping)
-{
-    IntervalSet s;
-    s.insert(10, 25);
-    s.insert(20, 40);
-    s.insert(5, 12);
-    EXPECT_EQ(s.size(), 1u);
-    EXPECT_TRUE(s.covers(5, 40));
-    EXPECT_EQ(s.coveredBytes(), 35u);
-}
-
-TEST(IntervalSet, EraseSplits)
-{
-    IntervalSet s;
-    s.insert(0, 100);
-    s.erase(40, 60);
-    EXPECT_EQ(s.size(), 2u);
-    EXPECT_TRUE(s.contains(39));
-    EXPECT_FALSE(s.contains(40));
-    EXPECT_FALSE(s.contains(59));
-    EXPECT_TRUE(s.contains(60));
-}
-
-TEST(IntervalSet, EraseAcrossRanges)
-{
-    IntervalSet s;
-    s.insert(0, 10);
-    s.insert(20, 30);
-    s.insert(40, 50);
-    s.erase(5, 45);
-    EXPECT_EQ(s.coveredBytes(), 10u);
-    EXPECT_TRUE(s.covers(0, 5));
-    EXPECT_TRUE(s.covers(45, 50));
-}
-
-TEST(IntervalSet, Overlaps)
-{
-    IntervalSet s;
-    s.insert(100, 200);
-    EXPECT_TRUE(s.overlaps(150, 160));
-    EXPECT_TRUE(s.overlaps(50, 101));
-    EXPECT_TRUE(s.overlaps(199, 300));
-    EXPECT_FALSE(s.overlaps(200, 300));
-    EXPECT_FALSE(s.overlaps(0, 100));
 }
 
 TEST(JsonEscape, EscapesQuotesBackslashesAndControlCharacters)

@@ -10,11 +10,10 @@
  * interleavings of the same program.
  *
  * Also covers: the refusal to record a live-parallel run (a journal
- * needs the serial scheduler's lifeguard-step interleaving), delivery
- * batch-size invariance under ring-mode consumers, the seal-protocol stall
- * watchdog (fault point "seal.stall"), and failure containment for
- * producer-side panics and consumer-thread panics (fault point
- * "lg.fail"), standalone and through runMatrix.
+ * needs the serial scheduler's lifeguard-step interleaving), the
+ * seal-protocol stall watchdog (fault point "seal.stall"), and failure
+ * containment for producer-side panics and consumer-thread panics
+ * (fault point "lg.fail"), standalone and through runMatrix.
  *
  * The whole suite runs under -fsanitize=thread in CI (`tsan` label):
  * the differential matrix doubles as the data-race proof for the
@@ -56,16 +55,13 @@ class TempTrace
 /** One live run, with the shadow fingerprint plain runs leave unset. */
 RunResult
 runLive(WorkloadKind w, LifeguardKind lg, std::uint32_t cores,
-        MemoryModel mm, std::uint64_t scale, std::uint32_t lg_threads,
-        std::uint32_t deliver_batch = 0)
+        MemoryModel mm, std::uint64_t scale, std::uint32_t lg_threads)
 {
     ExperimentOptions opt = test::makeOptions(scale);
     opt.memoryModel = mm;
     opt.lgThreads = lg_threads;
     PlatformConfig cfg =
         makeConfig(w, lg, MonitorMode::kParallel, cores, opt);
-    if (deliver_batch != 0)
-        cfg.sim.deliverBatchMax = deliver_batch;
     Platform p(std::move(cfg));
     RunResult result = p.run();
     result.shadowFingerprint = heapGlobalsFingerprint(p.lifeguard().shadow());
@@ -178,23 +174,6 @@ TEST_F(LiveConcurrentModes, RepeatedConcurrentRunsAreStable)
         RunResult conc = runLive(WorkloadKind::kLu,
                                  LifeguardKind::kLockSet, 4,
                                  MemoryModel::kTSO, 400, 4);
-        EXPECT_EQ(resultMismatch(ResultTier::kAnalysis, conc, serial), "");
-    }
-}
-
-TEST_F(LiveConcurrentModes, DeliveryBatchSizeInvariance)
-{
-    // Ring-mode consumers deliver in solo-horizon batches; the batch
-    // boundary must never leak into analysis conclusions. TSO makes
-    // this load-bearing: version consume/produce ops interleave with
-    // deliveries inside one batch.
-    RunResult serial = runLive(WorkloadKind::kLu,
-                               LifeguardKind::kTaintCheck, 4,
-                               MemoryModel::kTSO, 400, 0);
-    for (std::uint32_t batch : {1u, 16u}) {
-        RunResult conc = runLive(WorkloadKind::kLu,
-                                 LifeguardKind::kTaintCheck, 4,
-                                 MemoryModel::kTSO, 400, 4, batch);
         EXPECT_EQ(resultMismatch(ResultTier::kAnalysis, conc, serial), "");
     }
 }

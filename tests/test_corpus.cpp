@@ -19,6 +19,7 @@
  */
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -195,6 +196,50 @@ TEST_F(CorpusGate, V1AndV2PairsReplayIdentically)
         }
         EXPECT_EQ(resultMismatch(ResultTier::kExact, from1, from2), "")
             << e.stem();
+    }
+}
+
+TEST_F(CorpusGate, ReRecordingReproducesEveryCorpusFile)
+{
+    // The corpus was recorded with single-pop delivery (one record per
+    // lifeguard step). Recording now delivers in batches and stamps
+    // each journal op with the single-pop steps a batch stands for, so
+    // re-recording each cell from its header must give the committed
+    // file byte for byte.
+    PanicThrowScope throws;
+    for (const CorpusEntry &e : allEntries()) {
+        const std::string path = tracePath(e);
+        trace::TraceReader reader(path);
+        ASSERT_TRUE(reader.ok()) << path << ": " << reader.error();
+        const trace::TraceConfig &tc = reader.config();
+        ASSERT_EQ(tc.accelIT, tc.accelIF) << path;
+        ASSERT_EQ(tc.accelIT, tc.accelMTLB) << path;
+
+        RunSpec spec;
+        spec.workload = tc.workload;
+        spec.lifeguard = tc.lifeguard;
+        spec.mode = tc.mode;
+        spec.cores = tc.appThreads;
+        spec.opt.scale = tc.scale;
+        spec.opt.seed = tc.seed;
+        spec.opt.memoryModel = tc.memoryModel;
+        spec.opt.depTracking = tc.depTracking;
+        spec.opt.conflictAlerts = tc.conflictAlerts;
+        spec.opt.accelerators = tc.accelIT;
+        spec.opt.logBufferBytes = tc.logBufferBytes;
+        spec.recordFormat = e.format;
+        spec.recordPath = ::testing::TempDir() + "paralog_rerecord_" +
+                          e.stem() + "_" + std::to_string(::getpid()) +
+                          ".trace";
+        try {
+            recordExperiment(spec);
+        } catch (const std::exception &ex) {
+            FAIL() << e.stem() << ": " << ex.what();
+        }
+        const bool same = slurpText(spec.recordPath) == slurpText(path);
+        std::remove(spec.recordPath.c_str());
+        EXPECT_TRUE(same) << e.stem()
+                          << ": re-recording differs from the corpus file";
     }
 }
 

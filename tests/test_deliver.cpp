@@ -1,15 +1,15 @@
 /**
  * @file
  * Unit tests for order enforcement: progress table, dependence arcs,
- * ConflictAlert barrier halves, version stalls, range table, and the
- * batched delivery fast path (must match single-pop exactly).
+ * ConflictAlert barrier halves, version stalls, range table, the
+ * batched delivery fast path (must match single-pop exactly), and the
+ * single-pop step count a lifeguard step reports.
  */
 
 
 #include <gtest/gtest.h>
 
-#include "common/logging.hpp"
-#include "core/experiment.hpp"
+#include "core/lifeguard_core.hpp"
 #include "deliver/order_enforce.hpp"
 #include "lifeguard/version_store.hpp"
 
@@ -277,30 +277,35 @@ TEST_F(EnforceTest, BatchMatchesSinglePop)
     EXPECT_EQ(enf1.stats.get("dep_stalls"), 1u);
 }
 
-TEST(BatchDeliveryEquivalence, RunsIdenticalAcrossBatchSizes)
+TEST_F(EnforceTest, LifeguardStepReturnsTheSinglePopStepsItStandsFor)
 {
-    // End-to-end guarantee of the batched fast path: every simulated
-    // statistic is bit-identical for any deliverBatchMax, including the
-    // published progress interleavings it amortizes.
-    setQuiet(true);
-    ExperimentOptions opt;
-    opt.scale = 6000;
-    auto run = [&](std::uint32_t batch, WorkloadKind w, MonitorMode m) {
-        PlatformConfig cfg =
-            makeConfig(w, LifeguardKind::kAddrCheck, m, 2, opt);
-        cfg.sim.deliverBatchMax = batch;
-        if (m == MonitorMode::kTimesliced)
-            return Timesliced(std::move(cfg)).run();
-        return Platform(std::move(cfg)).run();
-    };
-    for (WorkloadKind w : {WorkloadKind::kSwaptions, WorkloadKind::kFmm}) {
-        for (MonitorMode m :
-             {MonitorMode::kParallel, MonitorMode::kTimesliced}) {
-            RunResult a = run(1, w, m);
-            RunResult b = run(64, w, m);
-            EXPECT_EQ(resultMismatch(ResultTier::kExact, b, a), "");
-        }
+    // The serial scheduler counts a step as the single-pop steps it
+    // replaces (the journal's lifeguard-step stamp): n for a batch of n
+    // records, 1 for an empty or stalled step.
+    LifeguardPtr lg = makeLifeguard(LifeguardKind::kAddrCheck, 2);
+    LifeguardCore core(2, 0, cfg, unit0, progress, ca, *lg, nullptr,
+                       versions, 1);
+    const Cycle open = ~Cycle{0};
+    EXPECT_EQ(core.step(0, open), 1u); // empty stream
+
+    for (RecordId r = 0; r < 24; ++r) {
+        AppEvent ev = load(0, r, 0x100 + 8 * r);
+        if (r == 20)
+            ev.arcs.push_back(RawArc{1, 50, false}); // stalls
+        unit0.append(std::move(ev));
     }
+    EXPECT_EQ(core.step(core.busyUntil, open), 16u); // the batch cap
+    EXPECT_EQ(core.step(core.busyUntil, open), 4u);  // up to the arc
+    EXPECT_EQ(core.stats.recordsProcessed, 20u);
+    EXPECT_EQ(core.step(core.busyUntil, open), 1u); // dependence stall
+    EXPECT_EQ(core.stats.recordsProcessed, 20u);
+
+    progress.publish(1, 51);
+    // A horizon at `now` disables batching: one record per step.
+    EXPECT_EQ(core.step(core.busyUntil, core.busyUntil), 1u);
+    EXPECT_EQ(core.stats.recordsProcessed, 21u);
+    EXPECT_EQ(core.step(core.busyUntil, open), 3u);
+    EXPECT_EQ(core.stats.recordsProcessed, 24u);
 }
 
 TEST(VersionStoreTest, ProduceConsume)

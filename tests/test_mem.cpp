@@ -143,10 +143,14 @@ TEST_F(MemTest, NoArcsWhenCaptureDisabled)
 
 TEST_F(MemTest, RawArcSurvivesL2Writeback)
 {
-    // Writer's line leaves its L1 via a flush; the directory preserves
-    // the writer tag so a later reader is still ordered after it.
+    // Writer's line leaves its L1 by a conflict eviction (four more
+    // lines into its set of the 4-way, 256-set L1); the directory
+    // preserves the writer tag so a later reader is still ordered
+    // after it.
     mem.access(0, 0xA000, 8, true, tag(0, 99), true);
-    mem.flushL1(0);
+    for (Addr k = 1; k <= 4; ++k)
+        mem.access(0, 0xA000 + k * 0x4000, 8, false, tag(0, 99 + k), true);
+    ASSERT_EQ(mem.l1State(0, 0xA000), LineState::kInvalid);
     AccessResult r = mem.access(1, 0xA000, 8, false, tag(1, 1), true);
     ASSERT_EQ(r.arcs.size(), 1u);
     EXPECT_EQ(r.arcs[0].tid, 0u);
@@ -242,16 +246,13 @@ TEST(Cache, HitAndMissCounters)
     EXPECT_EQ(c.misses, 1u);
 }
 
-TEST(Cache, InvalidateAndFlush)
+TEST(Cache, Invalidate)
 {
     CacheParams p{64 * 1024, 64, 4, 2};
     Cache c(p, "t");
     c.insert(0x100, LineState::kModified, nullptr);
     c.invalidate(0x100);
     EXPECT_EQ(c.lookup(0x100), nullptr);
-    c.insert(0x200, LineState::kModified, nullptr);
-    c.flushAll();
-    EXPECT_EQ(c.lookup(0x200), nullptr);
 }
 
 TEST(Cache, SameSetDifferentTags)

@@ -9,7 +9,6 @@
  *  - Heap: random alloc/free sequences never hand out overlapping
  *    blocks and never lose bytes.
  *  - ShadowMemory: random writes match a std::map reference.
- *  - IntervalSet: random insert/erase matches a per-byte reference.
  *  - Multi-thread runs are deterministic across repeats for every
  *    workload (parameterized sweep).
  */
@@ -17,9 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 
-#include "common/interval_set.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
@@ -282,43 +279,6 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ShadowProperty,
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
                        ::testing::Values(11ull, 22ull, 33ull)));
-
-// ---------- interval set vs per-byte reference ----------
-
-class IntervalProperty : public ::testing::TestWithParam<std::uint64_t>
-{
-};
-
-TEST_P(IntervalProperty, MatchesByteSetReference)
-{
-    Rng rng(GetParam());
-    IntervalSet set;
-    std::set<Addr> ref;
-
-    for (int step = 0; step < 600; ++step) {
-        Addr begin = rng.below(512);
-        Addr end = begin + rng.range(1, 64);
-        if (rng.chance(0.6)) {
-            set.insert(begin, end);
-            for (Addr a = begin; a < end; ++a)
-                ref.insert(a);
-        } else {
-            set.erase(begin, end);
-            for (Addr a = begin; a < end; ++a)
-                ref.erase(a);
-        }
-        // Spot-check membership and totals.
-        for (int probe = 0; probe < 8; ++probe) {
-            Addr a = rng.below(600);
-            ASSERT_EQ(set.contains(a), ref.count(a) > 0)
-                << "step " << step << " addr " << a;
-        }
-        ASSERT_EQ(set.coveredBytes(), ref.size());
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IntervalProperty,
-                         ::testing::Values(101, 202, 303, 404));
 
 // ---------- cross-mode determinism sweep ----------
 

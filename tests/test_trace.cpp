@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -451,6 +452,52 @@ TEST_F(ReplayModes, OceanReplaysBitIdentical)
     EXPECT_EQ(resultMismatch(ResultTier::kExact, rp.run(), live), "");
 }
 
+TEST_F(ReplayModes, ReplayEndsAtTheRecordedApplicationExit)
+{
+    // The application's last step (its exit) journals no op. When that
+    // step comes after every lifeguard core has finished, the journal
+    // runs dry before the recorded end of the run, and replay must
+    // still report the recorded total. Record, then serially replay,
+    // every workload x lifeguard x {SC, TSO} x {2, 4} cores at the
+    // CLI's default scale: ocean and blackscholes end that way.
+    std::vector<RunSpec> records, replays;
+    std::vector<std::unique_ptr<TempTrace>> traces;
+    for (WorkloadKind w :
+         {WorkloadKind::kBarnes, WorkloadKind::kLu, WorkloadKind::kOcean,
+          WorkloadKind::kBlackscholes, WorkloadKind::kFluidanimate,
+          WorkloadKind::kSwaptions, WorkloadKind::kFmm,
+          WorkloadKind::kRadiosity}) {
+        for (LifeguardKind lg :
+             {LifeguardKind::kAddrCheck, LifeguardKind::kTaintCheck,
+              LifeguardKind::kMemCheck, LifeguardKind::kLockSet}) {
+            for (MemoryModel mm : {MemoryModel::kSC, MemoryModel::kTSO}) {
+                for (std::uint32_t cores : {2u, 4u}) {
+                    traces.push_back(std::make_unique<TempTrace>(
+                        "exit_" + std::to_string(records.size())));
+                    const std::string &path = traces.back()->path();
+                    records.push_back(
+                        makeSpec(w, lg, cores, mm, 20000, path));
+                    replays.push_back(
+                        makeSpec(w, lg, cores, mm, 20000, "", path));
+                }
+            }
+        }
+    }
+    std::vector<CellResult> recorded = runMatrix(records, 4);
+    std::vector<CellResult> replayed = runMatrix(replays, 4);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        const RunSpec &s = records[i];
+        SCOPED_TRACE(std::string(toString(s.workload)) + " " +
+                     toString(s.lifeguard) + " " +
+                     toString(s.opt.memoryModel) + " " +
+                     std::to_string(s.cores) + "c");
+        ASSERT_FALSE(recorded[i].failed) << recorded[i].error;
+        // The serial replay self-checks every column against the
+        // footer; a cell that fails reports the first divergence.
+        EXPECT_FALSE(replayed[i].failed) << replayed[i].error;
+    }
+}
+
 TEST_F(ReplayModes, CrossLifeguardReMonitoring)
 {
     // Record once under TaintCheck (the widest event filter), replay
@@ -574,8 +621,6 @@ TEST_F(ReplayModes, RecordingLeavesResultsUntouched)
 
     RunSpec plain = spec;
     plain.recordPath.clear();
-    // Canonical single-pop delivery is what recording pins; batching is
-    // result-invariant, so the default-batched run must match too.
     RunResult live = runSpecExperiment(plain);
     live.shadowFingerprint = recorded.shadowFingerprint; // not computed
     EXPECT_EQ(resultMismatch(ResultTier::kExact, live, recorded), "");

@@ -88,10 +88,10 @@ void
 BM_IdempotentFilterHit(benchmark::State &state)
 {
     IdempotentFilter filt(64);
-    filt.checkAndInsert(0x1000, 8, false, 0);
+    filt.checkAndInsert(0x1000, 8, false);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            filt.checkAndInsert(0x1000, 8, false, 1));
+            filt.checkAndInsert(0x1000, 8, false));
 }
 BENCHMARK(BM_IdempotentFilterHit);
 
@@ -102,7 +102,7 @@ BM_IdempotentFilterMissEvict(benchmark::State &state)
     Addr a = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            filt.checkAndInsert(0x1000 + (a += 64), 8, false, 0));
+            filt.checkAndInsert(0x1000 + (a += 64), 8, false));
     }
 }
 BENCHMARK(BM_IdempotentFilterMissEvict);

@@ -34,14 +34,10 @@ class HeatCheck : public Lifeguard
         LifeguardPolicy p;
         p.usesIt = false;
         p.usesIf = false; // every write matters: checks aren't idempotent
-        p.usesMtlb = true;
         p.wantsRegOps = false;
         p.wantsJumps = false;
         p.heapOnly = true; // only heap accesses are profiled
-        p.caOnMalloc = true;
-        p.caOnFree = true;
         p.caOnSyscall = false;
-        p.metadataBitsPerByte = 1;
         return p;
     }
 

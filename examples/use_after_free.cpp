@@ -37,13 +37,13 @@ class DanglingPointerApp : public Workload
         {
         }
 
-        std::optional<Inst>
-        next(ThreadContext &tc) override
+        std::size_t
+        take(std::vector<Inst> &out, ThreadContext &tc) override
         {
             if (!queue_.empty()) {
-                Inst i = queue_.front();
+                out.push_back(queue_.front());
                 queue_.pop_front();
-                return i;
+                return 1;
             }
             switch (phase_++) {
               case 0:
@@ -82,13 +82,9 @@ class DanglingPointerApp : public Workload
                 }
                 break;
               default:
-                return std::nullopt;
+                return 0;
             }
-            if (queue_.empty())
-                return next(tc);
-            Inst i = queue_.front();
-            queue_.pop_front();
-            return i;
+            return take(out, tc);
         }
 
       private:

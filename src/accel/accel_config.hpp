@@ -5,12 +5,29 @@
  * (sections 4.4 and 5.4: "lifeguards specify which types of high-level
  * events they care about and ... whether a CA-Begin or CA-End record ...
  * should invalidate or flush IT, IF, and/or M-TLB").
+ *
+ * Only the choices some lifeguard actually makes are fields; the rest
+ * is fixed behaviour that every lifeguard shares:
+ * - The M-TLB serves every lifeguard (SimConfig::accel.metadataTlb
+ *   alone switches it off) and is never flushed: no lifeguard frees
+ *   metadata pages, so no mapping goes stale.
+ * - malloc and free always broadcast ConflictAlerts; every lifeguard
+ *   keeps allocation-sensitive state. Only syscalls are optional.
+ * - A high-level event, local or arriving as a CA record, flushes IT
+ *   (its deferred propagation may cross the event). malloc and free
+ *   also invalidate IF, since an absorbed check's outcome is only as
+ *   stable as the allocation state; syscalls leave IF live.
+ * - The IF filters loads and stores alike, and local stores do not
+ *   invalidate it: it absorbs only idempotent checks, which a store by
+ *   the same thread cannot change.
+ * - The IF never delays advertising: an absorbed check leaves no
+ *   metadata effect pending, so its entries pin no record ID.
+ * Shadow geometry (bits per application byte) is the Lifeguard
+ * constructor argument, not part of the policy.
  */
 
 #ifndef PARALOG_ACCEL_ACCEL_CONFIG_HPP
 #define PARALOG_ACCEL_ACCEL_CONFIG_HPP
-
-#include <cstdint>
 
 namespace paralog {
 
@@ -19,22 +36,13 @@ struct LifeguardPolicy
     // Which accelerators this lifeguard benefits from.
     bool usesIt = false;
     bool usesIf = false;
-    bool usesMtlb = true;
 
     // Capture-side event interests (the event mux of Figure 1).
     bool wantsRegOps = true;  ///< mov/alu events
     bool wantsJumps = true;
     bool heapOnly = false;    ///< memory events restricted to the heap
 
-    // IF configuration.
-    bool ifFilterLoads = true;
-    bool ifFilterStores = true;
-    bool ifInvalidateOnLocalWrite = false;
-    bool ifDelayedAdvertising = false;
-
-    // ConflictAlert subscription (which wrapper events broadcast).
-    bool caOnMalloc = true;
-    bool caOnFree = true;
+    // ConflictAlert subscription: whether syscalls broadcast.
     bool caOnSyscall = true;
 
     // Whether a store may leave the stored register's own IT row live
@@ -56,15 +64,6 @@ struct LifeguardPolicy
     // timing, making the set of reported violations nondeterministic
     // (and silently losing checks even sequentially).
     bool itFlushOnOverwrite = false;
-
-    // Accelerator flushing on CA records / local high-level events.
-    bool itFlushOnAlloc = true;   ///< malloc/free conflict with IT state
-    bool ifInvalidateOnAlloc = true;
-    bool mtlbFlushOnFree = false; ///< only if metadata pages deallocated
-    bool itFlushOnSyscall = true;
-
-    // Metadata geometry: shadow bits per application byte (1, 2, 4, 8).
-    std::uint32_t metadataBitsPerByte = 1;
 };
 
 } // namespace paralog

@@ -5,37 +5,24 @@
 namespace paralog {
 
 AccelUnit::AccelUnit(const SimConfig &cfg, const LifeguardPolicy &policy)
-    : cfg_(cfg), policy_(policy),
+    : cfg_(cfg),
       itEnabled_(cfg.accel.inheritanceTracking && policy.usesIt),
       ifEnabled_(cfg.accel.idempotentFilter && policy.usesIf),
       if_(cfg.accel.ifEntries),
-      mtlb_(cfg.accel.mtlbEntries,
-            cfg.accel.metadataTlb && policy.usesMtlb)
+      mtlb_(cfg.accel.mtlbEntries, cfg.accel.metadataTlb)
 {
     it_.setExemptSelfRmw(policy.itExemptSelfRmw);
     it_.setFlushOnOverwrite(policy.itFlushOnOverwrite);
 }
 
 void
-AccelUnit::highLevelFlush(HighLevelKind kind, const AddrRange &range,
-                          std::vector<LgEvent> &out)
+AccelUnit::highLevelFlush(HighLevelKind kind, std::vector<LgEvent> &out)
 {
-    switch (kind) {
-      case HighLevelKind::kMallocEnd:
-      case HighLevelKind::kFreeBegin:
-        if (itEnabled_ && policy_.itFlushOnAlloc)
-            it_.flushAll(out);
-        if (ifEnabled_ && policy_.ifInvalidateOnAlloc)
-            if_.invalidateAll();
-        if (kind == HighLevelKind::kFreeBegin && policy_.mtlbFlushOnFree)
-            mtlb_.flushRange(range);
-        break;
-      case HighLevelKind::kSyscallBegin:
-      case HighLevelKind::kSyscallEnd:
-        if (itEnabled_ && policy_.itFlushOnSyscall)
-            it_.flushAll(out);
-        break;
-    }
+    if (itEnabled_)
+        it_.flushAll(out);
+    if (ifEnabled_ && (kind == HighLevelKind::kMallocEnd ||
+                       kind == HighLevelKind::kFreeBegin))
+        if_.invalidateAll();
 }
 
 void
@@ -68,15 +55,8 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
                 // post-conflict check against pre-conflict state.
                 if_.invalidateVersioned(rec.addr, rec.size);
             } else {
-                bool is_write = (rec.type == EventType::kStore);
-                bool filterable = is_write ? policy_.ifFilterStores
-                                           : policy_.ifFilterLoads;
-                if (policy_.ifInvalidateOnLocalWrite && is_write)
-                    if_.invalidateOverlapping(rec.addr, rec.size);
-                if (filterable &&
-                    if_.checkAndInsert(rec.addr, rec.size, is_write,
-                                       rec.rid))
-                    absorbed = true;
+                absorbed = if_.checkAndInsert(
+                    rec.addr, rec.size, rec.type == EventType::kStore);
             }
         }
 
@@ -108,7 +88,7 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
       }
 
       case EventType::kMallocEnd: {
-        highLevelFlush(HighLevelKind::kMallocEnd, rec.range(), out);
+        highLevelFlush(HighLevelKind::kMallocEnd, out);
         LgEvent ev;
         ev.type = LgEventType::kMalloc;
         ev.range = rec.range();
@@ -117,7 +97,7 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
       }
 
       case EventType::kFreeBegin: {
-        highLevelFlush(HighLevelKind::kFreeBegin, rec.range(), out);
+        highLevelFlush(HighLevelKind::kFreeBegin, out);
         LgEvent ev;
         ev.type = LgEventType::kFree;
         ev.range = rec.range();
@@ -130,7 +110,7 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
         HighLevelKind kind = (rec.type == EventType::kSyscallBegin)
                                  ? HighLevelKind::kSyscallBegin
                                  : HighLevelKind::kSyscallEnd;
-        highLevelFlush(kind, rec.range(), out);
+        highLevelFlush(kind, out);
         LgEvent ev;
         ev.type = (rec.type == EventType::kSyscallBegin)
                       ? LgEventType::kSyscallBegin
@@ -186,7 +166,7 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
 
       case EventType::kCaBegin:
       case EventType::kCaEnd: {
-        highLevelFlush(rec.caKind, rec.range(), out);
+        highLevelFlush(rec.caKind, out);
         LgEvent ev;
         ev.type = LgEventType::kCaFlush;
         ev.range = rec.range();
@@ -232,19 +212,12 @@ AccelUnit::onStall(std::vector<LgEvent> &out)
 {
     if (itEnabled_)
         it_.flushAll(out);
-    if (ifEnabled_ && policy_.ifDelayedAdvertising)
-        if_.invalidateAll();
 }
 
 RecordId
 AccelUnit::delayedMinRid() const
 {
-    RecordId min = kInvalidRecord;
-    if (itEnabled_)
-        min = std::min(min, it_.minRid());
-    if (ifEnabled_ && policy_.ifDelayedAdvertising)
-        min = std::min(min, if_.minRid());
-    return min;
+    return itEnabled_ ? it_.minRid() : kInvalidRecord;
 }
 
 void
@@ -256,11 +229,8 @@ AccelUnit::maybeThresholdFlush(RecordId last_processed,
         return;
     if (last_processed > min &&
         last_processed - min > cfg_.accel.advertiseThreshold) {
-        RecordId cutoff = last_processed - cfg_.accel.advertiseThreshold;
-        if (itEnabled_)
-            it_.flushOlderThan(cutoff, out);
-        if (ifEnabled_ && policy_.ifDelayedAdvertising)
-            if_.invalidateAll();
+        it_.flushOlderThan(last_processed - cfg_.accel.advertiseThreshold,
+                           out);
     }
 }
 

@@ -37,14 +37,16 @@ class AccelUnit
     /**
      * The lifeguard thread is stalled (dependence / CA / version): flush
      * IT so an accurate progress can be published — this is the deadlock
-     * avoidance rule of section 4.2.
+     * avoidance rule of section 4.2. IF holds no pending effects, so it
+     * stays live.
      */
     void onStall(std::vector<LgEvent> &out);
 
     /**
-     * Delayed advertising: smallest record ID still held live by
-     * accelerator state, or kInvalidRecord if none. The published
-     * progress must not exceed this value.
+     * Delayed advertising: smallest record ID still held live by IT,
+     * or kInvalidRecord if none (IF entries pin nothing; see
+     * accel_config.hpp). The published progress must not exceed this
+     * value.
      */
     RecordId delayedMinRid() const;
 
@@ -64,11 +66,9 @@ class AccelUnit
     ThreadId regOwner() const { return regOwner_; }
 
   private:
-    void highLevelFlush(HighLevelKind kind, const AddrRange &range,
-                        std::vector<LgEvent> &out);
+    void highLevelFlush(HighLevelKind kind, std::vector<LgEvent> &out);
 
     const SimConfig &cfg_;
-    LifeguardPolicy policy_;
     bool itEnabled_;
     bool ifEnabled_;
     ItTable it_;

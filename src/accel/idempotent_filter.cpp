@@ -6,7 +6,7 @@ namespace paralog {
 
 IdempotentFilter::IdempotentFilter(std::uint32_t entries)
     : capacity_(entries), addrs_(entries, 0), sideKeys_(entries, 0),
-      rids_(entries, 0), prev_(entries, kNil), next_(entries, kNil)
+      prev_(entries, kNil), next_(entries, kNil)
 {
     PARALOG_ASSERT(entries >= 1 && entries < kNil,
                    "bad IF entry count %u", entries);
@@ -50,15 +50,11 @@ IdempotentFilter::release(std::uint16_t i)
 }
 
 bool
-IdempotentFilter::checkAndInsert(Addr addr, unsigned size, bool is_write,
-                                 RecordId rid)
+IdempotentFilter::checkAndInsert(Addr addr, unsigned size, bool is_write)
 {
     const std::uint64_t side = sideKey(size, is_write);
     for (std::uint32_t i = 0; i < capacity_; ++i) {
         if (addrs_[i] == addr && sideKeys_[i] == side) {
-            // Hit: refresh LRU position; keep the *older* rid so
-            // delayed advertising stays conservative for the absorbed
-            // event.
             std::uint16_t n = static_cast<std::uint16_t>(i);
             unlink(n);
             linkFront(n);
@@ -77,7 +73,6 @@ IdempotentFilter::checkAndInsert(Addr addr, unsigned size, bool is_write,
     free_ = next_[i];
     addrs_[i] = addr;
     sideKeys_[i] = side;
-    rids_[i] = rid;
     ++used_;
     linkFront(i);
     missesCtr_.inc();
@@ -117,15 +112,6 @@ IdempotentFilter::invalidateVersioned(Addr addr, unsigned size)
 {
     versionInvalidationsCtr_.inc();
     invalidateOverlapping(addr, size);
-}
-
-RecordId
-IdempotentFilter::minRid() const
-{
-    RecordId min = kInvalidRecord;
-    for (std::uint16_t i = head_; i != kNil; i = next_[i])
-        min = rids_[i] < min ? rids_[i] : min;
-    return min;
 }
 
 } // namespace paralog

@@ -4,10 +4,12 @@
  *
  * Caches recently seen check events; a hit means the same check was
  * performed since the last invalidation and the event is redundant.
- * Entries carry record IDs for delayed advertising (the general
- * mechanism; whether it is needed depends on the lifeguard). The cache
- * is invalidated by ConflictAlert records (e.g. malloc/free for
- * AddrCheck) and optionally by local stores.
+ * Loads and stores are both filtered. The IF absorbs only idempotent
+ * checks, which leave no metadata effect pending, so an entry pins no
+ * record ID and the IF never delays advertising. For the same reason a
+ * local store does not invalidate it: only allocation changes do, as
+ * local malloc/free events or ConflictAlert records, plus the TSO
+ * version traffic below.
  *
  * Modelled as an exact-LRU cache of (addr, size, is_write) keys. The
  * implementation is a fixed node array with an intrusive LRU list and
@@ -37,8 +39,7 @@ class IdempotentFilter
      * checks from write checks). Returns true if the check hit (the
      * event is redundant and may be absorbed).
      */
-    bool checkAndInsert(Addr addr, unsigned size, bool is_write,
-                        RecordId rid);
+    bool checkAndInsert(Addr addr, unsigned size, bool is_write);
 
     void invalidateAll();
     void invalidateOverlapping(Addr addr, unsigned size);
@@ -52,9 +53,6 @@ class IdempotentFilter
      * version traffic from allocation traffic.
      */
     void invalidateVersioned(Addr addr, unsigned size);
-
-    /** Minimum record ID of a live entry (delayed advertising). */
-    RecordId minRid() const;
 
     std::size_t size() const { return used_; }
 
@@ -78,10 +76,9 @@ class IdempotentFilter
 
     std::uint32_t capacity_;
     /// Struct-of-arrays: the key scan touches only addrs_/sideKeys_
-    /// (tight, vectorizable); LRU links and rids live apart.
+    /// (tight, vectorizable); LRU links live apart.
     std::vector<Addr> addrs_;
     std::vector<std::uint64_t> sideKeys_;
-    std::vector<RecordId> rids_;
     std::vector<std::uint16_t> prev_;
     std::vector<std::uint16_t> next_;
     std::uint16_t head_ = kNil; ///< most recently used

@@ -9,9 +9,6 @@ MetadataTlb::MetadataTlb(std::uint32_t entries, bool enabled)
 {
     PARALOG_ASSERT(entries >= 1 && entries < kNil,
                    "bad M-TLB entry count %u", entries);
-    for (std::uint16_t i = 0; i + 1u < entries; ++i)
-        nodes_[i].next = i + 1;
-    free_ = 0;
 }
 
 void
@@ -41,15 +38,6 @@ MetadataTlb::linkFront(std::uint16_t i)
         tail_ = i;
 }
 
-void
-MetadataTlb::release(std::uint16_t i)
-{
-    nodes_[i].used = false;
-    nodes_[i].next = free_;
-    free_ = i;
-    --used_;
-}
-
 std::uint32_t
 MetadataTlb::lookupCost(Addr app_addr)
 {
@@ -66,49 +54,19 @@ MetadataTlb::lookupCost(Addr app_addr)
             return kHitCost;
         }
     }
+    // Nothing is ever flushed, so slots fill in order and stay full:
+    // once they are, a miss takes over the LRU slot.
+    std::uint16_t i;
     if (used_ >= capacity_) {
-        std::uint16_t victim = tail_;
-        unlink(victim);
-        release(victim);
+        i = tail_;
+        unlink(i);
+    } else {
+        i = static_cast<std::uint16_t>(used_++);
     }
-    std::uint16_t i = free_;
-    free_ = nodes_[i].next;
     nodes_[i].page = page;
-    nodes_[i].used = true;
-    ++used_;
     linkFront(i);
     missesCtr_.inc();
     return kMissCost;
-}
-
-void
-MetadataTlb::flushAll()
-{
-    for (std::uint16_t i = 0; i < capacity_; ++i) {
-        nodes_[i].used = false;
-        nodes_[i].next = (i + 1u < capacity_) ? i + 1 : kNil;
-    }
-    free_ = 0;
-    head_ = tail_ = kNil;
-    used_ = 0;
-    flushesCtr_.inc();
-}
-
-void
-MetadataTlb::flushRange(const AddrRange &range)
-{
-    if (range.empty())
-        return;
-    std::uint64_t first = range.begin >> kPageShift;
-    std::uint64_t last = (range.end - 1) >> kPageShift;
-    for (std::uint16_t i = head_; i != kNil;) {
-        std::uint16_t next = nodes_[i].next;
-        if (nodes_[i].page >= first && nodes_[i].page <= last) {
-            unlink(i);
-            release(i);
-        }
-        i = next;
-    }
 }
 
 } // namespace paralog

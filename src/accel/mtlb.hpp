@@ -4,7 +4,9 @@
  * from application virtual pages to metadata virtual pages. A hit turns
  * the two-level metadata address computation (~6 handler instructions)
  * into a single lookup; misses pay the full software walk and install
- * the mapping.
+ * the mapping. Mappings are never flushed: no lifeguard deallocates
+ * metadata pages, so an installed mapping never goes stale, and only
+ * LRU eviction removes one.
  *
  * Modelled as an exact-LRU table over a fixed node array with an
  * intrusive LRU list and linear key search (the entry count is
@@ -42,12 +44,6 @@ class MetadataTlb
      */
     std::uint32_t lookupCost(Addr app_addr);
 
-    void flushAll();
-
-    /** Drop mappings covering the given application range (metadata
-     *  page deallocation after free, section 4.1). */
-    void flushRange(const AddrRange &range);
-
     bool enabled() const { return enabled_; }
     std::size_t size() const { return used_; }
 
@@ -59,26 +55,22 @@ class MetadataTlb
     struct Node
     {
         std::uint64_t page = 0;
-        bool used = false;
         std::uint16_t prev = kNil;
-        std::uint16_t next = kNil; ///< LRU order / free list
+        std::uint16_t next = kNil; ///< LRU order
     };
 
     void unlink(std::uint16_t i);
     void linkFront(std::uint16_t i);
-    void release(std::uint16_t i);
 
     std::uint32_t capacity_;
     bool enabled_;
     std::vector<Node> nodes_;
     std::uint16_t head_ = kNil;
     std::uint16_t tail_ = kNil;
-    std::uint16_t free_ = kNil;
     std::size_t used_ = 0;
 
     Counter &hitsCtr_{stats.counter("hits")};
     Counter &missesCtr_{stats.counter("misses")};
-    Counter &flushesCtr_{stats.counter("flushes")};
 };
 
 } // namespace paralog

@@ -6,8 +6,8 @@
 #ifndef PARALOG_APP_PROGRAM_HPP
 #define PARALOG_APP_PROGRAM_HPP
 
+#include <cstddef>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "isa/inst.hpp"
@@ -19,35 +19,23 @@ class ThreadContext;
 /**
  * One simulated application thread's instruction source.
  *
- * next() is called when the previous instruction retired; the generator
- * may read register values from the context (set by earlier loads), which
- * is how pointer-chasing workloads are expressed.
+ * take() is called when every instruction it handed over before has
+ * retired; the generator may read register values from the context (set
+ * by earlier loads), which is how pointer-chasing workloads are
+ * expressed.
  */
 class ThreadProgram
 {
   public:
     virtual ~ThreadProgram() = default;
 
-    /** Produce the next instruction; std::nullopt terminates the thread. */
-    virtual std::optional<Inst> next(ThreadContext &tc) = 0;
-
     /**
-     * Bulk variant of next() used by the fetch fast path: append the
-     * next batch of instructions to @p out; appending nothing
-     * terminates the thread. The default forwards to next() one
-     * instruction at a time (identical cadence for simple generators);
-     * ScriptProgram overrides it to hand over a whole refill at once,
-     * skipping the per-instruction virtual call and copies.
+     * Append the next batch of instructions to @p out and return how
+     * many were appended; appending nothing terminates the thread. A
+     * generator that reads registers between instructions appends one
+     * at a time.
      */
-    virtual std::size_t
-    take(std::vector<Inst> &out, ThreadContext &tc)
-    {
-        if (std::optional<Inst> inst = next(tc)) {
-            out.push_back(*inst);
-            return 1;
-        }
-        return 0;
-    }
+    virtual std::size_t take(std::vector<Inst> &out, ThreadContext &tc) = 0;
 };
 
 using ThreadProgramPtr = std::unique_ptr<ThreadProgram>;

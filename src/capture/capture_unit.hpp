@@ -73,8 +73,10 @@ class CaptureUnit
     void attachArcs(RecordId rid, const std::vector<RawArc> &arcs);
 
     /** Annotate a pending load with a consume-version tag (TSO). Returns
-     *  false if the record was already consumed (which is benign; see
-     *  DESIGN.md). */
+     *  false when no version is needed: either the load was already
+     *  consumed, so its handler read the pre-overwrite metadata, which
+     *  is the versioned value; or it already carries this tag (README,
+     *  "TSO versioning protocol"). */
     bool annotateConsume(RecordId rid, const VersionTag &v);
 
     /** Insert a produce-version record before a pending store (TSO). */

@@ -101,7 +101,7 @@ LifeguardCore::publishProgress()
 }
 
 Cycle
-LifeguardCore::maybeStallFlush(Cycle now)
+LifeguardCore::maybeStallFlush()
 {
     // The section 4.2 stall-flush exists to break wait cycles by
     // publishing accurate progress. Brief stalls resolve on their own;
@@ -111,11 +111,11 @@ LifeguardCore::maybeStallFlush(Cycle now)
         publishProgress();
         return 0;
     }
-    return handleStallFlush(now);
+    return handleStallFlush();
 }
 
 Cycle
-LifeguardCore::handleStallFlush(Cycle now)
+LifeguardCore::handleStallFlush()
 {
     // Deadlock-avoidance rule of section 4.2: while stalled, flush the
     // accelerators (delivering their pending state to the lifeguard)
@@ -126,7 +126,6 @@ LifeguardCore::handleStallFlush(Cycle now)
     if (!events_.empty())
         cost = runHandlers(events_);
     publishProgress();
-    (void)now;
     return cost;
 }
 
@@ -207,7 +206,7 @@ LifeguardCore::step(Cycle now, Cycle batch_horizon)
         ++emptyStreak_;
         if (emptyStreak_ > 3 &&
             accel_.delayedMinRid() != kInvalidRecord) {
-            busyUntil = now + cfg_.retryInterval + handleStallFlush(now);
+            busyUntil = now + cfg_.retryInterval + handleStallFlush();
         } else {
             publishProgress();
             busyUntil = now + cfg_.retryInterval;
@@ -216,17 +215,17 @@ LifeguardCore::step(Cycle now, Cycle batch_horizon)
 
       case DeliverStatus::kDepStall:
         stats.depStall += cfg_.depRetryInterval;
-        busyUntil = now + cfg_.depRetryInterval + maybeStallFlush(now);
+        busyUntil = now + cfg_.depRetryInterval + maybeStallFlush();
         return 1;
 
       case DeliverStatus::kCaStall:
         stats.caStall += cfg_.depRetryInterval;
-        busyUntil = now + cfg_.depRetryInterval + maybeStallFlush(now);
+        busyUntil = now + cfg_.depRetryInterval + maybeStallFlush();
         return 1;
 
       case DeliverStatus::kVersionStall:
         stats.versionStall += cfg_.depRetryInterval;
-        busyUntil = now + cfg_.depRetryInterval + maybeStallFlush(now);
+        busyUntil = now + cfg_.depRetryInterval + maybeStallFlush();
         return 1;
 
       case DeliverStatus::kDelivered:

@@ -65,8 +65,8 @@ class LifeguardCore
     /** Run handlers for a batch of delivered events; returns cycles. */
     Cycle runHandlers(std::vector<LgEvent> &events);
     void publishProgress();
-    Cycle maybeStallFlush(Cycle now);
-    Cycle handleStallFlush(Cycle now);
+    Cycle maybeStallFlush();
+    Cycle handleStallFlush();
     /** Platform-owned halves of the TSO versioning protocol (section
      *  5.5 + read-side-writer rule): guarantee the snapshot exists after
      *  a produce record, discard unconsumed snapshots, and mark

@@ -187,20 +187,9 @@ Cycle
 Platform::caBroadcast(ThreadId tid, RecordId rid, HighLevelKind kind,
                       const AddrRange &range)
 {
-    bool subscribed = false;
-    switch (kind) {
-      case HighLevelKind::kMallocEnd:
-        subscribed = policy_.caOnMalloc;
-        break;
-      case HighLevelKind::kFreeBegin:
-        subscribed = policy_.caOnFree;
-        break;
-      case HighLevelKind::kSyscallBegin:
-      case HighLevelKind::kSyscallEnd:
-        subscribed = policy_.caOnSyscall;
-        break;
-    }
-    if (!subscribed)
+    if ((kind == HighLevelKind::kSyscallBegin ||
+         kind == HighLevelKind::kSyscallEnd) &&
+        !policy_.caOnSyscall)
         return 0;
 
     std::vector<CaptureUnit *> units;

@@ -40,19 +40,10 @@ class AddrCheck : public Lifeguard
         LifeguardPolicy p;
         p.usesIt = false;
         p.usesIf = true;
-        p.usesMtlb = true;
         p.wantsRegOps = false; // only memory accesses matter
         p.wantsJumps = false;
         p.heapOnly = true;
-        p.ifFilterLoads = true;
-        p.ifFilterStores = true;
-        p.ifInvalidateOnLocalWrite = false; // stores don't change
-                                            // allocation state
-        p.ifInvalidateOnAlloc = true;
-        p.caOnMalloc = true;
-        p.caOnFree = true;
         p.caOnSyscall = false; // allocation state is syscall-oblivious
-        p.metadataBitsPerByte = 1;
         return p;
     }
 

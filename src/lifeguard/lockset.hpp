@@ -44,14 +44,10 @@ class LockSet : public Lifeguard
         LifeguardPolicy p;
         p.usesIt = false; // not propagation-style
         p.usesIf = false; // checks mutate state; not idempotent
-        p.usesMtlb = true;
         p.wantsRegOps = false;
         p.wantsJumps = false;
         p.heapOnly = true;
-        p.caOnMalloc = true;
-        p.caOnFree = true;
         p.caOnSyscall = false;
-        p.metadataBitsPerByte = 2;
         return p;
     }
 

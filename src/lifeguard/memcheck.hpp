@@ -39,7 +39,6 @@ class MemCheck : public Lifeguard
         LifeguardPolicy p;
         p.usesIt = true;
         p.usesIf = false;
-        p.usesMtlb = true;
         // Init bits are state transitions, not a lattice: a deferred
         // uninit-read check must run before the store that initializes
         // its bytes, so the self-RMW exemption is off (accel_config).
@@ -50,12 +49,7 @@ class MemCheck : public Lifeguard
         p.wantsRegOps = true;
         p.wantsJumps = false;
         p.heapOnly = false;
-        p.caOnMalloc = true;
-        p.caOnFree = true;
         p.caOnSyscall = true;
-        p.itFlushOnAlloc = true;
-        p.itFlushOnSyscall = true;
-        p.metadataBitsPerByte = 1;
         return p;
     }
 

@@ -39,16 +39,10 @@ class TaintCheck : public Lifeguard
         LifeguardPolicy p;
         p.usesIt = true;
         p.usesIf = false;
-        p.usesMtlb = true;
         p.wantsRegOps = true;
         p.wantsJumps = true;
         p.heapOnly = false;
-        p.caOnMalloc = true;
-        p.caOnFree = true;
         p.caOnSyscall = true;
-        p.itFlushOnAlloc = true;
-        p.itFlushOnSyscall = true;
-        p.metadataBitsPerByte = 2;
         return p;
     }
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Convenience base for workload thread programs: a refillable
- * instruction queue. refill() is called only when every previously
- * emitted instruction has executed, so it may read register values
- * produced by them (pointer chasing).
+ * Convenience base for workload thread programs: each take() runs
+ * refill() once, and its emit() calls append straight to the fetch
+ * buffer. refill() is called only when every previously emitted
+ * instruction has executed, so it may read register values produced by
+ * them (pointer chasing).
  */
 
 #ifndef PARALOG_WORKLOADS_SCRIPT_PROGRAM_HPP
@@ -19,22 +20,15 @@ namespace paralog {
 class ScriptProgram : public ThreadProgram
 {
   public:
-    /** Fetch fast path: hand a whole refill() batch to the caller's
-     *  buffer in one virtual call. Mirrors next() exactly: one refill
-     *  attempt, and an empty result terminates the thread. */
+    /** Hand a whole refill() batch to the caller's buffer in one
+     *  virtual call: one refill attempt, and an empty result terminates
+     *  the thread. */
     std::size_t
     take(std::vector<Inst> &out, ThreadContext &tc) override
     {
-        std::size_t before = out.size();
-        if (head_ < queue_.size()) {
-            // Drain instructions buffered by an earlier next() call.
-            out.insert(out.end(), queue_.begin() + head_, queue_.end());
-            queue_.clear();
-            head_ = 0;
-            return out.size() - before;
-        }
         if (done_)
             return 0;
+        std::size_t before = out.size();
         sink_ = &out;
         if (!refill(tc))
             done_ = true;
@@ -42,36 +36,14 @@ class ScriptProgram : public ThreadProgram
         return out.size() - before;
     }
 
-    std::optional<Inst>
-    next(ThreadContext &tc) override
-    {
-        if (head_ >= queue_.size() && !done_) {
-            queue_.clear();
-            head_ = 0;
-            if (!refill(tc))
-                done_ = true;
-        }
-        if (head_ >= queue_.size())
-            return std::nullopt;
-        return queue_[head_++];
-    }
-
   protected:
     /** Emit more instructions; return false when the program is over. */
     virtual bool refill(ThreadContext &tc) = 0;
 
-    void
-    emit(const Inst &i)
-    {
-        if (sink_)
-            sink_->push_back(i);
-        else
-            queue_.push_back(i);
-    }
+    /** Append to the take() buffer; only valid inside refill(). */
+    void emit(const Inst &i) { sink_->push_back(i); }
 
   private:
-    std::vector<Inst> queue_; ///< only used via the legacy next() path
-    std::size_t head_ = 0;
     std::vector<Inst> *sink_ = nullptr; ///< refill target during take()
     bool done_ = false;
 };

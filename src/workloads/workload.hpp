@@ -4,7 +4,9 @@
  * and PARSEC benchmarks of Table 1. Each workload reproduces the
  * *monitoring-relevant* behaviour of its namesake — instruction mix,
  * sharing pattern, allocation rate, synchronization style — at a scale
- * that finishes in seconds of host time (see DESIGN.md section 2).
+ * that finishes in seconds of host time. The scale is the total
+ * application work, set by `paralog --scale` (README, "The `paralog`
+ * driver") or PARALOG_SCALE for the bench binaries.
  */
 
 #ifndef PARALOG_WORKLOADS_WORKLOAD_HPP

@@ -230,39 +230,39 @@ TEST(ItTable, JumpThroughConstantAbsorbed)
 TEST(IdempotentFilter, AbsorbsRepeatedChecks)
 {
     IdempotentFilter f(16);
-    EXPECT_FALSE(f.checkAndInsert(0x100, 8, false, 1)); // first: miss
-    EXPECT_TRUE(f.checkAndInsert(0x100, 8, false, 2));  // repeat: hit
-    EXPECT_FALSE(f.checkAndInsert(0x100, 8, true, 3));  // writes differ
-    EXPECT_TRUE(f.checkAndInsert(0x100, 8, true, 4));
+    EXPECT_FALSE(f.checkAndInsert(0x100, 8, false)); // first: miss
+    EXPECT_TRUE(f.checkAndInsert(0x100, 8, false));  // repeat: hit
+    EXPECT_FALSE(f.checkAndInsert(0x100, 8, true));  // writes differ
+    EXPECT_TRUE(f.checkAndInsert(0x100, 8, true));
 }
 
 TEST(IdempotentFilter, InvalidateAllOnHighLevelEvent)
 {
     IdempotentFilter f(16);
-    f.checkAndInsert(0x100, 8, false, 1);
+    f.checkAndInsert(0x100, 8, false);
     f.invalidateAll();
-    EXPECT_FALSE(f.checkAndInsert(0x100, 8, false, 2)); // miss again
+    EXPECT_FALSE(f.checkAndInsert(0x100, 8, false)); // miss again
 }
 
 TEST(IdempotentFilter, InvalidateOverlappingOnly)
 {
     IdempotentFilter f(16);
-    f.checkAndInsert(0x100, 8, false, 1);
-    f.checkAndInsert(0x200, 8, false, 2);
+    f.checkAndInsert(0x100, 8, false);
+    f.checkAndInsert(0x200, 8, false);
     f.invalidateOverlapping(0x100, 8);
-    EXPECT_FALSE(f.checkAndInsert(0x100, 8, false, 3));
-    EXPECT_TRUE(f.checkAndInsert(0x200, 8, false, 4));
+    EXPECT_FALSE(f.checkAndInsert(0x100, 8, false));
+    EXPECT_TRUE(f.checkAndInsert(0x200, 8, false));
 }
 
 TEST(IdempotentFilter, LruEviction)
 {
     IdempotentFilter f(2);
-    f.checkAndInsert(0x100, 8, false, 1);
-    f.checkAndInsert(0x200, 8, false, 2);
-    f.checkAndInsert(0x100, 8, false, 3); // refresh 0x100
-    f.checkAndInsert(0x300, 8, false, 4); // evicts 0x200
-    EXPECT_TRUE(f.checkAndInsert(0x100, 8, false, 5));
-    EXPECT_FALSE(f.checkAndInsert(0x200, 8, false, 6));
+    f.checkAndInsert(0x100, 8, false);
+    f.checkAndInsert(0x200, 8, false);
+    f.checkAndInsert(0x100, 8, false); // refresh 0x100
+    f.checkAndInsert(0x300, 8, false); // evicts 0x200
+    EXPECT_TRUE(f.checkAndInsert(0x100, 8, false));
+    EXPECT_FALSE(f.checkAndInsert(0x200, 8, false));
 }
 
 TEST(IdempotentFilter, VersionedAccessInvalidatesStaleChecks)
@@ -271,23 +271,12 @@ TEST(IdempotentFilter, VersionedAccessInvalidatesStaleChecks)
     // cached checks of those bytes predate the conflict and must not
     // absorb later ones.
     IdempotentFilter f(16);
-    f.checkAndInsert(0x100, 8, false, 1);
-    f.checkAndInsert(0x200, 8, false, 2);
+    f.checkAndInsert(0x100, 8, false);
+    f.checkAndInsert(0x200, 8, false);
     f.invalidateVersioned(0x100, 8);
-    EXPECT_FALSE(f.checkAndInsert(0x100, 8, false, 3)); // re-checked
-    EXPECT_TRUE(f.checkAndInsert(0x200, 8, false, 4));  // untouched
+    EXPECT_FALSE(f.checkAndInsert(0x100, 8, false)); // re-checked
+    EXPECT_TRUE(f.checkAndInsert(0x200, 8, false));  // untouched
     EXPECT_EQ(f.stats.get("version_invalidations"), 1u);
-}
-
-TEST(IdempotentFilter, MinRidForDelayedAdvertising)
-{
-    IdempotentFilter f(16);
-    EXPECT_EQ(f.minRid(), kInvalidRecord);
-    f.checkAndInsert(0x100, 8, false, 10);
-    f.checkAndInsert(0x200, 8, false, 20);
-    EXPECT_EQ(f.minRid(), 10u);
-    f.invalidateOverlapping(0x100, 8);
-    EXPECT_EQ(f.minRid(), 20u);
 }
 
 // ---------- MetadataTlb ----------
@@ -305,16 +294,6 @@ TEST(Mtlb, DisabledAlwaysPaysWalk)
     MetadataTlb tlb(16, false);
     tlb.lookupCost(0x1000);
     EXPECT_EQ(tlb.lookupCost(0x1000), MetadataTlb::kMissCost);
-}
-
-TEST(Mtlb, FlushRange)
-{
-    MetadataTlb tlb(16, true);
-    tlb.lookupCost(0x1000);
-    tlb.lookupCost(0x5000);
-    tlb.flushRange(AddrRange{0x1000, 0x1800});
-    EXPECT_EQ(tlb.lookupCost(0x1000), MetadataTlb::kMissCost);
-    EXPECT_EQ(tlb.lookupCost(0x5000), MetadataTlb::kHitCost);
 }
 
 TEST(Mtlb, LruCapacity)
@@ -336,7 +315,6 @@ class AccelUnitTest : public ::testing::Test
     {
         policy.usesIt = true;
         policy.usesIf = false;
-        policy.usesMtlb = true;
     }
 
     SimConfig cfg;
@@ -357,6 +335,18 @@ TEST_F(AccelUnitTest, CaRecordFlushesItState)
     au.process(ca, false, out);
     EXPECT_EQ(au.delayedMinRid(), kInvalidRecord); // flushed
     // The flush delivered the pending inherit plus the CA flush event.
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].type, LgEventType::kRegInheritMem);
+    EXPECT_EQ(out[1].type, LgEventType::kCaFlush);
+
+    // A syscall CA flushes IT just the same.
+    out.clear();
+    au.process(loadRec(1, 0xA00, 3), false, out);
+    EXPECT_NE(au.delayedMinRid(), kInvalidRecord);
+    EventRecord sys = rec(EventType::kCaBegin, 4);
+    sys.caKind = HighLevelKind::kSyscallBegin;
+    au.process(sys, false, out);
+    EXPECT_EQ(au.delayedMinRid(), kInvalidRecord);
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].type, LgEventType::kRegInheritMem);
     EXPECT_EQ(out[1].type, LgEventType::kCaFlush);
@@ -418,12 +408,28 @@ TEST_F(AccelUnitTest, IfAbsorbsForAddrCheckStylePolicy)
     out.clear();
     au.process(loadRec(1, 0xA00, 2), false, out);
     EXPECT_TRUE(out.empty()); // idempotent repeat absorbed
+    // Stores are filtered like loads.
+    au.process(storeRec(1, 0xB00, 3), false, out);
+    ASSERT_EQ(out.size(), 1u);
+    out.clear();
+    au.process(storeRec(1, 0xB00, 4), false, out);
+    EXPECT_TRUE(out.empty());
+    // Absorbed checks leave nothing pending: IF never delays advertising.
+    EXPECT_GT(au.ifilter().size(), 0u);
+    EXPECT_EQ(au.delayedMinRid(), kInvalidRecord);
+    // A syscall CA leaves the filter live.
+    EventRecord sys = rec(EventType::kCaBegin, 5);
+    sys.caKind = HighLevelKind::kSyscallBegin;
+    au.process(sys, false, out);
+    out.clear();
+    au.process(loadRec(1, 0xA00, 6), false, out);
+    EXPECT_TRUE(out.empty());
     // malloc CA invalidates the filter.
-    EventRecord ca = rec(EventType::kCaEnd, 3);
+    EventRecord ca = rec(EventType::kCaEnd, 7);
     ca.caKind = HighLevelKind::kMallocEnd;
     au.process(ca, false, out);
     out.clear();
-    au.process(loadRec(1, 0xA00, 4), false, out);
+    au.process(loadRec(1, 0xA00, 8), false, out);
     EXPECT_EQ(out.size(), 1u); // delivered again
 }
 

@@ -323,23 +323,29 @@ class WriteSyscallWorkload : public Workload
         {
         }
 
-        std::optional<Inst>
-        next(ThreadContext &tc) override
+        std::size_t
+        take(std::vector<Inst> &out, ThreadContext &tc) override
         {
             const unsigned step = step_++;
-            if (tid_ != 0)
-                return step < 8 ? std::optional<Inst>(Inst::store(
-                                      env_.globalBase + 8 * step, 0, 8))
-                                : std::nullopt;
-            switch (step) {
-              case 0: return Inst::malloc(1, kBytes);
-              case 1: return Inst::malloc(2, kBytes);
-              case 2: return Inst::syscallRead(tc.regs[1], kBytes);
-              case 3:
-                return Inst::syscallWrite(tc.regs[writeTainted_ ? 1 : 2],
-                                          kBytes);
-              default: return std::nullopt;
+            if (tid_ != 0) {
+                if (step >= 8)
+                    return 0;
+                out.push_back(Inst::store(env_.globalBase + 8 * step, 0, 8));
+                return 1;
             }
+            switch (step) {
+              case 0: out.push_back(Inst::malloc(1, kBytes)); break;
+              case 1: out.push_back(Inst::malloc(2, kBytes)); break;
+              case 2:
+                out.push_back(Inst::syscallRead(tc.regs[1], kBytes));
+                break;
+              case 3:
+                out.push_back(Inst::syscallWrite(
+                    tc.regs[writeTainted_ ? 1 : 2], kBytes));
+                break;
+              default: return 0;
+            }
+            return 1;
         }
 
         static constexpr std::uint32_t kBytes = 64;

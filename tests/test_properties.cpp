@@ -96,12 +96,13 @@ struct RandomProgram : public Workload
         {
         }
 
-        std::optional<Inst>
-        next(ThreadContext &) override
+        std::size_t
+        take(std::vector<Inst> &out, ThreadContext &) override
         {
             if (pos_ >= insts_.size())
-                return std::nullopt;
-            return insts_[pos_++];
+                return 0;
+            out.push_back(insts_[pos_++]);
+            return 1;
         }
 
         std::vector<Inst> insts_;

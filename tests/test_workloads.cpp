@@ -124,15 +124,18 @@ TEST(WorkloadRegistry, ProgramsEmitNoInternalOps)
         auto wl = makeWorkload(w);
         auto prog = wl->makeThread(0, env);
         ThreadContext tc(0, nullptr);
-        // Drive the generator directly (without executing) for a while;
-        // register-dependent generators just see zeros, which is fine
-        // for this structural check.
-        for (int i = 0; i < 500; ++i) {
-            auto inst = prog->next(tc);
-            if (!inst)
+        // Drive the generator directly (without executing) for a while,
+        // through take() as ThreadContext::fetch does; register-dependent
+        // generators just see zeros, which is fine for this structural
+        // check.
+        std::vector<Inst> buf;
+        while (buf.size() < 500) {
+            if (prog->take(buf, tc) == 0)
                 break;
-            EXPECT_FALSE(isInternalOp(inst->op)) << toString(w);
         }
+        EXPECT_FALSE(buf.empty()) << toString(w);
+        for (const Inst &inst : buf)
+            EXPECT_FALSE(isInternalOp(inst.op)) << toString(w);
     }
 }
 

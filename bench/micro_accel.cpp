@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <random>
+
 #include "accel/idempotent_filter.hpp"
 #include "accel/it_table.hpp"
 #include "accel/mtlb.hpp"
@@ -84,6 +86,27 @@ BM_ItMinRid(benchmark::State &state)
 }
 BENCHMARK(BM_ItMinRid);
 
+// minRid with the 1-3 live rows that TaintCheck streams hold between
+// stores (it runs once per delivered record).
+void
+BM_ItMinRidFewRows(benchmark::State &state)
+{
+    ItTable it;
+    std::vector<LgEvent> out;
+    for (RegId r = 0; r < state.range(0); ++r) {
+        EventRecord rec;
+        rec.type = EventType::kLoad;
+        rec.dst = static_cast<RegId>(3 + 5 * r); // spread over the file
+        rec.addr = 0x1000 + r * 64;
+        rec.size = 8;
+        rec.rid = 100 - r;
+        it.process(rec, out);
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(it.minRid());
+}
+BENCHMARK(BM_ItMinRidFewRows)->DenseRange(1, 3);
+
 void
 BM_IdempotentFilterHit(benchmark::State &state)
 {
@@ -107,6 +130,31 @@ BM_IdempotentFilterMissEvict(benchmark::State &state)
 }
 BENCHMARK(BM_IdempotentFilterMissEvict);
 
+// A full 64-entry filter under uniform picks from 149 keys: exact LRU
+// then misses about 57% of checks, the barnes AddrCheck miss ratio.
+void
+BM_IdempotentFilterFullMixed(benchmark::State &state)
+{
+    IdempotentFilter filt(64);
+    std::mt19937 rng(1);
+    std::vector<Addr> addrs(1 << 14);
+    for (Addr &a : addrs)
+        a = 0x10000 + 8 * (rng() % 149);
+    for (Addr a : addrs)
+        filt.checkAndInsert(a, 8, false);
+    std::size_t i = 0, misses = 0, checks = 0;
+    for (auto _ : state) {
+        const bool hit = filt.checkAndInsert(addrs[i], 8, false);
+        benchmark::DoNotOptimize(hit);
+        misses += !hit;
+        ++checks;
+        i = (i + 1) & (addrs.size() - 1);
+    }
+    state.counters["miss_ratio"] =
+        checks ? static_cast<double>(misses) / checks : 0;
+}
+BENCHMARK(BM_IdempotentFilterFullMixed);
+
 void
 BM_MtlbHit(benchmark::State &state)
 {
@@ -116,6 +164,28 @@ BM_MtlbHit(benchmark::State &state)
         benchmark::DoNotOptimize(tlb.lookupCost(0x1000));
 }
 BENCHMARK(BM_MtlbHit);
+
+// About 60 pages scattered over the address space, touched in random
+// order: they fit the 64 entries, so nearly every lookup hits, but
+// rarely on the most recent page (the barnes pattern).
+void
+BM_MtlbScatteredPages(benchmark::State &state)
+{
+    MetadataTlb tlb(64, true);
+    std::mt19937 rng(1);
+    std::vector<Addr> pages(60);
+    for (Addr &p : pages)
+        p = static_cast<Addr>(rng() % (1u << 20)) << MetadataTlb::kPageShift;
+    std::vector<Addr> addrs(1 << 12);
+    for (Addr &a : addrs)
+        a = pages[rng() % pages.size()] + (rng() % 4096);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(tlb.lookupCost(addrs[i]));
+        i = (i + 1) & (addrs.size() - 1);
+    }
+}
+BENCHMARK(BM_MtlbScatteredPages);
 
 void
 BM_ArcReduction(benchmark::State &state)

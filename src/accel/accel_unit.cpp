@@ -61,7 +61,7 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
         }
 
         if (!absorbed) {
-            LgEvent ev;
+            LgEvent &ev = out.emplace_back();
             switch (rec.type) {
               case EventType::kLoad: ev.type = LgEventType::kLoad; break;
               case EventType::kStore: ev.type = LgEventType::kStore; break;
@@ -82,26 +82,23 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
             ev.value = rec.value;
             ev.consumesVersion = rec.consumesVersion;
             ev.version = rec.version();
-            out.push_back(ev);
         }
         break;
       }
 
       case EventType::kMallocEnd: {
         highLevelFlush(HighLevelKind::kMallocEnd, out);
-        LgEvent ev;
+        LgEvent &ev = out.emplace_back();
         ev.type = LgEventType::kMalloc;
         ev.range = rec.range();
-        out.push_back(ev);
         break;
       }
 
       case EventType::kFreeBegin: {
         highLevelFlush(HighLevelKind::kFreeBegin, out);
-        LgEvent ev;
+        LgEvent &ev = out.emplace_back();
         ev.type = LgEventType::kFree;
         ev.range = rec.range();
-        out.push_back(ev);
         break;
       }
 
@@ -111,13 +108,12 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
                                  ? HighLevelKind::kSyscallBegin
                                  : HighLevelKind::kSyscallEnd;
         highLevelFlush(kind, out);
-        LgEvent ev;
+        LgEvent &ev = out.emplace_back();
         ev.type = (rec.type == EventType::kSyscallBegin)
                       ? LgEventType::kSyscallBegin
                       : LgEventType::kSyscallEnd;
         ev.range = rec.range();
         ev.syscall = rec.syscall;
-        out.push_back(ev);
         break;
       }
 
@@ -125,7 +121,7 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
       case EventType::kLockRelease:
       case EventType::kBarrierPass:
       case EventType::kThreadDone: {
-        LgEvent ev;
+        LgEvent &ev = out.emplace_back();
         switch (rec.type) {
           case EventType::kLockAcquire:
             ev.type = LgEventType::kLockAcquire;
@@ -141,7 +137,6 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
             break;
         }
         ev.addr = rec.addr;
-        out.push_back(ev);
         break;
       }
 
@@ -156,10 +151,9 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
                 out[i].rid = rec.rid;
             }
         }
-        LgEvent ev;
+        LgEvent &ev = out.emplace_back();
         ev.type = LgEventType::kThreadSwitch;
         ev.value = rec.value;
-        out.push_back(ev);
         regOwner_ = static_cast<ThreadId>(rec.value);
         break;
       }
@@ -167,11 +161,10 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
       case EventType::kCaBegin:
       case EventType::kCaEnd: {
         highLevelFlush(rec.caKind, out);
-        LgEvent ev;
+        LgEvent &ev = out.emplace_back();
         ev.type = LgEventType::kCaFlush;
         ev.range = rec.range();
         ev.value = rec.value;
-        out.push_back(ev);
         break;
       }
 
@@ -181,12 +174,11 @@ AccelUnit::process(const EventRecord &rec, bool races_syscall,
             it_.flushOverlapping(rec.addr, rec.size, out);
         if (ifEnabled_)
             if_.invalidateOverlapping(rec.addr, rec.size);
-        LgEvent ev;
+        LgEvent &ev = out.emplace_back();
         ev.type = LgEventType::kProduceVersion;
         ev.addr = rec.addr;
         ev.size = rec.size;
         ev.version = rec.version();
-        out.push_back(ev);
         break;
       }
 

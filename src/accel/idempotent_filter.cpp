@@ -6,7 +6,7 @@ namespace paralog {
 
 IdempotentFilter::IdempotentFilter(std::uint32_t entries)
     : capacity_(entries), addrs_(entries, 0), sideKeys_(entries, 0),
-      prev_(entries, kNil), next_(entries, kNil)
+      prev_(entries, kNil), next_(entries, kNil), index_(entries)
 {
     PARALOG_ASSERT(entries >= 1 && entries < kNil,
                    "bad IF entry count %u", entries);
@@ -41,9 +41,10 @@ IdempotentFilter::linkFront(std::uint16_t i)
 }
 
 void
-IdempotentFilter::release(std::uint16_t i)
+IdempotentFilter::drop(std::uint16_t i)
 {
-    sideKeys_[i] = 0;
+    unlink(i);
+    index_.erase(keyHash(addrs_[i], sideKeys_[i]), i);
     next_[i] = free_;
     free_ = i;
     --used_;
@@ -53,28 +54,33 @@ bool
 IdempotentFilter::checkAndInsert(Addr addr, unsigned size, bool is_write)
 {
     const std::uint64_t side = sideKey(size, is_write);
-    for (std::uint32_t i = 0; i < capacity_; ++i) {
-        if (addrs_[i] == addr && sideKeys_[i] == side) {
-            std::uint16_t n = static_cast<std::uint16_t>(i);
-            unlink(n);
-            linkFront(n);
-            hitsCtr_.inc();
-            return true;
+    const std::uint64_t h = keyHash(addr, side);
+    std::uint16_t i = index_.find(h, [&](std::uint16_t s) {
+        return addrs_[s] == addr && sideKeys_[s] == side;
+    });
+    if (i != kNil) {
+        if (i != head_) {
+            unlink(i);
+            linkFront(i);
         }
+        hitsCtr_.inc();
+        return true;
     }
     if (used_ >= capacity_) {
-        // Evict the LRU entry.
-        std::uint16_t victim = tail_;
-        unlink(victim);
-        release(victim);
+        // Evict the LRU entry and take over its node.
+        i = tail_;
+        unlink(i);
+        index_.erase(keyHash(addrs_[i], sideKeys_[i]), i);
         evictionsCtr_.inc();
+    } else {
+        i = free_;
+        free_ = next_[i];
+        ++used_;
     }
-    std::uint16_t i = free_;
-    free_ = next_[i];
     addrs_[i] = addr;
     sideKeys_[i] = side;
-    ++used_;
     linkFront(i);
+    index_.insert(h, i);
     missesCtr_.inc();
     return false;
 }
@@ -82,10 +88,10 @@ IdempotentFilter::checkAndInsert(Addr addr, unsigned size, bool is_write)
 void
 IdempotentFilter::invalidateAll()
 {
-    for (std::uint16_t i = 0; i < capacity_; ++i) {
-        sideKeys_[i] = 0;
+    if (used_ != 0)
+        index_.clear();
+    for (std::uint16_t i = 0; i < capacity_; ++i)
         next_[i] = (i + 1u < capacity_) ? i + 1 : kNil;
-    }
     free_ = 0;
     head_ = tail_ = kNil;
     used_ = 0;
@@ -99,8 +105,7 @@ IdempotentFilter::invalidateOverlapping(Addr addr, unsigned size)
         std::uint16_t nxt = next_[i];
         std::uint64_t esize = sideKeys_[i] >> 2;
         if (addrs_[i] < addr + size && addr < addrs_[i] + esize) {
-            unlink(i);
-            release(i);
+            drop(i);
             entryInvalidationsCtr_.inc();
         }
         i = nxt;

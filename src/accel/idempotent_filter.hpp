@@ -11,11 +11,16 @@
  * local malloc/free events or ConflictAlert records, plus the TSO
  * version traffic below.
  *
- * Modelled as an exact-LRU cache of (addr, size, is_write) keys. The
- * implementation is a fixed node array with an intrusive LRU list and
- * linear key search: the entry count is hardware-small (64), so a flat
- * scan beats a node-based map with its two allocations per miss — this
- * sits on the once-per-record delivery path.
+ * Modelled as an exact-LRU cache of (addr, size, is_write) keys over a
+ * fixed node array: a SlotIndex finds a key's node in one hash probe,
+ * and an intrusive LRU list orders the nodes. The list, not a per-node
+ * use stamp, picks the victim because misses are common (57% of barnes
+ * checks miss on a full filter), and unlinking the tail costs less
+ * than scanning 64 stamps. Every hit moves its node to the list head
+ * and every miss evicts the tail, so the order is exact LRU; the index
+ * only finds keys and plays no part in that order. A check runs once
+ * per delivered memory record, so its cost must not grow with the
+ * entry count.
  */
 
 #ifndef PARALOG_ACCEL_IDEMPOTENT_FILTER_HPP
@@ -24,6 +29,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "accel/slot_index.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
@@ -59,24 +65,29 @@ class IdempotentFilter
     StatSet stats{"if"};
 
   private:
-    static constexpr std::uint16_t kNil = 0xFFFF;
+    static constexpr std::uint16_t kNil = SlotIndex::kNil;
 
-    /** (size << 2) | (is_write << 1) | used — 0 for free slots, so a
-     *  single compare rejects both mismatches and unused entries. */
+    /** (size << 2) | (is_write << 1): the key beside the address. */
     static std::uint64_t
     sideKey(unsigned size, bool is_write)
     {
         return (static_cast<std::uint64_t>(size) << 2) |
-               (is_write ? 2u : 0u) | 1u;
+               (is_write ? 2u : 0u);
     }
+
+    static std::uint64_t
+    keyHash(Addr addr, std::uint64_t side)
+    {
+        return SlotIndex::hash(addr) ^ side;
+    }
+
+    /** Unlink node @p i from the LRU list and the index, and free it. */
+    void drop(std::uint16_t i);
 
     void unlink(std::uint16_t i);
     void linkFront(std::uint16_t i);
-    void release(std::uint16_t i);
 
     std::uint32_t capacity_;
-    /// Struct-of-arrays: the key scan touches only addrs_/sideKeys_
-    /// (tight, vectorizable); LRU links live apart.
     std::vector<Addr> addrs_;
     std::vector<std::uint64_t> sideKeys_;
     std::vector<std::uint16_t> prev_;
@@ -85,6 +96,7 @@ class IdempotentFilter
     std::uint16_t tail_ = kNil; ///< least recently used
     std::uint16_t free_ = kNil; ///< free list through next_
     std::size_t used_ = 0;
+    SlotIndex index_;
 
     Counter &hitsCtr_{stats.counter("hits")};
     Counter &missesCtr_{stats.counter("misses")};

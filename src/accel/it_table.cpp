@@ -1,5 +1,7 @@
 #include "accel/it_table.hpp"
 
+#include <bit>
+
 #include "common/logging.hpp"
 
 namespace paralog {
@@ -42,10 +44,10 @@ copySources(LgEvent &ev, const ItTable::Row &row)
 
 } // namespace
 
-LgEvent
-ItTable::inheritEvent(RegId reg, const Row &row)
+void
+ItTable::appendInherit(RegId reg, const Row &row, std::vector<LgEvent> &out)
 {
-    LgEvent ev;
+    LgEvent &ev = out.emplace_back();
     ev.dst = reg;
     if (row.state == RowState::kConst) {
         ev.type = LgEventType::kRegInheritConst;
@@ -54,39 +56,58 @@ ItTable::inheritEvent(RegId reg, const Row &row)
         copySources(ev, row);
         ev.size = row.src[0].size;
     }
-    return ev;
+}
+
+void
+ItTable::setRow(RegId reg, const Row &row)
+{
+    rows_[reg] = row;
+    const std::uint32_t bit = 1u << reg;
+    if (row.state == RowState::kInvalid)
+        liveMask_ &= ~bit;
+    else
+        liveMask_ |= bit;
+    if (row.state != RowState::kAddr) {
+        addrMask_ &= ~bit;
+        return;
+    }
+    addrMask_ |= bit;
+    RecordId min = row.src[0].rid;
+    for (unsigned i = 1; i < row.nsrc; ++i) {
+        if (row.src[i].rid < min)
+            min = row.src[i].rid;
+    }
+    rowMinRid_[reg] = min;
 }
 
 void
 ItTable::flushRow(RegId reg, std::vector<LgEvent> &out)
 {
-    Row &row = rows_[reg];
-    if (row.state == RowState::kInvalid)
+    if (!(liveMask_ & (1u << reg)))
         return;
-    out.push_back(inheritEvent(reg, row));
-    row = Row{};
+    appendInherit(reg, rows_[reg], out);
+    setRow(reg, Row{});
     rowFlushesCtr_.inc();
 }
 
 void
 ItTable::flushAll(std::vector<LgEvent> &out)
 {
-    for (RegId r = 0; r < kNumRegs; ++r)
-        flushRow(r, out);
+    // Each walk below takes its mask once: a flush only clears the bit
+    // of the row it flushes, which the walk has already passed.
+    for (std::uint32_t m = liveMask_; m != 0; m &= m - 1)
+        flushRow(static_cast<RegId>(std::countr_zero(m)), out);
     fullFlushesCtr_.inc();
 }
 
 void
 ItTable::flushOlderThan(RecordId min_rid, std::vector<LgEvent> &out)
 {
-    for (RegId r = 0; r < kNumRegs; ++r) {
-        const Row &row = rows_[r];
-        for (unsigned i = 0; i < row.nsrc; ++i) {
-            if (row.src[i].rid <= min_rid) {
-                flushRow(r, out);
-                thresholdFlushesCtr_.inc();
-                break;
-            }
+    for (std::uint32_t m = addrMask_; m != 0; m &= m - 1) {
+        const RegId r = static_cast<RegId>(std::countr_zero(m));
+        if (rowMinRid_[r] <= min_rid) {
+            flushRow(r, out);
+            thresholdFlushesCtr_.inc();
         }
     }
 }
@@ -107,11 +128,12 @@ void
 ItTable::flushOverlapping(Addr addr, unsigned size,
                           std::vector<LgEvent> &out, RegId exempt)
 {
-    for (RegId r = 0; r < kNumRegs; ++r) {
-        if (r == exempt)
-            continue;
-        Row &row = rows_[r];
-        if (row.state == RowState::kAddr && row.overlaps(addr, size)) {
+    std::uint32_t m = addrMask_;
+    if (exempt < kNumRegs)
+        m &= ~(1u << exempt);
+    for (; m != 0; m &= m - 1) {
+        const RegId r = static_cast<RegId>(std::countr_zero(m));
+        if (rows_[r].overlaps(addr, size)) {
             flushRow(r, out);
             localConflictsCtr_.inc();
         }
@@ -122,23 +144,12 @@ RecordId
 ItTable::minRid() const
 {
     RecordId min = kInvalidRecord;
-    for (const Row &row : rows_) {
-        for (unsigned i = 0; i < row.nsrc; ++i) {
-            if (row.src[i].rid < min)
-                min = row.src[i].rid;
-        }
+    for (std::uint32_t m = addrMask_; m != 0; m &= m - 1) {
+        const RecordId r = rowMinRid_[std::countr_zero(m)];
+        if (r < min)
+            min = r;
     }
     return min;
-}
-
-bool
-ItTable::empty() const
-{
-    for (const Row &row : rows_) {
-        if (row.state != RowState::kInvalid)
-            return false;
-    }
-    return true;
 }
 
 bool
@@ -152,7 +163,7 @@ ItTable::process(const EventRecord &rec, std::vector<LgEvent> &out)
             // inheriting from the same address (section 5.5).
             flushOverlapping(rec.addr, rec.size, out);
             retireRow(rec.dst, out);
-            rows_[rec.dst] = Row{};
+            setRow(rec.dst, Row{});
             return false;
         }
         retireRow(rec.dst, out);
@@ -160,7 +171,7 @@ ItTable::process(const EventRecord &rec, std::vector<LgEvent> &out)
         row.state = RowState::kAddr;
         row.nsrc = 1;
         row.src[0] = Source{rec.addr, rec.size, rec.rid};
-        rows_[rec.dst] = row;
+        setRow(rec.dst, row);
         absorbedLoadsCtr_.inc();
         return true;
       }
@@ -169,7 +180,7 @@ ItTable::process(const EventRecord &rec, std::vector<LgEvent> &out)
         retireRow(rec.dst, out);
         Row row;
         row.state = RowState::kConst;
-        rows_[rec.dst] = row;
+        setRow(rec.dst, row);
         absorbedMovsCtr_.inc();
         return true;
       }
@@ -179,18 +190,18 @@ ItTable::process(const EventRecord &rec, std::vector<LgEvent> &out)
             // The lifeguard's own register metadata is current for src;
             // deliver the copy so dst stays current there too.
             retireRow(rec.dst, out);
-            rows_[rec.dst] = Row{};
+            setRow(rec.dst, Row{});
             return false;
         }
         if (rec.dst != rec.src)
             retireRow(rec.dst, out);
-        rows_[rec.dst] = rows_[rec.src];
+        setRow(rec.dst, rows_[rec.src]);
         absorbedMovsCtr_.inc();
         return true;
 
       case EventType::kAlu: {
         const Row &s = rows_[rec.src];
-        Row &d = rows_[rec.dst];
+        const Row &d = rows_[rec.dst];
         if (d.state == RowState::kInvalid || s.state == RowState::kInvalid) {
             // Unknown state: fall back to the lifeguard's own register
             // metadata by flushing and delivering the ALU event.
@@ -204,14 +215,14 @@ ItTable::process(const EventRecord &rec, std::vector<LgEvent> &out)
             return true;
         }
         if (d.state == RowState::kConst) {
-            d = s;
+            setRow(rec.dst, s);
             absorbedAluCtr_.inc();
             return true;
         }
         // Both inherit from memory: merge the source sets (<= 2 total).
         Row merged = d;
         if (mergeSources(merged, s)) {
-            d = merged;
+            setRow(rec.dst, merged);
             absorbedAluCtr_.inc();
             return true;
         }
@@ -237,25 +248,20 @@ ItTable::process(const EventRecord &rec, std::vector<LgEvent> &out)
                          exemptSelfRmw_ ? rec.src : kNoReg);
 
         const Row &s = rows_[rec.src];
-        LgEvent ev;
+        if (s.state == RowState::kInvalid)
+            return false; // deliver the raw store
+        LgEvent &ev = out.emplace_back();
         ev.addr = rec.addr;
         ev.size = rec.size;
-        switch (s.state) {
-          case RowState::kAddr:
+        if (s.state == RowState::kAddr) {
             ev.type = LgEventType::kMemToMem;
             copySources(ev, s);
-            out.push_back(ev);
             memToMemCtr_.inc();
-            return true;
-          case RowState::kConst:
+        } else {
             ev.type = LgEventType::kMemSetConst;
-            out.push_back(ev);
             setConstCtr_.inc();
-            return true;
-          case RowState::kInvalid:
-            return false; // deliver the raw store
         }
-        return false;
+        return true;
       }
 
       case EventType::kJump: {
@@ -266,12 +272,11 @@ ItTable::process(const EventRecord &rec, std::vector<LgEvent> &out)
             return true;
         }
         if (s.state == RowState::kAddr) {
-            LgEvent ev;
+            LgEvent &ev = out.emplace_back();
             ev.type = LgEventType::kJumpMem;
             copySources(ev, s);
             ev.size = s.src[0].size;
             ev.src = rec.src;
-            out.push_back(ev);
             return true;
         }
         return false;

@@ -18,12 +18,21 @@
  *  - the table is flushed on dependence stalls (deadlock avoidance), on
  *    ConflictAlert records (high-level remote conflicts), and when the
  *    advertising lag exceeds a threshold.
+ *
+ * Every row write goes through setRow(), which keeps two register bit
+ * masks (rows in the kAddr state, rows not kInvalid) and each kAddr
+ * row's oldest source rid current. The flushes walk only set mask bits,
+ * lowest register first, which is the order a full row scan visits
+ * them in, so flush order and event order are unchanged; minRid() is a
+ * minimum over the live rows' cached minima and empty() a mask test.
+ * Only kAddr rows hold sources, so no other row can pin a record.
  */
 
 #ifndef PARALOG_ACCEL_IT_TABLE_HPP
 #define PARALOG_ACCEL_IT_TABLE_HPP
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "accel/lg_event.hpp"
@@ -109,17 +118,27 @@ class ItTable
     const Row &row(RegId reg) const { return rows_[reg]; }
 
     /** Any row currently holding inherits-from state? */
-    bool empty() const;
+    bool empty() const { return liveMask_ == 0; }
 
     StatSet stats{"it"};
 
   private:
-    static LgEvent inheritEvent(RegId reg, const Row &row);
+    static void appendInherit(RegId reg, const Row &row,
+                              std::vector<LgEvent> &out);
 
     /** Flush-or-drop the row a new absorption is about to replace. */
     void retireRow(RegId reg, std::vector<LgEvent> &out);
 
+    /** The one writer of rows_: stores @p row and updates the masks
+     *  and the row's cached oldest source rid. */
+    void setRow(RegId reg, const Row &row);
+
+    static_assert(kNumRegs <= 32, "register masks are 32 bits wide");
+
     std::array<Row, kNumRegs> rows_{};
+    std::uint32_t addrMask_ = 0; ///< rows in state kAddr
+    std::uint32_t liveMask_ = 0; ///< rows not kInvalid
+    std::array<RecordId, kNumRegs> rowMinRid_{}; ///< valid under addrMask_
     bool exemptSelfRmw_ = true;
     bool flushOnOverwrite_ = false;
 

@@ -8,11 +8,15 @@
  * metadata pages, so an installed mapping never goes stale, and only
  * LRU eviction removes one.
  *
- * Modelled as an exact-LRU table over a fixed node array with an
- * intrusive LRU list and linear key search (the entry count is
- * hardware-small), mirroring IdempotentFilter: this sits on the
- * per-handler metadata-touch path, where node-based containers pay an
- * allocation per miss.
+ * Modelled as an exact-LRU table. A SlotIndex maps each page to its
+ * slot, so a lookup costs one hash probe however many pages are live:
+ * the stream is page-local but scattered (barnes AddrCheck touches
+ * about 60 pages at a 0.9999 hit ratio), so a most-recent-first list
+ * walk would take several hops per hit. Each slot carries the clock stamp of
+ * its last use; a miss at capacity evicts the least stamp. Stamps are
+ * unique and grow with every lookup, so the least one is the exact LRU
+ * entry and the hit/miss sequence is the one an LRU list gives. The
+ * stamp scan runs on misses only, which are rare here.
  */
 
 #ifndef PARALOG_ACCEL_MTLB_HPP
@@ -21,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "accel/slot_index.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
@@ -50,23 +55,12 @@ class MetadataTlb
     StatSet stats{"mtlb"};
 
   private:
-    static constexpr std::uint16_t kNil = 0xFFFF;
-
-    struct Node
-    {
-        std::uint64_t page = 0;
-        std::uint16_t prev = kNil;
-        std::uint16_t next = kNil; ///< LRU order
-    };
-
-    void unlink(std::uint16_t i);
-    void linkFront(std::uint16_t i);
-
     std::uint32_t capacity_;
     bool enabled_;
-    std::vector<Node> nodes_;
-    std::uint16_t head_ = kNil;
-    std::uint16_t tail_ = kNil;
+    std::vector<std::uint64_t> pages_;
+    std::vector<std::uint64_t> stamps_; ///< clock_ at last use
+    SlotIndex index_;
+    std::uint64_t clock_ = 0;
     std::size_t used_ = 0;
 
     Counter &hitsCtr_{stats.counter("hits")};

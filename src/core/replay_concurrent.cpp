@@ -116,9 +116,13 @@ ReplayPlatform::runConcurrent()
     pool.flush([&] { pool.publish(sealedBy(~0ULL)); });
     pool.finish();
 
+    // As in the serial engine, the run ends no earlier than the
+    // recorded application exit, which journals no op.
     Cycle total = 0;
     for (auto &c : lgCores_)
         total = std::max(total, c->busyUntil);
+    for (const AppThreadStats &a : reader_.footer().result.app)
+        total = std::max(total, a.doneAt);
     RunResult result = collectResult(total);
     checkFooter(result, ResultTier::kResults);
     return result;

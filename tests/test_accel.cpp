@@ -1,10 +1,15 @@
 /**
  * @file
  * Unit tests for the accelerators: IT (including the Figure 3 scenario
- * and delayed advertising), IF, and the M-TLB.
+ * and delayed advertising), IF, and the M-TLB, plus differential tests
+ * of all three against brute-force reference models over seeded
+ * random operation streams.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
 
 #include "accel/accel_unit.hpp"
 
@@ -304,6 +309,443 @@ TEST(Mtlb, LruCapacity)
     tlb.lookupCost(0x3000); // evicts 0x1000
     EXPECT_EQ(tlb.lookupCost(0x2000), MetadataTlb::kHitCost);
     EXPECT_EQ(tlb.lookupCost(0x1000), MetadataTlb::kMissCost);
+}
+
+// ---------- Differential tests against reference models ----------
+//
+// Each reference is the plain form of its accelerator: exact-LRU lists
+// searched linearly, and an IT that scans every row on every query.
+// The random streams run over small address and page pools, so hits,
+// evictions, invalidations and overlaps all occur often.
+
+/** Exact-LRU IF reference: MRU-first list, linear key search. */
+class RefFilter
+{
+  public:
+    explicit RefFilter(std::size_t cap) : cap_(cap) {}
+
+    bool
+    checkAndInsert(Addr addr, unsigned size, bool is_write)
+    {
+        for (std::size_t i = 0; i < lru_.size(); ++i) {
+            const Entry e = lru_[i];
+            if (e.addr == addr && e.size == size && e.write == is_write) {
+                lru_.erase(lru_.begin() + i);
+                lru_.insert(lru_.begin(), e);
+                return true;
+            }
+        }
+        if (lru_.size() == cap_)
+            lru_.pop_back();
+        lru_.insert(lru_.begin(), Entry{addr, size, is_write});
+        return false;
+    }
+
+    void invalidateAll() { lru_.clear(); }
+
+    void
+    invalidateOverlapping(Addr addr, unsigned size)
+    {
+        std::erase_if(lru_, [&](const Entry &e) {
+            return e.addr < addr + size && addr < e.addr + e.size;
+        });
+    }
+
+    std::size_t size() const { return lru_.size(); }
+
+  private:
+    struct Entry
+    {
+        Addr addr;
+        unsigned size;
+        bool write;
+    };
+    std::size_t cap_;
+    std::vector<Entry> lru_; ///< most recently used first
+};
+
+/** Exact-LRU M-TLB reference: MRU-first page list, linear search. */
+class RefTlb
+{
+  public:
+    explicit RefTlb(std::size_t cap) : cap_(cap) {}
+
+    std::uint32_t
+    lookupCost(Addr app_addr)
+    {
+        const std::uint64_t page = app_addr >> MetadataTlb::kPageShift;
+        auto it = std::find(lru_.begin(), lru_.end(), page);
+        if (it != lru_.end()) {
+            lru_.erase(it);
+            lru_.insert(lru_.begin(), page);
+            return MetadataTlb::kHitCost;
+        }
+        if (lru_.size() == cap_)
+            lru_.pop_back();
+        lru_.insert(lru_.begin(), page);
+        return MetadataTlb::kMissCost;
+    }
+
+    std::size_t size() const { return lru_.size(); }
+
+  private:
+    std::size_t cap_;
+    std::vector<std::uint64_t> lru_; ///< most recently used first
+};
+
+TEST(AccelDifferential, IdempotentFilterMatchesExactLru)
+{
+    std::mt19937_64 rng(0x1f17e5);
+    std::size_t hits = 0, ops = 0;
+    for (std::uint32_t cap : {1u, 3u, 16u, 64u}) {
+        IdempotentFilter f(cap);
+        RefFilter ref(cap);
+        // 96 keys over overlapping ranges: more than the largest filter
+        // holds, so it evicts, but few enough that it also hits.
+        for (int op = 0; op < 50000; ++op, ++ops) {
+            const Addr addr = 0x1000 + 4 * (rng() % 24);
+            const unsigned size = (rng() % 2) ? 8 : 4;
+            const unsigned pick = rng() % 100;
+            if (pick < 90) {
+                const bool w = rng() % 4 == 0;
+                const bool hit = f.checkAndInsert(addr, size, w);
+                ASSERT_EQ(hit, ref.checkAndInsert(addr, size, w))
+                    << "cap " << cap << " op " << op;
+                hits += hit;
+            } else if (pick < 95) {
+                f.invalidateOverlapping(addr, size);
+                ref.invalidateOverlapping(addr, size);
+            } else if (pick < 99) {
+                f.invalidateVersioned(addr, size);
+                ref.invalidateOverlapping(addr, size);
+            } else {
+                f.invalidateAll();
+                ref.invalidateAll();
+            }
+            ASSERT_EQ(f.size(), ref.size()) << "cap " << cap << " op " << op;
+        }
+    }
+    // The stream exercised both outcomes.
+    EXPECT_GT(hits, ops / 10);
+    EXPECT_LT(hits, ops * 9 / 10);
+}
+
+TEST(AccelDifferential, MtlbMatchesExactLru)
+{
+    std::mt19937_64 rng(0x7eb);
+    std::size_t hits = 0, ops = 0;
+    for (std::uint32_t cap : {1u, 2u, 16u, 64u}) {
+        MetadataTlb tlb(cap, true);
+        RefTlb ref(cap);
+        // 96 pages scattered over a wide range, touched with locality:
+        // mostly one of the last few pages, sometimes any page.
+        std::uint64_t cur = 0;
+        for (int op = 0; op < 50000; ++op, ++ops) {
+            if (rng() % 4 == 0)
+                cur = rng() % 96;
+            const Addr addr = ((cur * 0x9E37ull) % 4096) << 12 |
+                              (rng() % 4096);
+            const std::uint32_t cost = tlb.lookupCost(addr);
+            ASSERT_EQ(cost, ref.lookupCost(addr))
+                << "cap " << cap << " op " << op;
+            ASSERT_EQ(tlb.size(), ref.size());
+            hits += cost == MetadataTlb::kHitCost;
+        }
+    }
+    EXPECT_GT(hits, ops / 10);
+    EXPECT_LT(hits, ops * 9 / 10);
+}
+
+/** IT reference: the same transitions as ItTable, with every flush and
+ *  query a scan over all rows. */
+class RefIt
+{
+  public:
+    using Row = ItTable::Row;
+    using RowState = ItTable::RowState;
+
+    RefIt(bool exempt_self_rmw, bool flush_on_overwrite)
+        : exemptSelfRmw_(exempt_self_rmw),
+          flushOnOverwrite_(flush_on_overwrite)
+    {
+    }
+
+    void
+    flushRow(RegId r, std::vector<LgEvent> &out)
+    {
+        Row &row = rows_[r];
+        if (row.state == RowState::kInvalid)
+            return;
+        LgEvent ev;
+        ev.dst = r;
+        if (row.state == RowState::kConst) {
+            ev.type = LgEventType::kRegInheritConst;
+        } else {
+            ev.type = LgEventType::kRegInheritMem;
+            copySources(ev, row);
+            ev.size = row.src[0].size;
+        }
+        out.push_back(ev);
+        row = Row{};
+    }
+
+    void
+    flushAll(std::vector<LgEvent> &out)
+    {
+        for (RegId r = 0; r < kNumRegs; ++r)
+            flushRow(r, out);
+    }
+
+    void
+    flushOlderThan(RecordId min_rid, std::vector<LgEvent> &out)
+    {
+        for (RegId r = 0; r < kNumRegs; ++r) {
+            for (unsigned i = 0; i < rows_[r].nsrc; ++i) {
+                if (rows_[r].src[i].rid <= min_rid) {
+                    flushRow(r, out);
+                    break;
+                }
+            }
+        }
+    }
+
+    void
+    flushOverlapping(Addr addr, unsigned size, std::vector<LgEvent> &out,
+                     RegId exempt = kNoReg)
+    {
+        for (RegId r = 0; r < kNumRegs; ++r) {
+            if (r != exempt && rows_[r].state == RowState::kAddr &&
+                rows_[r].overlaps(addr, size))
+                flushRow(r, out);
+        }
+    }
+
+    RecordId
+    minRid() const
+    {
+        RecordId min = kInvalidRecord;
+        for (const Row &row : rows_) {
+            for (unsigned i = 0; i < row.nsrc; ++i)
+                min = std::min(min, row.src[i].rid);
+        }
+        return min;
+    }
+
+    bool
+    empty() const
+    {
+        return std::all_of(rows_.begin(), rows_.end(), [](const Row &r) {
+            return r.state == RowState::kInvalid;
+        });
+    }
+
+    const Row &row(RegId r) const { return rows_[r]; }
+
+    bool
+    process(const EventRecord &rec, std::vector<LgEvent> &out)
+    {
+        switch (rec.type) {
+          case EventType::kLoad: {
+            if (rec.consumesVersion) {
+                flushOverlapping(rec.addr, rec.size, out);
+                retire(rec.dst, out);
+                rows_[rec.dst] = Row{};
+                return false;
+            }
+            retire(rec.dst, out);
+            Row row;
+            row.state = RowState::kAddr;
+            row.nsrc = 1;
+            row.src[0] = ItTable::Source{rec.addr, rec.size, rec.rid};
+            rows_[rec.dst] = row;
+            return true;
+          }
+          case EventType::kMovImm:
+            retire(rec.dst, out);
+            rows_[rec.dst] = Row{};
+            rows_[rec.dst].state = RowState::kConst;
+            return true;
+          case EventType::kMovRR:
+            if (rows_[rec.src].state == RowState::kInvalid) {
+                retire(rec.dst, out);
+                rows_[rec.dst] = Row{};
+                return false;
+            }
+            if (rec.dst != rec.src)
+                retire(rec.dst, out);
+            rows_[rec.dst] = rows_[rec.src];
+            return true;
+          case EventType::kAlu: {
+            const Row s = rows_[rec.src];
+            Row &d = rows_[rec.dst];
+            if (d.state == RowState::kInvalid ||
+                s.state == RowState::kInvalid) {
+                flushRow(rec.src, out);
+                flushRow(rec.dst, out);
+                return false;
+            }
+            if (s.state == RowState::kConst)
+                return true;
+            if (d.state == RowState::kConst) {
+                d = s;
+                return true;
+            }
+            Row merged = d;
+            for (unsigned i = 0; i < s.nsrc; ++i) {
+                unsigned j = 0;
+                while (j < merged.nsrc &&
+                       !(merged.src[j].addr == s.src[i].addr &&
+                         merged.src[j].size == s.src[i].size))
+                    ++j;
+                if (j < merged.nsrc) {
+                    merged.src[j].rid =
+                        std::min(merged.src[j].rid, s.src[i].rid);
+                } else if (merged.nsrc < kItMaxSources) {
+                    merged.src[merged.nsrc++] = s.src[i];
+                } else {
+                    flushRow(rec.src, out);
+                    flushRow(rec.dst, out);
+                    return false;
+                }
+            }
+            d = merged;
+            return true;
+          }
+          case EventType::kStore: {
+            flushOverlapping(rec.addr, rec.size, out,
+                             exemptSelfRmw_ ? rec.src : kNoReg);
+            const Row &s = rows_[rec.src];
+            if (s.state == RowState::kInvalid)
+                return false;
+            LgEvent ev;
+            ev.addr = rec.addr;
+            ev.size = rec.size;
+            if (s.state == RowState::kAddr) {
+                ev.type = LgEventType::kMemToMem;
+                copySources(ev, s);
+            } else {
+                ev.type = LgEventType::kMemSetConst;
+            }
+            out.push_back(ev);
+            return true;
+          }
+          case EventType::kJump: {
+            const Row &s = rows_[rec.src];
+            if (s.state == RowState::kConst)
+                return true;
+            if (s.state != RowState::kAddr)
+                return false;
+            LgEvent ev;
+            ev.type = LgEventType::kJumpMem;
+            copySources(ev, s);
+            ev.size = s.src[0].size;
+            ev.src = rec.src;
+            out.push_back(ev);
+            return true;
+          }
+          default:
+            return false;
+        }
+    }
+
+  private:
+    static void
+    copySources(LgEvent &ev, const Row &row)
+    {
+        ev.nsrcs = row.nsrc;
+        for (unsigned i = 0; i < row.nsrc; ++i)
+            ev.srcs[i] = MetaSrc{row.src[i].addr, row.src[i].size};
+    }
+
+    void
+    retire(RegId r, std::vector<LgEvent> &out)
+    {
+        if (flushOnOverwrite_)
+            flushRow(r, out);
+    }
+
+    std::array<Row, kNumRegs> rows_{};
+    bool exemptSelfRmw_;
+    bool flushOnOverwrite_;
+};
+
+void
+expectSameEvents(const std::vector<LgEvent> &got,
+                 const std::vector<LgEvent> &want, int op)
+{
+    ASSERT_EQ(got.size(), want.size()) << "op " << op;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const LgEvent &g = got[i];
+        const LgEvent &w = want[i];
+        ASSERT_EQ(g.type, w.type) << "op " << op << " event " << i;
+        EXPECT_EQ(g.dst, w.dst) << "op " << op << " event " << i;
+        EXPECT_EQ(g.src, w.src) << "op " << op << " event " << i;
+        EXPECT_EQ(g.addr, w.addr) << "op " << op << " event " << i;
+        EXPECT_EQ(g.size, w.size) << "op " << op << " event " << i;
+        ASSERT_EQ(g.nsrcs, w.nsrcs) << "op " << op << " event " << i;
+        for (unsigned k = 0; k < g.nsrcs; ++k) {
+            EXPECT_EQ(g.srcs[k].addr, w.srcs[k].addr) << "op " << op;
+            EXPECT_EQ(g.srcs[k].size, w.srcs[k].size) << "op " << op;
+        }
+    }
+}
+
+TEST(AccelDifferential, ItTableMatchesRowScan)
+{
+    std::mt19937_64 rng(0x17ab1e);
+    std::size_t delivered = 0, absorbed = 0;
+    RecordId rid = 0;
+    for (int policy = 0; policy < 4; ++policy) {
+        ItTable it;
+        it.setExemptSelfRmw(policy & 1);
+        it.setFlushOnOverwrite(policy & 2);
+        RefIt ref(policy & 1, policy & 2);
+        std::vector<LgEvent> out, want;
+        for (int op = 0; op < 50000; ++op) {
+            EventRecord r;
+            r.tid = 0;
+            r.rid = ++rid;
+            r.dst = static_cast<RegId>(rng() % kNumRegs);
+            r.src = static_cast<RegId>(rng() % kNumRegs);
+            r.addr = 0x1000 + 4 * (rng() % 24);
+            r.size = (rng() % 2) ? 8 : 4;
+            out.clear();
+            want.clear();
+            const unsigned pick = rng() % 100;
+            if (pick < 97) {
+                static constexpr EventType kOps[] = {
+                    EventType::kLoad,  EventType::kLoad,
+                    EventType::kMovImm, EventType::kMovRR,
+                    EventType::kAlu,   EventType::kAlu,
+                    EventType::kStore, EventType::kStore,
+                    EventType::kJump,
+                };
+                r.type = kOps[rng() % std::size(kOps)];
+                r.consumesVersion =
+                    r.type == EventType::kLoad && rng() % 16 == 0;
+                const bool a = it.process(r, out);
+                ASSERT_EQ(a, ref.process(r, want)) << "op " << op;
+                absorbed += a;
+            } else if (pick < 99) {
+                const RecordId older = rid - rng() % 64;
+                it.flushOlderThan(older, out);
+                ref.flushOlderThan(older, want);
+            } else {
+                it.flushAll(out);
+                ref.flushAll(want);
+            }
+            delivered += out.size();
+            expectSameEvents(out, want, op);
+            ASSERT_EQ(it.minRid(), ref.minRid()) << "op " << op;
+            ASSERT_EQ(it.empty(), ref.empty()) << "op " << op;
+            for (RegId g = 0; g < kNumRegs; ++g) {
+                ASSERT_EQ(it.row(g).state, ref.row(g).state) << "op " << op;
+                ASSERT_EQ(it.row(g).nsrc, ref.row(g).nsrc) << "op " << op;
+            }
+        }
+    }
+    EXPECT_GT(absorbed, 0u);
+    EXPECT_GT(delivered, 0u);
 }
 
 // ---------- AccelUnit integration ----------

@@ -165,6 +165,29 @@ TEST_F(ConcurrentModes, OceanMatchesRecording)
     EXPECT_EQ(resultMismatch(ResultTier::kResults, rp.run(), live), "");
 }
 
+TEST_F(ConcurrentModes, TotalCyclesCoverTheRecordedApplicationExit)
+{
+    // The application's exit journals no op, so the lifeguard cores can
+    // go idle before it; like serial replay, the concurrent engine must
+    // still end no earlier than the latest recorded app exit. Ocean
+    // AddrCheck at the CLI's default scale delivers only 28 records.
+    TempTrace tmp("appexit");
+    RunSpec rec = makeSpec(WorkloadKind::kOcean, LifeguardKind::kAddrCheck,
+                           4, MemoryModel::kSC, 20000, tmp.path());
+    RunResult live = recordExperiment(rec);
+    Cycle last_exit = 0;
+    for (const AppThreadStats &a : live.app)
+        last_exit = std::max(last_exit, a.doneAt);
+    ASSERT_GT(last_exit, 0u);
+
+    ReplayConfig cfg;
+    cfg.path = tmp.path();
+    cfg.lgThreads = 2;
+    ReplayPlatform rp(std::move(cfg));
+    ASSERT_TRUE(rp.concurrent());
+    EXPECT_GE(rp.run().totalCycles, last_exit);
+}
+
 TEST_F(ConcurrentModes, ZeroAndOneThreadSelectTheSerialEngine)
 {
     TempTrace tmp("serialsel");

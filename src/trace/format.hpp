@@ -41,9 +41,11 @@
  * layout, chunk framing, latency and footer payload encodings are
  * byte-identical to v1, but kChunkOps payloads hold a compressed
  * columnar re-blocking of the v1 op bytes (v2_block.hpp) instead of
- * the raw journal stream. Decoding a v2 ops chunk reproduces the v1
- * op bytes exactly, so every consumer above the chunk layer — the op
- * cursor, the record codec, replay — is format-agnostic.
+ * the raw journal stream. The columns hold the v1 op bytes exactly.
+ * Replay's op cursor reads a v2 chunk's ops straight from its columns;
+ * only chunkPayload (migration) re-interleaves them into v1 op bytes.
+ * Both yield the same ops, so every consumer above the op cursor — the
+ * record codec, replay — is format-agnostic.
  */
 
 #ifndef PARALOG_TRACE_FORMAT_HPP

@@ -18,6 +18,9 @@ namespace {
  *  at ~56 KB of v1 bytes, so anything near this limit is hostile. */
 inline constexpr std::size_t kMaxDecodedChunkBytes = 16u << 20;
 
+inline constexpr const char *kUndecodableChunk =
+    "v2 ops chunk does not decode (corrupt trace)";
+
 } // namespace
 
 TraceReader::TraceReader(const std::string &path, const Options &opts)
@@ -206,7 +209,7 @@ TraceReader::chunkPayload(std::size_t i, std::vector<std::uint8_t> &out)
         if (!decodeOpsBlock(data_ + ref.offset, ref.bytes, out,
                             kMaxDecodedChunkBytes)) {
             out.clear();
-            fail("v2 ops chunk does not decode (corrupt trace)");
+            fail(kUndecodableChunk);
             return false;
         }
         return true;
@@ -280,28 +283,13 @@ TraceReader::parseFooter(const std::vector<std::uint8_t> &payload)
 }
 
 bool
-TraceReader::cursorForChunk(std::size_t i, std::vector<std::uint8_t> &buf,
-                            ByteCursor &cur)
+TraceReader::cursorForChunk(std::size_t i, ByteCursor &cur)
 {
     if (!checkChunk(i)) {
-        buf.clear();
-        cur = ByteCursor(buf.data(), 0);
+        cur = ByteCursor{};
         return false;
     }
-    const ChunkRef &ref = chunks_[i];
-    if (ref.kind == kChunkOps && formatVersion_ == kFormatVersionV2) {
-        if (!decodeOpsBlock(data_ + ref.offset, ref.bytes, buf,
-                            kMaxDecodedChunkBytes)) {
-            buf.clear();
-            cur = ByteCursor(buf.data(), 0);
-            fail("v2 ops chunk does not decode (corrupt trace)");
-            return false;
-        }
-        cur = ByteCursor(buf.data(), buf.size());
-        return true;
-    }
-    // v1 ops and latency chunks: read straight out of the mapping.
-    cur = ByteCursor(data_ + ref.offset, ref.bytes);
+    cur = ByteCursor(data_ + chunks_[i].offset, chunks_[i].bytes);
     return true;
 }
 
@@ -311,6 +299,7 @@ TraceReader::opStream(ThreadId tid)
     OpStream s;
     s.reader_ = this;
     s.tid_ = tid;
+    s.columnar_ = formatVersion_ == kFormatVersionV2;
     return s;
 }
 
@@ -324,17 +313,29 @@ TraceReader::latencyStream(ThreadId tid)
 }
 
 bool
+TraceReader::OpStream::loadChunk()
+{
+    const auto &order = reader_->opChunks_[tid_];
+    if (!reader_->ok_ || chunkIdx_ >= order.size())
+        return false;
+    const std::size_t i = order[chunkIdx_++];
+    if (!columnar_)
+        return reader_->cursorForChunk(i, cur_);
+    if (!reader_->checkChunk(i))
+        return false;
+    const ChunkRef &ref = reader_->chunks_[i];
+    if (!parseOpsBlock(reader_->data_ + ref.offset, ref.bytes, section_,
+                       kMaxDecodedChunkBytes, block_)) {
+        block_ = OpsBlock{};
+        reader_->fail(kUndecodableChunk);
+        return false;
+    }
+    return true;
+}
+
+bool
 TraceReader::OpStream::next(TraceOp &out)
 {
-    while (cur_.atEnd()) {
-        const auto &order = reader_->opChunks_[tid_];
-        if (!reader_->ok_ || chunkIdx_ >= order.size())
-            return false;
-        std::size_t i = order[chunkIdx_++];
-        if (!reader_->cursorForChunk(i, buf_, cur_))
-            return false;
-    }
-
     auto bad = [this](const char *why) {
         reader_->fail(std::string("malformed op stream: ") + why);
         return false;
@@ -342,11 +343,42 @@ TraceReader::OpStream::next(TraceOp &out)
 
     std::uint8_t opcode = 0;
     std::uint64_t d_gseq = 0, d_cycle = 0, d_lg = 0;
-    if (!cur_.getByte(opcode) || opcode > kMaxOpCode)
-        return bad("bad opcode");
-    if (!cur_.getVarint(d_gseq) || !cur_.getVarint(d_cycle) ||
-        !cur_.getVarint(d_lg))
-        return bad("truncated op prelude");
+    ByteCursor body; // v2: this op's body, bounded to its length
+    if (columnar_) {
+        auto &col = block_.col;
+        while (col[kColOpcode].atEnd()) {
+            // The chunk's last op is read; so must its columns be.
+            for (const ByteCursor &c : col)
+                if (!c.atEnd()) {
+                    reader_->fail(kUndecodableChunk);
+                    return false;
+                }
+            if (!loadChunk())
+                return false;
+        }
+        std::uint64_t body_len = 0;
+        opcode = *col[kColOpcode].pos++;
+        if (opcode > kMaxOpCode || !col[kColGseq].getVarint(d_gseq) ||
+            !col[kColCycle].getVarint(d_cycle) ||
+            !col[kColLgStep].getVarint(d_lg) ||
+            !col[kColBodyLen].getVarint(body_len) ||
+            body_len > col[kColBody].remaining()) {
+            reader_->fail(kUndecodableChunk);
+            return false;
+        }
+        body = ByteCursor(col[kColBody].pos,
+                          static_cast<std::size_t>(body_len));
+        col[kColBody].pos += body_len;
+    } else {
+        while (cur_.atEnd())
+            if (!loadChunk())
+                return false;
+        if (!cur_.getByte(opcode) || opcode > kMaxOpCode)
+            return bad("bad opcode");
+        if (!cur_.getVarint(d_gseq) || !cur_.getVarint(d_cycle) ||
+            !cur_.getVarint(d_lg))
+            return bad("truncated op prelude");
+    }
     // Replay holds an op until its cycle comes round, so an op stamped
     // past the recorded run would idle the scheduler up to maxCycles.
     if (d_cycle > reader_->footer_.result.totalCycles - cycle_)
@@ -355,79 +387,81 @@ TraceReader::OpStream::next(TraceOp &out)
     cycle_ += d_cycle;
     lgStep_ += d_lg;
 
-    out.reset(); // in place: keeps the nested vectors' capacity
+    // Each op kind writes only its own fields (see TraceOp); an
+    // append's record is reset by the record decoder.
     out.op = static_cast<OpCode>(opcode);
     out.gseq = gseq_;
     out.cycle = cycle_;
     out.lgStep = lgStep_;
 
+    ByteCursor &in = columnar_ ? body : cur_;
     std::uint64_t v = 0;
     switch (out.op) {
       case OpCode::kRetire:
-        if (!cur_.getVarint(v))
+        if (!in.getVarint(v))
             return bad("truncated retire");
         retired_ += v;
         out.retired = retired_;
-        return true;
+        break;
 
       case OpCode::kAppend:
       case OpCode::kAppendCa:
-        if (!cur_.getVarint(v))
+        if (!in.getVarint(v))
             return bad("truncated append");
         out.chargedBytes = static_cast<std::uint32_t>(v);
-        if (!decoder_.decode(cur_, out.chargedBytes, out.rec))
+        if (!decoder_.decode(in, out.chargedBytes, out.rec))
             return bad("record decode failed");
         out.rec.tid = tid_;
-        return true;
+        break;
 
       case OpCode::kAttachArcs: {
         std::uint64_t n = 0;
-        if (!cur_.getVarint(out.rid) || !cur_.getVarint(n) || n > 4096)
+        if (!in.getVarint(out.rid) || !in.getVarint(n) || n > 4096)
             return bad("truncated arcs");
         out.arcs.resize(n);
         for (DepArc &a : out.arcs) {
             std::uint8_t tid = 0;
-            if (!cur_.getByte(tid) || !cur_.getVarint(a.rid))
+            if (!in.getByte(tid) || !in.getVarint(a.rid))
                 return bad("truncated arc");
             a.tid = tid;
         }
-        return true;
+        break;
       }
 
       case OpCode::kAnnotateConsume: {
         std::uint64_t vtid = 0;
-        if (!cur_.getVarint(out.rid) || !cur_.getVarint(vtid) ||
-            !cur_.getVarint(out.version.rid))
+        if (!in.getVarint(out.rid) || !in.getVarint(vtid) ||
+            !in.getVarint(out.version.rid))
             return bad("truncated consume annotation");
         out.version.tid = static_cast<ThreadId>(vtid);
-        return true;
+        break;
       }
 
       case OpCode::kInsertProduce: {
         std::uint64_t vtid = 0;
         std::uint8_t size = 0;
-        if (!cur_.getVarint(out.rid) || !cur_.getVarint(vtid) ||
-            !cur_.getVarint(out.version.rid) ||
-            !cur_.getVarint(out.addr) || !cur_.getByte(size))
+        if (!in.getVarint(out.rid) || !in.getVarint(vtid) ||
+            !in.getVarint(out.version.rid) ||
+            !in.getVarint(out.addr) || !in.getByte(size))
             return bad("truncated produce insertion");
         out.version.tid = static_cast<ThreadId>(vtid);
         out.size = size;
-        return true;
+        break;
       }
 
       case OpCode::kVisLimit:
-        if (!cur_.getVarint(v))
+        if (!in.getVarint(v))
             return bad("truncated visibility limit");
         out.visLimit = (v == 0) ? kInvalidRecord : v - 1;
-        return true;
+        break;
 
       case OpCode::kCaBroadcast: {
         std::uint8_t kind = 0;
         std::uint64_t n = 0, begin = 0, len = 0;
-        if (!cur_.getVarint(out.ca.seq) ||
-            !cur_.getVarint(out.ca.issuerEventRid) ||
-            !cur_.getByte(kind) || !cur_.getVarint(begin) ||
-            !cur_.getVarint(len) || !cur_.getVarint(n) || n > 1024)
+        if (!in.getVarint(out.ca.seq) ||
+            !in.getVarint(out.ca.issuerEventRid) ||
+            !in.getByte(kind) || !in.getVarint(begin) ||
+            !in.getVarint(len) || !in.getVarint(n) || n > 1024)
             return bad("truncated CA broadcast");
         out.ca.kind = static_cast<HighLevelKind>(kind);
         out.ca.range = AddrRange{begin, begin + len};
@@ -435,16 +469,20 @@ TraceReader::OpStream::next(TraceOp &out)
         out.ca.arrivalRid.resize(n);
         out.ca.waitersRemaining = 0;
         for (RecordId &r : out.ca.arrivalRid) {
-            if (!cur_.getVarint(v))
+            if (!in.getVarint(v))
                 return bad("truncated CA arrival");
             r = (v == 0) ? kInvalidRecord : v - 1;
             if (r != kInvalidRecord)
                 ++out.ca.waitersRemaining;
         }
-        return true;
+        break;
       }
     }
-    return bad("unreachable opcode");
+    // v1 ops have no length: the next op starts where this one's parse
+    // ends. A v2 body must be exactly the length its column records.
+    if (columnar_ && !in.atEnd())
+        return bad("op body longer than its fields");
+    return true;
 }
 
 bool
@@ -456,7 +494,7 @@ TraceReader::LatencyStream::next(Cycle &latency)
             if (!reader_->ok_ || chunkIdx_ >= order.size())
                 return false;
             std::size_t i = order[chunkIdx_++];
-            if (!reader_->cursorForChunk(i, buf_, cur_))
+            if (!reader_->cursorForChunk(i, cur_))
                 return false;
         }
         if (!cur_.getVarint(runLatency_) || !cur_.getVarint(runLeft_)) {

@@ -11,9 +11,12 @@
  * poisoned chunk fails the reader.
  *
  * v1 ops chunks and latency chunks are consumed zero-copy — cursors
- * point straight into the mapping. v2 ops chunks decode lazily, one
- * chunk at a time as a stream reaches it, back into exact v1 op bytes
- * (v2_block.hpp). Everything above the chunk layer is format-agnostic.
+ * point straight into the mapping. A v2 ops chunk is decompressed when
+ * a stream reaches it, into that stream's one reused section buffer,
+ * and its ops are read straight from the six columns (v2_block.hpp);
+ * no v1 bytes are rebuilt. Only chunkPayload (the path migration
+ * takes) re-interleaves a v2 chunk into v1 op bytes. Everything
+ * above the op stream is format-agnostic.
  *
  * Files without a footer (crashed recordings) are rejected, as is a
  * parallel-mode footer whose lifeguard stats list does not match the
@@ -31,11 +34,20 @@
 #include "deliver/ca_manager.hpp"
 #include "trace/codec.hpp"
 #include "trace/format.hpp"
+#include "trace/v2_block.hpp"
 
 namespace paralog::trace {
 
-/** One decoded journal op. Which fields are meaningful depends on
- *  `op` (see format.hpp). */
+/**
+ * One decoded journal op. `op`, `gseq`, `cycle` and `lgStep` are set
+ * for every op; the other fields belong to the op kinds named beside
+ * them (see format.hpp). OpStream::next() writes only the fields of
+ * the op it returns: after it, fields owned by other op kinds are
+ * unspecified (they may hold an earlier op's values), so a consumer
+ * reads only its op kind's fields. The streams reuse one TraceOp per
+ * caller across the whole journal, which keeps the nested vectors'
+ * (arcs, ca.arrivalRid) capacity.
+ */
 struct TraceOp
 {
     OpCode op = OpCode::kRetire;
@@ -46,41 +58,14 @@ struct TraceOp
     RecordId retired = 0;          // kRetire
     EventRecord rec;               // kAppend / kAppendCa
     std::uint32_t chargedBytes = 0;
-    RecordId rid = 0;              // kAttachArcs / kAnnotateConsume
+    RecordId rid = 0;              // kAttachArcs / kAnnotateConsume /
+                                   // kInsertProduce
     std::vector<DepArc> arcs;      // kAttachArcs
     VersionTag version;            // kAnnotateConsume / kInsertProduce
     Addr addr = 0;                 // kInsertProduce
     std::uint8_t size = 0;
     RecordId visLimit = kInvalidRecord; // kVisLimit
     CaBroadcast ca;                // kCaBroadcast
-
-    /** Back to the default-constructed state, keeping the capacity of
-     *  the nested vectors (arcs, ca.arrivalRid) — the op streams reuse
-     *  one TraceOp per caller across the whole journal, and
-     *  `*this = TraceOp{}` would free them every op. */
-    void
-    reset()
-    {
-        op = OpCode::kRetire;
-        gseq = 0;
-        cycle = 0;
-        lgStep = 0;
-        retired = 0;
-        rec.reset();
-        chargedBytes = 0;
-        rid = 0;
-        arcs.clear();
-        version = VersionTag{};
-        addr = 0;
-        size = 0;
-        visLimit = kInvalidRecord;
-        ca.seq = 0;
-        ca.issuer = kInvalidThread;
-        ca.issuerEventRid = kInvalidRecord;
-        ca.kind = HighLevelKind::kMallocEnd;
-        ca.range = AddrRange{};
-        ca.arrivalRid.clear();
-    }
 };
 
 class TraceReader
@@ -135,6 +120,12 @@ class TraceReader
      * CRC-checks) one chunk at a time. next() returns false at
      * end-of-stream; corruption fails the owning reader (ok() turns
      * false) and ends every stream.
+     *
+     * A v2 chunk is checked as it is read: its framing when the stream
+     * loads it (parseOpsBlock), each op's columns and body when next()
+     * reaches the op, and that every column is used up when the chunk's
+     * last op has been read. A bad op therefore fails the stream when
+     * it is reached, after the chunk's earlier ops were returned.
      */
     class OpStream
     {
@@ -143,11 +134,17 @@ class TraceReader
 
       private:
         friend class TraceReader;
+        /** Load the thread's next ops chunk; false at end of stream or
+         *  on failure (the reader is failed then). */
+        bool loadChunk();
+
         TraceReader *reader_ = nullptr;
         ThreadId tid_ = 0;
+        bool columnar_ = false;    ///< v2: read ops from block_
         std::size_t chunkIdx_ = 0; ///< next chunk (per-thread index)
-        std::vector<std::uint8_t> buf_; ///< lazy v2 decode target
-        ByteCursor cur_;
+        ByteCursor cur_;           ///< v1: the chunk's op bytes
+        std::vector<std::uint8_t> section_; ///< v2: decompressed chunk
+        OpsBlock block_;           ///< v2: column cursors into section_
         RecordDecoder decoder_;
         std::uint64_t gseq_ = 0;
         Cycle cycle_ = 0;
@@ -168,9 +165,6 @@ class TraceReader
         TraceReader *reader_ = nullptr;
         ThreadId tid_ = 0;
         std::size_t chunkIdx_ = 0;
-        std::vector<std::uint8_t> buf_; ///< unused (latency is never
-                                        ///< re-coded); keeps the chunk
-                                        ///< loader interface uniform
         ByteCursor cur_;
         Cycle runLatency_ = 0;
         std::uint64_t runLeft_ = 0;
@@ -196,10 +190,9 @@ class TraceReader
     void parseFooter(const std::vector<std::uint8_t> &payload);
     /** CRC-check chunk @p i; false (reader failed) on mismatch. */
     bool checkChunk(std::size_t i);
-    /** Point @p cur at chunk @p i's v1 op/latency bytes, CRC-checking
-     *  and (v2 ops) decoding as needed. @p buf backs lazy decodes. */
-    bool cursorForChunk(std::size_t i, std::vector<std::uint8_t> &buf,
-                       ByteCursor &cur);
+    /** Point @p cur at chunk @p i's bytes in the file (a v1 ops or a
+     *  latency chunk), CRC-checking it first. */
+    bool cursorForChunk(std::size_t i, ByteCursor &cur);
 
     bool ok_ = true;
     std::string error_;

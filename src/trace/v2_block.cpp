@@ -243,39 +243,52 @@ encodeOpsBlock(const std::uint8_t *v1, std::size_t n,
 }
 
 bool
-decodeOpsBlock(const std::uint8_t *v2, std::size_t n,
-               std::vector<std::uint8_t> &out,
-               std::size_t max_v1_bytes)
+parseOpsBlock(const std::uint8_t *v2, std::size_t n,
+              std::vector<std::uint8_t> &section, std::size_t max_v1_bytes,
+              OpsBlock &out)
 {
     ByteCursor c(v2, n);
-    std::uint64_t v1_len = 0;
-    if (!c.getVarint(v1_len) || v1_len > max_v1_bytes)
+    if (!c.getVarint(out.v1Len) || out.v1Len > max_v1_bytes)
         return false;
 
     // The column section is the v1 bytes plus one length varint per op
     // plus framing; 2x + slack is a generous structural ceiling that
     // still stops a hostile stream from forcing a huge allocation.
-    std::vector<std::uint8_t> section;
     if (!lzDecompress(c.pos, c.remaining(), section,
-                      2 * static_cast<std::size_t>(v1_len) + 1024))
+                      2 * static_cast<std::size_t>(out.v1Len) + 1024))
         return false;
 
     ByteCursor s(section.data(), section.size());
-    std::uint64_t op_count = 0;
-    if (!s.getVarint(op_count) || op_count > v1_len)
+    if (!s.getVarint(out.opCount) || out.opCount > out.v1Len)
         return false;
-    std::array<ByteCursor, kColumnCount> col;
-    for (auto &cc : col) {
+    std::uint64_t v1_bytes = 0;
+    for (std::size_t k = 0; k < kColumnCount; ++k) {
         std::uint64_t len = 0;
         if (!s.getVarint(len) || len > s.remaining())
             return false;
-        cc = ByteCursor(s.pos, static_cast<std::size_t>(len));
+        out.col[k] = ByteCursor(s.pos, static_cast<std::size_t>(len));
         s.pos += len;
+        if (k != kColBodyLen)
+            v1_bytes += len;
     }
-    if (!s.atEnd())
-        return false;
-    return interleaveColumns(col, op_count, static_cast<std::size_t>(v1_len),
-                             out);
+    // One opcode byte per op, and every column byte but the body
+    // lengths is one v1 byte: a section breaking either cannot
+    // interleave into exactly v1Len bytes, so it fails here, before its
+    // first op.
+    return s.atEnd() && out.col[kColOpcode].remaining() == out.opCount &&
+           v1_bytes == out.v1Len;
+}
+
+bool
+decodeOpsBlock(const std::uint8_t *v2, std::size_t n,
+               std::vector<std::uint8_t> &out,
+               std::size_t max_v1_bytes)
+{
+    std::vector<std::uint8_t> section;
+    OpsBlock b;
+    return parseOpsBlock(v2, n, section, max_v1_bytes, b) &&
+           interleaveColumns(b.col, b.opCount,
+                             static_cast<std::size_t>(b.v1Len), out);
 }
 
 } // namespace paralog::trace

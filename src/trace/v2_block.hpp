@@ -21,17 +21,22 @@
  *            4 body length varints   (1 per op)
  *            5 body bytes            (concatenated verbatim)
  *
- * Varint spans are never re-coded: decoding re-interleaves the
- * columns and reproduces the v1 bytes *exactly* (enforced against
- * v1Len), which is what keeps every higher layer — op cursor, record
- * codec, replay, fingerprints — format-agnostic, and makes v1→v2→v1
- * migration byte-identical.
+ * Varint spans are never re-coded: the columns hold exactly the v1
+ * bytes (their lengths, body lengths aside, sum to v1Len), so
+ * v1->v2->v1 migration is byte-identical.
+ *
+ * Two consumers read a chunk. Replay (TraceReader::OpStream) frames
+ * the column section with parseOpsBlock and reads each op straight
+ * from the columns, checking each op as it reaches it; no v1 copy is
+ * made. Only TraceReader::chunkPayload (the path migration takes)
+ * re-interleaves the columns into v1 op bytes, with decodeOpsBlock:
+ * the same framing followed by the interleave.
  *
  * The recorder writes each op straight into these columns (OpColumns);
  * a chunk flush then either lays them out as the column section (v2)
  * or interleaves them back into v1 op bytes (v1), with the same loop
- * the decoder uses. Only migration starts from v1 bytes: it splits them
- * into columns with a structural scanner for the v1 op grammar
+ * decodeOpsBlock uses. Only migration starts from v1 bytes: it splits
+ * them into columns with a structural scanner for the v1 op grammar
  * (recorder.cpp is the source of truth; the scanner only walks field
  * sizes, it decodes nothing) and calls the same encoder.
  */
@@ -132,14 +137,40 @@ bool encodeV1Payload(const OpColumns &c, std::vector<std::uint8_t> &out);
 bool encodeOpsBlock(const std::uint8_t *v1, std::size_t n,
                     std::vector<std::uint8_t> &out);
 
+/** One v2 ops chunk's column section, framed by parseOpsBlock. */
+struct OpsBlock
+{
+    std::uint64_t v1Len = 0;   ///< the ops' size as v1 bytes
+    std::uint64_t opCount = 0;
+    /** Cursors into the decompressed section, one per column. */
+    std::array<ByteCursor, kColumnCount> col;
+};
+
+/**
+ * Frame a v2 ops-chunk payload: LZ-decompress its column section into
+ * @p section (caller-owned, so a stream reuses one buffer) and point
+ * @p out's cursors at the six columns. Returns false on a bad
+ * compression stream, a v1Len above @p max_v1_bytes (hostile length
+ * fields must not drive allocation), opCount above v1Len, a column
+ * running past the section, section bytes left after the last column,
+ * an opcode column that is not opCount bytes, or columns (the body
+ * lengths aside) that do not add up to v1Len bytes. The ops themselves
+ * are not checked: a reader checks each op as it reaches it (opcode,
+ * varints, body within its column) and, after the last, that every
+ * column is used up.
+ */
+bool parseOpsBlock(const std::uint8_t *v2, std::size_t n,
+                   std::vector<std::uint8_t> &section,
+                   std::size_t max_v1_bytes, OpsBlock &out);
+
 /**
  * Decode a v2 ops-chunk payload back into the exact original v1 op
- * bytes (replacing @p out's contents). Returns false on any
- * structural violation: bad compression stream, column over/underrun,
- * an opcode above kMaxOpCode, or a reconstruction whose size differs
- * from the recorded v1Len (the output is sized to v1Len up front, and a
- * write past it is refused before it is made). @p max_v1_bytes bounds
- * the decoded size (hostile length fields must not drive allocation).
+ * bytes (replacing @p out's contents): parseOpsBlock, then the
+ * interleave. Returns false on any structural violation: a framing
+ * fault, a column over/underrun, an opcode above kMaxOpCode, a varint
+ * over 10 bytes, leftover column bytes, or a reconstruction whose size
+ * differs from the recorded v1Len (the output is sized to v1Len up
+ * front, and a write past it is refused before it is made).
  */
 bool decodeOpsBlock(const std::uint8_t *v2, std::size_t n,
                     std::vector<std::uint8_t> &out,

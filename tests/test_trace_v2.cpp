@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "capture/compressor.hpp"
 #include "common/lz.hpp"
 #include "common/rng.hpp"
 #include "common/varint.hpp"
@@ -35,6 +36,7 @@
 #include "harness/paralog_test.hpp"
 #include "harness/tampered_journals.hpp"
 #include "trace/migrate.hpp"
+#include "trace/recorder.hpp"
 #include "trace/stream_ingest.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
@@ -537,6 +539,26 @@ class DecodeOracle
     GuardedArena arena_;
 };
 
+/** Append the ops-chunk payloads of the recording at @p path, as
+ *  stored in the file, to @p chunks. */
+void
+appendOpsChunks(const std::string &path,
+                std::vector<std::vector<std::uint8_t>> &chunks)
+{
+    std::vector<std::uint8_t> file = slurp(path);
+    EXPECT_GT(file.size(), trace::kHeaderBytes) << path;
+    std::size_t off = trace::kHeaderBytes;
+    while (off + 16 <= file.size()) {
+        const std::uint32_t kind = trace::get32le(&file[off]);
+        const std::uint32_t bytes = trace::get32le(&file[off + 8]);
+        if (kind == trace::kChunkOps)
+            chunks.emplace_back(file.begin() + off + 16,
+                                file.begin() + off + 16 + bytes);
+        off += 16 + bytes;
+    }
+    EXPECT_EQ(off, file.size()) << path << ": chunk walk";
+}
+
 /** Every v2 ops-chunk payload of the committed corpus; empty when
  *  PARALOG_CORPUS is unset (outside CTest). */
 std::vector<std::vector<std::uint8_t>>
@@ -549,18 +571,7 @@ corpusV2OpsChunks()
                 std::string(lg) + "_" + mm + "_v2");
             if (path.empty())
                 return {};
-            std::vector<std::uint8_t> file = slurp(path);
-            EXPECT_GT(file.size(), trace::kHeaderBytes) << path;
-            std::size_t off = trace::kHeaderBytes;
-            while (off + 16 <= file.size()) {
-                const std::uint32_t kind = trace::get32le(&file[off]);
-                const std::uint32_t bytes = trace::get32le(&file[off + 8]);
-                if (kind == trace::kChunkOps)
-                    chunks.emplace_back(file.begin() + off + 16,
-                                        file.begin() + off + 16 + bytes);
-                off += 16 + bytes;
-            }
-            EXPECT_EQ(off, file.size()) << path << ": chunk walk";
+            appendOpsChunks(path, chunks);
         }
     }
     return chunks;
@@ -590,6 +601,24 @@ joinPayload(std::uint64_t v1_len, const std::vector<std::uint8_t> &lz)
     putVarint(out, v1_len);
     out.insert(out.end(), lz.begin(), lz.end());
     return out;
+}
+
+/** A v2 payload of @p v1_len around a column section written from
+ *  its fields @p f (opCount, six column lengths) and columns @p c,
+ *  which need not agree. */
+std::vector<std::uint8_t>
+sectionPayload(std::uint64_t v1_len, const std::uint64_t (&f)[7],
+               const std::vector<std::uint8_t> (&c)[6])
+{
+    std::vector<std::uint8_t> sec;
+    putVarint(sec, f[0]);
+    for (int k = 0; k < 6; ++k) {
+        putVarint(sec, f[k + 1]);
+        sec.insert(sec.end(), c[k].begin(), c[k].end());
+    }
+    std::vector<std::uint8_t> lz;
+    lzCompress(sec.data(), sec.size(), lz);
+    return joinPayload(v1_len, lz);
 }
 
 /** @p lz with its leading rawLen varint replaced by @p raw_len. */
@@ -710,15 +739,7 @@ TEST(DecodeKernelOracle, FlippedTruncatedAndLengthEditedChunksAgree)
         auto rebuild = [&](const std::uint64_t (&f)[7],
                            const std::vector<std::uint8_t> (&c)[6],
                            const std::string &what) {
-            std::vector<std::uint8_t> sec;
-            putVarint(sec, f[0]);
-            for (int k = 0; k < 6; ++k) {
-                putVarint(sec, f[k + 1]);
-                sec.insert(sec.end(), c[k].begin(), c[k].end());
-            }
-            std::vector<std::uint8_t> lz;
-            lzCompress(sec.data(), sec.size(), lz);
-            o.block(joinPayload(sp.v1Len, lz), kMaxChunkV1Bytes,
+            o.block(sectionPayload(sp.v1Len, f, c), kMaxChunkV1Bytes,
                     tag + " " + what);
         };
         for (int k = 0; k < 7; ++k) {
@@ -1471,6 +1492,484 @@ TEST_F(ColumnEncoder, CorpusPairsMigrateIntoEachOther)
     }
 }
 
+// -------------------------------------- column op stream vs v1 parse
+
+/**
+ * The first field of the op's own kind in which @p a and @p b differ,
+ * or "" if none: the fields OpStream::next() writes for that kind (see
+ * TraceOp; the other kinds' fields are unspecified).
+ */
+std::string
+opDiff(const trace::TraceOp &a, const trace::TraceOp &b)
+{
+    using trace::OpCode;
+    if (a.op != b.op)
+        return "op";
+    if (a.gseq != b.gseq || a.cycle != b.cycle || a.lgStep != b.lgStep)
+        return "gseq/cycle/lgStep";
+    switch (a.op) {
+      case OpCode::kRetire:
+        return a.retired == b.retired ? "" : "retired";
+      case OpCode::kAppend:
+      case OpCode::kAppendCa: {
+        const EventRecord &x = a.rec, &y = b.rec;
+        if (a.chargedBytes != b.chargedBytes)
+            return "chargedBytes";
+        if (x.rid != y.rid || x.addr != y.addr || x.value != y.value ||
+            x.caSeq != y.caSeq || x.appendCycle != y.appendCycle ||
+            x.tid != y.tid || x.chargedBytes != y.chargedBytes ||
+            x.type != y.type || x.dst != y.dst || x.src != y.src ||
+            x.size != y.size || x.syscall != y.syscall ||
+            x.caKind != y.caKind || x.consumesVersion != y.consumesVersion ||
+            x.wrapper != y.wrapper)
+            return "rec";
+        if (x.hasColdBlock() != y.hasColdBlock() || x.range() != y.range() ||
+            x.version() != y.version() || x.arcs() != y.arcs())
+            return "rec cold block";
+        return "";
+      }
+      case OpCode::kAttachArcs:
+        return a.rid == b.rid && a.arcs == b.arcs ? "" : "rid/arcs";
+      case OpCode::kAnnotateConsume:
+        return a.rid == b.rid && a.version == b.version ? ""
+                                                        : "rid/version";
+      case OpCode::kInsertProduce:
+        return a.rid == b.rid && a.version == b.version &&
+                       a.addr == b.addr && a.size == b.size
+                   ? ""
+                   : "rid/version/addr/size";
+      case OpCode::kVisLimit:
+        return a.visLimit == b.visLimit ? "" : "visLimit";
+      case OpCode::kCaBroadcast: {
+        const CaBroadcast &x = a.ca, &y = b.ca;
+        return x.seq == y.seq && x.issuer == y.issuer &&
+                       x.issuerEventRid == y.issuerEventRid &&
+                       x.kind == y.kind && x.range == y.range &&
+                       x.arrivalRid == y.arrivalRid &&
+                       x.waitersRemaining == y.waitersRemaining
+                   ? ""
+                   : "ca";
+      }
+    }
+    return "unknown op";
+}
+
+/**
+ * Migrate the v2 recording at @p v2 to v1, which re-interleaves every
+ * ops chunk with decodeOpsBlock, and read both: the v2 stream, reading
+ * the columns in place, must yield the v1 parse's ops field for field
+ * and end where it ends. Returns the number of ops compared.
+ */
+std::uint64_t
+expectColumnsMatchV1Parse(const std::string &v2, const std::string &what)
+{
+    TempTrace v1("diff_v1");
+    const trace::MigrateResult m = trace::migrateTrace(v2, v1.path(), 1);
+    EXPECT_TRUE(m.ok) << what << ": " << m.error;
+    trace::TraceReader cols(v2), bytes(v1.path());
+    EXPECT_TRUE(cols.ok() && bytes.ok())
+        << what << ": " << cols.error() << bytes.error();
+    if (!cols.ok() || !bytes.ok())
+        return 0;
+    EXPECT_EQ(cols.formatVersion(), trace::kFormatVersionV2) << what;
+    EXPECT_EQ(bytes.formatVersion(), trace::kFormatVersion) << what;
+
+    std::uint64_t n = 0;
+    trace::TraceOp a, b;
+    for (ThreadId t = 0; t < cols.config().appThreads; ++t) {
+        auto sa = cols.opStream(t), sb = bytes.opStream(t);
+        for (std::uint64_t i = 0;; ++i, ++n) {
+            const bool na = sa.next(a), nb = sb.next(b);
+            if (na != nb) {
+                ADD_FAILURE() << what << " t" << t << ": op " << i
+                              << " read from one stream only";
+                return n;
+            }
+            if (!na)
+                break;
+            const std::string d = opDiff(a, b);
+            if (!d.empty()) {
+                ADD_FAILURE() << what << " t" << t << " op " << i
+                              << " (kind " << static_cast<int>(a.op)
+                              << "): " << d << " differs";
+                return n;
+            }
+        }
+    }
+    EXPECT_TRUE(cols.ok()) << what << ": " << cols.error();
+    EXPECT_TRUE(bytes.ok()) << what << ": " << bytes.error();
+    return n;
+}
+
+/** Header config for a hand-built one- or two-thread journal. */
+trace::TraceConfig
+handBuiltConfig(std::uint32_t threads)
+{
+    trace::TraceConfig cfg;
+    cfg.appThreads = threads;
+    return cfg;
+}
+
+/** Footer for a hand-built journal whose ops end by @p cycles. */
+RunResult
+handBuiltResult(std::uint32_t threads, Cycle cycles)
+{
+    RunResult r;
+    r.app.resize(threads);
+    r.lifeguard.resize(threads);
+    r.totalCycles = cycles;
+    return r;
+}
+
+/** Appends records through one StreamCompressor per thread, as the
+ *  capture unit does, so the record decoder can read them back. */
+class AppendSource
+{
+  public:
+    AppendSource(trace::TraceRecorder &rec, std::uint32_t threads)
+        : rec_(rec), enc_(threads), rid_(threads, 0)
+    {
+    }
+
+    /** Append @p r on @p tid with the next rid; returns that rid. */
+    RecordId
+    append(ThreadId tid, EventRecord r, bool ca = false)
+    {
+        r.tid = tid;
+        r.rid = ++rid_[tid];
+        payload_.clear();
+        const std::uint32_t charged = enc_[tid].encode(r, &payload_);
+        if (ca)
+            rec_.onAppendCa(tid, r, charged, payload_);
+        else
+            rec_.onAppend(tid, r, charged, payload_);
+        return r.rid;
+    }
+
+  private:
+    trace::TraceRecorder &rec_;
+    std::vector<StreamCompressor> enc_;
+    std::vector<RecordId> rid_;
+    std::vector<std::uint8_t> payload_;
+};
+
+/** A record of @p type with fields to match (and @p arcs arcs). */
+EventRecord
+recordOf(EventType type, std::uint64_t i, std::size_t arcs = 0)
+{
+    EventRecord r;
+    r.type = type;
+    r.addr = 0x10000 + 64 * i;
+    r.size = 8;
+    r.dst = static_cast<RegId>(1 + i % 7);
+    r.src = static_cast<RegId>(2 + i % 5);
+    switch (type) {
+      case EventType::kMallocEnd:
+      case EventType::kFreeBegin:
+        r.addr = 0;
+        r.setRange(AddrRange{0x80000 + 256 * i, 0x80000 + 256 * i + 96});
+        r.caSeq = i;
+        break;
+      case EventType::kCaBegin:
+      case EventType::kCaEnd:
+        r.addr = 0;
+        r.value = i;
+        r.caKind = HighLevelKind::kFreeBegin;
+        r.setRange(AddrRange{0x90000, 0x90000 + 32 * (1 + i % 4)});
+        break;
+      default:
+        break;
+    }
+    if (i % 3 == 0)
+        r.setVersion(VersionTag{1, 1000 + i});
+    for (std::size_t k = 0; k < arcs; ++k)
+        r.mutableArcs().push_back(DepArc{1, 300 * k + i});
+    return r;
+}
+
+class ColumnStream : public QuietTest
+{
+};
+
+TEST_F(ColumnStream, CorpusFilesAndTheirMigrationsMatchTheV1Parse)
+{
+    for (const char *lg : {"addrcheck", "lockset", "memcheck", "taintcheck"}) {
+        for (const char *mm : {"sc", "tso"}) {
+            const std::string stem = std::string(lg) + "_" + mm;
+            const std::string v1 = test::corpusTrace(stem + "_v1");
+            const std::string v2 = test::corpusTrace(stem + "_v2");
+            if (v1.empty())
+                GTEST_SKIP() << "PARALOG_CORPUS not set (run under CTest)";
+            EXPECT_GT(expectColumnsMatchV1Parse(v2, stem + "_v2"), 0u);
+            TempTrace up("diff_up");
+            ASSERT_TRUE(trace::migrateTrace(v1, up.path(), 2).ok) << stem;
+            EXPECT_GT(expectColumnsMatchV1Parse(up.path(), stem + "_v1 up"),
+                      0u);
+        }
+    }
+}
+
+TEST_F(ColumnStream, HandBuiltOpsOfEveryKindMatchTheV1Parse)
+{
+    // Two threads; every op kind, in rotating order, with bodies from
+    // one byte to several hundred (two-byte length varints).
+    TempTrace tmp("hand");
+    {
+        trace::TraceRecorder rec(tmp.path(), handBuiltConfig(2),
+                                 trace::kFormatVersionV2);
+        ASSERT_TRUE(rec.ok()) << rec.error();
+        AppendSource src(rec, 2);
+        const EventType types[] = {
+            EventType::kLoad,      EventType::kStore,
+            EventType::kMallocEnd, EventType::kFreeBegin,
+            EventType::kMovImm,    EventType::kLockAcquire};
+        RecordId retired = 0;
+        Cycle now = 0;
+        for (std::uint64_t i = 0; i < 600; ++i) {
+            const ThreadId t = static_cast<ThreadId>(i % 2);
+            rec.setNow(now += 1 + (i % 5) * 40);
+            rec.noteLgStep(static_cast<std::uint32_t>(i % 3));
+            std::vector<DepArc> arcs;
+            for (std::uint64_t k = 0; k < i % 101; ++k)
+                arcs.push_back(DepArc{static_cast<ThreadId>(1 - t),
+                                      k * 5000 + i});
+            switch (i % 8) {
+              case 0:
+                retired += 1ull << (7 * (i % 9)); // 1- to 9-byte varints
+                rec.onRetire(t, retired);
+                break;
+              case 1:
+                src.append(t, recordOf(types[i % 6], i, i % 41));
+                break;
+              case 2:
+                src.append(t, recordOf(EventType::kCaBegin, i), true);
+                break;
+              case 3:
+                rec.onAttachArcs(t, 7 + i, arcs);
+                break;
+              case 4:
+                rec.onAnnotateConsume(t, 9 + i,
+                                      VersionTag{1 - t, 3 * i});
+                break;
+              case 5:
+                rec.onInsertProduce(t, 11 + i, VersionTag{t, 5 * i},
+                                    0x7fff0000ull + 1024 * i,
+                                    static_cast<std::uint8_t>(1 << (i % 4)));
+                break;
+              case 6:
+                rec.onVisibilityLimit(
+                    t, i % 3 == 0 ? kInvalidRecord : 100 * i);
+                break;
+              case 7: {
+                CaBroadcast b;
+                b.seq = i;
+                b.issuer = t;
+                b.issuerEventRid = 40 + i;
+                b.kind = static_cast<HighLevelKind>(i % 4);
+                b.range = AddrRange{0x4000 * i, 0x4000 * i + 64 + i};
+                for (std::uint64_t k = 0; k < i % 97; ++k)
+                    b.arrivalRid.push_back(k % 5 == 0 ? kInvalidRecord
+                                                      : 200 * k + i);
+                rec.onCaBroadcast(b);
+                break;
+              }
+            }
+        }
+        ASSERT_TRUE(rec.finalize(handBuiltResult(2, now))) << rec.error();
+    }
+
+    // Coverage, read off the columns themselves: all eight opcodes, and
+    // body lengths from one byte to past 127.
+    std::vector<std::vector<std::uint8_t>> chunks;
+    appendOpsChunks(tmp.path(), chunks);
+    std::array<std::uint64_t, trace::kMaxOpCode + 1> kinds{};
+    std::uint64_t min_body = ~0ull, max_body = 0;
+    std::vector<std::uint8_t> section;
+    for (const auto &v2 : chunks) {
+        trace::OpsBlock b;
+        ASSERT_TRUE(trace::parseOpsBlock(v2.data(), v2.size(), section,
+                                         kMaxChunkV1Bytes, b));
+        for (const std::uint8_t *p = b.col[trace::kColOpcode].pos;
+             p != b.col[trace::kColOpcode].end; ++p)
+            ++kinds[*p];
+        std::uint64_t len = 0;
+        while (b.col[trace::kColBodyLen].getVarint(len)) {
+            min_body = std::min(min_body, len);
+            max_body = std::max(max_body, len);
+        }
+    }
+    for (std::size_t k = 0; k < kinds.size(); ++k)
+        EXPECT_GT(kinds[k], 0u) << "op kind " << k;
+    EXPECT_EQ(min_body, 1u);
+    EXPECT_GT(max_body, 300u);
+
+    EXPECT_EQ(expectColumnsMatchV1Parse(tmp.path(), "hand-built"), 600u);
+}
+
+TEST_F(ColumnStream, EachOpWritesItsOwnFieldsAfterAnyOtherKind)
+{
+    // One reused TraceOp across a stream that follows each kind with
+    // the others: every op's own fields must be its own, never left
+    // over from an earlier op (a shorter arc or arrival list, or a
+    // record cold block, would show through).
+    for (std::uint32_t format :
+         {trace::kFormatVersion, trace::kFormatVersionV2}) {
+        const std::string fmt = "v" + std::to_string(format);
+        TempTrace tmp("fields");
+        CaBroadcast wide, narrow;
+        wide.seq = 3;
+        wide.issuer = 0;
+        wide.issuerEventRid = 1;
+        wide.kind = HighLevelKind::kFreeBegin;
+        wide.range = AddrRange{0x5000, 0x5100};
+        wide.arrivalRid = {7, kInvalidRecord, 9, 12};
+        narrow = wide;
+        narrow.seq = 4;
+        narrow.kind = HighLevelKind::kMallocEnd;
+        narrow.range = AddrRange{0x6000, 0x6008};
+        narrow.arrivalRid = {kInvalidRecord};
+        const std::vector<DepArc> three = {{1, 2}, {1, 3}, {1, 5}};
+        {
+            trace::TraceRecorder rec(tmp.path(), handBuiltConfig(2), format);
+            ASSERT_TRUE(rec.ok()) << rec.error();
+            AppendSource src(rec, 2);
+            src.append(0, recordOf(EventType::kMallocEnd, 3, 4)); // cold
+            rec.onCaBroadcast(wide);
+            rec.onAttachArcs(0, 1, three);
+            src.append(0, recordOf(EventType::kLoad, 1));          // no cold
+            rec.onCaBroadcast(narrow);
+            rec.onAttachArcs(0, 2, {});
+            rec.onInsertProduce(0, 2, VersionTag{1, 8}, 0x7000, 4);
+            rec.onAnnotateConsume(0, 2, VersionTag{1, 9});
+            src.append(0, recordOf(EventType::kCaEnd, 4), true);
+            rec.onVisibilityLimit(0, 12);
+            rec.onRetire(0, 5);
+            rec.onVisibilityLimit(0, kInvalidRecord);
+            ASSERT_TRUE(rec.finalize(handBuiltResult(2, 10)))
+                << rec.error();
+        }
+        trace::TraceReader reader(tmp.path());
+        ASSERT_TRUE(reader.ok()) << reader.error();
+        auto s = reader.opStream(0);
+        trace::TraceOp op;
+        using trace::OpCode;
+        auto expect_kind = [&](OpCode k) {
+            ASSERT_TRUE(s.next(op)) << fmt << ": " << reader.error();
+            ASSERT_EQ(op.op, k) << fmt;
+        };
+
+        expect_kind(OpCode::kAppend);
+        EXPECT_TRUE(op.rec.hasColdBlock()) << fmt;
+        EXPECT_EQ(op.rec.arcs().size(), 4u) << fmt;
+
+        expect_kind(OpCode::kCaBroadcast);
+        EXPECT_EQ(op.ca.arrivalRid, wide.arrivalRid) << fmt;
+        EXPECT_EQ(op.ca.waitersRemaining, 3u) << fmt;
+
+        expect_kind(OpCode::kAttachArcs);
+        EXPECT_EQ(op.rid, 1u) << fmt;
+        EXPECT_EQ(op.arcs, three) << fmt;
+
+        expect_kind(OpCode::kAppend);
+        EXPECT_EQ(op.rec.type, EventType::kLoad) << fmt;
+        EXPECT_FALSE(op.rec.hasColdBlock()) << fmt;
+        EXPECT_TRUE(op.rec.arcs().empty()) << fmt;
+        EXPECT_EQ(op.rec.range(), AddrRange{}) << fmt;
+        EXPECT_EQ(op.rec.caSeq, kNoCaSeq) << fmt;
+
+        expect_kind(OpCode::kCaBroadcast);
+        EXPECT_EQ(op.ca.seq, 4u) << fmt;
+        EXPECT_EQ(op.ca.kind, HighLevelKind::kMallocEnd) << fmt;
+        EXPECT_EQ(op.ca.range, narrow.range) << fmt;
+        EXPECT_EQ(op.ca.arrivalRid, narrow.arrivalRid) << fmt;
+        EXPECT_EQ(op.ca.waitersRemaining, 0u) << fmt;
+        EXPECT_EQ(op.ca.issuer, 0u) << fmt;
+
+        expect_kind(OpCode::kAttachArcs);
+        EXPECT_EQ(op.rid, 2u) << fmt;
+        EXPECT_TRUE(op.arcs.empty()) << fmt;
+
+        expect_kind(OpCode::kInsertProduce);
+        EXPECT_EQ(op.rid, 2u) << fmt;
+        EXPECT_EQ(op.version, (VersionTag{1, 8})) << fmt;
+        EXPECT_EQ(op.addr, 0x7000u) << fmt;
+        EXPECT_EQ(op.size, 4u) << fmt;
+
+        expect_kind(OpCode::kAnnotateConsume);
+        EXPECT_EQ(op.rid, 2u) << fmt;
+        EXPECT_EQ(op.version, (VersionTag{1, 9})) << fmt;
+
+        expect_kind(OpCode::kAppendCa);
+        EXPECT_EQ(op.rec.type, EventType::kCaEnd) << fmt;
+        EXPECT_EQ(op.rec.value, 4u) << fmt;
+        EXPECT_TRUE(op.rec.arcs().empty()) << fmt;
+        EXPECT_EQ(op.rec.version(), VersionTag{}) << fmt;
+
+        expect_kind(OpCode::kVisLimit);
+        EXPECT_EQ(op.visLimit, 12u) << fmt;
+
+        expect_kind(OpCode::kRetire);
+        EXPECT_EQ(op.retired, 5u) << fmt;
+
+        expect_kind(OpCode::kVisLimit);
+        EXPECT_EQ(op.visLimit, kInvalidRecord) << fmt;
+
+        EXPECT_FALSE(s.next(op)) << fmt;
+        EXPECT_TRUE(reader.ok()) << fmt << ": " << reader.error();
+    }
+}
+
+TEST_F(ColumnStream, RefusesABodyItsFieldsDoNotFillExactly)
+{
+    // The block decoder only checks the columns' framing, so it accepts
+    // these chunks; the stream parses each body against its recorded
+    // length and fails at the bad op, after returning the ones before.
+    struct Case
+    {
+        const char *what;
+        std::vector<std::uint8_t> body;
+        const char *error;
+    };
+    const Case cases[] = {
+        {"empty body", {}, "malformed op stream: truncated retire"},
+        {"trailing byte", {0x01, 0x00},
+         "malformed op stream: op body longer than its fields"},
+    };
+    for (const Case &c : cases) {
+        TempTrace tmp("body");
+        {
+            trace::TraceWriter w(tmp.path(), handBuiltConfig(1),
+                                 trace::kFormatVersionV2);
+            w.ops(0).beginOp(0, 1, 1, 0).push_back(0x02); // retire 2
+            w.endOp(0, false);
+            auto &b = w.ops(0).beginOp(0, 1, 1, 0);
+            b.insert(b.end(), c.body.begin(), c.body.end());
+            w.endOp(0, false);
+            trace::TraceFooter footer;
+            footer.result = handBuiltResult(1, 10);
+            ASSERT_TRUE(w.finalize(footer)) << w.error();
+        }
+        std::vector<std::vector<std::uint8_t>> chunks;
+        appendOpsChunks(tmp.path(), chunks);
+        ASSERT_EQ(chunks.size(), 1u) << c.what;
+        std::vector<std::uint8_t> v1;
+        EXPECT_TRUE(trace::decodeOpsBlock(chunks[0].data(), chunks[0].size(),
+                                          v1, kMaxChunkV1Bytes))
+            << c.what;
+
+        trace::TraceReader reader(tmp.path());
+        ASSERT_TRUE(reader.ok()) << reader.error();
+
+        auto s = reader.opStream(0);
+        trace::TraceOp op;
+        ASSERT_TRUE(s.next(op)) << c.what << ": " << reader.error();
+        EXPECT_EQ(op.retired, 2u) << c.what;
+        EXPECT_FALSE(s.next(op)) << c.what;
+        EXPECT_NE(reader.error().find(c.error), std::string::npos)
+            << c.what << ": " << reader.error();
+    }
+}
+
 // ------------------------------------------- corruption / truncation
 
 /** One recorded v2 file + its bytes, shared across corruption tests. */
@@ -1636,6 +2135,135 @@ TEST_F(V2Corruption, CrcValidGarbageFailsTheBlockDecoder)
                     err.find("malformed op stream") != std::string::npos)
             << "unexpected failure taxonomy: " << err;
     }
+}
+
+TEST_F(V2Corruption, ColumnStreamFailsWheneverTheBlockDecoderRefuses)
+{
+    // CRC-valid edits of every ops chunk: the length fields (v1Len,
+    // opCount, each column length, body lengths), a trailing byte on
+    // each column (v1Len kept consistent, so only the used-up check can
+    // see it) and byte flips inside the column section, recompressed.
+    // Whenever decodeOpsBlock refuses a chunk, the column stream must
+    // fail too, with the reader's v2 taxonomy. A body length past the
+    // body column is a column fault, named as such.
+    const char *kUndecodable = "v2 ops chunk does not decode";
+    const char *kMalformed = "malformed op stream";
+    std::size_t refused = 0, edits = 0;
+    Rng rng(28);
+    for (const auto &[off, bytes] : chunkFrames()) {
+        if (trace::get32le(good_.data() + off) != trace::kChunkOps)
+            continue;
+        const std::vector<std::uint8_t> payload(
+            good_.begin() + off + 16, good_.begin() + off + 16 + bytes);
+        const SplitPayload sp = splitPayload(payload);
+        std::vector<std::uint8_t> section;
+        ASSERT_TRUE(lzDecompress(sp.lz.data(), sp.lz.size(), section,
+                                 lzCeiling(sp.v1Len)));
+        ByteCursor sc(section.data(), section.size());
+        std::uint64_t fields[7] = {}; // opCount, six column lengths
+        std::vector<std::uint8_t> cols[6];
+        ASSERT_TRUE(sc.getVarint(fields[0]));
+        for (int k = 0; k < 6; ++k) {
+            ASSERT_TRUE(sc.getVarint(fields[k + 1]));
+            cols[k].assign(sc.pos, sc.pos + fields[k + 1]);
+            sc.pos += fields[k + 1];
+        }
+
+        // Run one edited payload through decodeOpsBlock and the stream.
+        auto check = [&](const std::vector<std::uint8_t> &edited,
+                         const std::string &what,
+                         const char *must_name = nullptr) {
+            ++edits;
+            std::vector<std::uint8_t> v1;
+            const bool decodes = trace::decodeOpsBlock(
+                edited.data(), edited.size(), v1, kMaxChunkV1Bytes);
+            std::vector<std::uint8_t> file(good_.begin(),
+                                           good_.begin() + off + 16);
+            trace::put32le(file.data() + off + 8,
+                           static_cast<std::uint32_t>(edited.size()));
+            trace::put32le(file.data() + off + 12,
+                           trace::crc32(edited.data(), edited.size()));
+            file.insert(file.end(), edited.begin(), edited.end());
+            file.insert(file.end(), good_.begin() + off + 16 + bytes,
+                        good_.end());
+            const std::string err = consumeAll(file);
+            if (must_name) {
+                EXPECT_FALSE(decodes) << what;
+                EXPECT_NE(err.find(must_name), std::string::npos)
+                    << what << ": " << err;
+            }
+            if (decodes)
+                return;
+            ++refused;
+            EXPECT_TRUE(err.find(kUndecodable) != std::string::npos ||
+                        err.find(kMalformed) != std::string::npos)
+                << what << ": the stream read a refused chunk: '" << err
+                << "'";
+        };
+        const std::string tag = "chunk at " + std::to_string(off);
+
+        check(sectionPayload(sp.v1Len, fields, cols), tag + " unedited");
+        for (std::int64_t d : {-1, 1}) {
+            const std::string dt = " d=" + std::to_string(d);
+            check(joinPayload(sp.v1Len + d, sp.lz), tag + " v1Len" + dt);
+            for (int k = 0; k < 7; ++k) {
+                std::uint64_t f[7];
+                std::copy(std::begin(fields), std::end(fields), f);
+                f[k] += d;
+                check(sectionPayload(sp.v1Len, f, cols),
+                      tag + " field " + std::to_string(k) + dt);
+            }
+        }
+
+        // Body lengths of the first, a middle and the last op (where
+        // they are single-byte varints). One past the last body runs
+        // off the body column.
+        const std::size_t last = cols[4].size() - 1;
+        for (std::size_t at : {std::size_t(0), last / 2, last}) {
+            if ((cols[4][at] & 0x80) || (at > 0 && (cols[4][at - 1] & 0x80)))
+                continue;
+            for (int d : {-1, 1}) {
+                std::vector<std::uint8_t> c2[6];
+                std::copy(std::begin(cols), std::end(cols), c2);
+                c2[4][at] = static_cast<std::uint8_t>((c2[4][at] + d) & 0x7F);
+                check(sectionPayload(sp.v1Len, fields, c2),
+                      tag + " body len " + std::to_string(at) +
+                          " d=" + std::to_string(d),
+                      at == last && d == 1 ? kUndecodable : nullptr);
+            }
+        }
+
+        // One byte more in a column, its length and v1Len following.
+        for (int k = 0; k < 6; ++k) {
+            std::uint64_t f[7];
+            std::copy(std::begin(fields), std::end(fields), f);
+            std::vector<std::uint8_t> c2[6];
+            std::copy(std::begin(cols), std::end(cols), c2);
+            c2[k].push_back(0);
+            ++f[k + 1];
+            const std::uint64_t v1_len =
+                sp.v1Len + (k == trace::kColBodyLen ? 0 : 1);
+            check(sectionPayload(v1_len, f, c2),
+                  tag + " trailing byte in column " + std::to_string(k),
+                  kUndecodable);
+        }
+
+        // Seeded flips inside the column bytes.
+        for (int i = 0; i < 64; ++i) {
+            const int k = static_cast<int>(rng.below(6));
+            if (cols[k].empty())
+                continue;
+            std::vector<std::uint8_t> c2[6];
+            std::copy(std::begin(cols), std::end(cols), c2);
+            const std::size_t at = rng.below(c2[k].size());
+            c2[k][at] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+            check(sectionPayload(sp.v1Len, fields, c2),
+                  tag + " flip column " + std::to_string(k) + " byte " +
+                      std::to_string(at));
+        }
+    }
+    EXPECT_GT(edits, 100u);
+    EXPECT_GT(refused, edits / 2);
 }
 
 TEST_F(V2Corruption, SeededRandomPayloadFlipsNeverPassSilently)
